@@ -4,11 +4,11 @@ One *epoch* simulates one monitoring visit to the instrumented
 footbridge: a wall charging session over a (possibly hostile) channel,
 TDMA inventory and sensor reads, then the epoch's SHM samples --
 acceleration and stress series whose variance tracks pedestrian load
-and the storm schedule -- appended to the campaign's accumulated
-record.  Running ``config.epochs`` epochs and analysing the accumulated
-series reproduces the paper's Fig. 21 capstone (anomaly windows in both
-channels during storms, mutual sensor verification, compliance,
-PAO health grades) at any horizon up to and beyond the 17-month pilot.
+and the storm schedule.  Running ``config.epochs`` epochs and analysing
+the series of every committed epoch reproduces the paper's Fig. 21
+capstone (anomaly windows in both channels during storms, mutual sensor
+verification, compliance, PAO health grades) at any horizon up to and
+beyond the 17-month pilot.
 
 The robustness contract (see ``docs/CAMPAIGN.md``):
 
@@ -18,8 +18,9 @@ The robustness contract (see ``docs/CAMPAIGN.md``):
 * checkpoints are verified on load, quarantined when corrupt, and
   rolled back past (the replayed epochs are simply recomputed);
 * a hung epoch is interrupted by the watchdog and recorded as an
-  ``epoch_timeout`` degradation -- with the master RNG and injector
-  state restored to the epoch boundary so later epochs are unaffected;
+  ``epoch_timeout`` degradation -- an epoch only touches state once it
+  has finished inside its deadline, so an abandoned one leaves no trace
+  and later epochs are unaffected;
 * SIGINT/SIGTERM flush a final checkpoint before the process exits.
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,11 +180,11 @@ def _epoch_rng(seed: int, epoch: int, channel: str) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class EpochSamples:
-    """One epoch's SHM sample block, assembled exactly once.
+    """One epoch's SHM sample block, as the epoch body consumes it.
 
-    Both consumers -- the checkpointed state accumulation and the
-    telemetry-store export -- read from this object, so they can never
-    disagree about what an epoch produced.
+    The telemetry-store export and the epoch's grade read from this
+    object; the final analytics regenerate the same series through
+    :meth:`Campaign._epoch_series`, so the two can never disagree.
     """
 
     epoch: int
@@ -192,11 +194,27 @@ class EpochSamples:
     stress_mpa: np.ndarray
     counts: np.ndarray
 
-    def accumulate(self, state: CampaignState) -> None:
-        """Fold this epoch's series into the checkpointed state."""
-        state.hours.extend(float(v) for v in self.hours)
-        state.acceleration.extend(float(v) for v in self.acceleration)
-        state.stress_mpa.extend(float(v) for v in self.stress_mpa)
+
+@dataclass(frozen=True)
+class EpochOutcome:
+    """What one epoch produced, before it is committed to state.
+
+    :meth:`Campaign._run_epoch` computes it without mutating the
+    campaign state; the supervisor commits it only after the watchdog
+    deadline has exited, so an abandoned epoch leaves no trace.
+    """
+
+    record: Dict[str, Any]
+    rng: random.Random
+    stuck_latches: Dict[str, Optional[int]]
+
+    def commit(self, state: CampaignState) -> None:
+        """Advance ``state``'s streams, latches, grades and fault totals."""
+        state.rng = self.rng
+        state.stuck_latches = self.stuck_latches
+        grade = self.record["grade"]
+        state.grade_counts[grade] = state.grade_counts.get(grade, 0) + 1
+        state.absorb_faults(self.record["fault_counts"])
 
 
 class Campaign:
@@ -362,13 +380,14 @@ class Campaign:
     # ------------------------------------------------------------------
 
     def _build_wall(
-        self, state: CampaignState
+        self, rng: random.Random
     ) -> Tuple[PowerUpLink, List[PlacedNode]]:
         """This epoch's deployment, drawn from the master RNG stream.
 
         Environmental drift (temperature, humidity, strain) comes from
-        ``state.rng`` -- the serialized master stream -- so deployments
-        evolve continuously across epochs *and* across resumes.
+        ``rng`` -- a copy of the serialized master stream -- so
+        deployments evolve continuously across epochs *and* across
+        resumes.
         """
         config = self.config
         concrete = get_concrete("UHPC")
@@ -387,7 +406,6 @@ class Campaign:
             raise CampaignError(
                 f"tx voltage {config.tx_voltage} V cannot charge past 0.3 m"
             )
-        rng = state.rng
         placed: List[PlacedNode] = []
         for node_id in range(1, config.nodes + 1):
             env = Environment(
@@ -442,12 +460,7 @@ class Campaign:
         return hours, acceleration, stress, counts
 
     def _epoch_samples(self, epoch: int, storm: bool) -> EpochSamples:
-        """The single source of one epoch's SHM samples.
-
-        Both the checkpoint path (:meth:`EpochSamples.accumulate`) and
-        the store-export path (:meth:`_export_epoch`) consume this one
-        object -- the series are assembled exactly once per epoch.
-        """
+        """One epoch's SHM samples for the export and the grade."""
         hours, acceleration, stress, counts = self._epoch_series(epoch, storm)
         return EpochSamples(
             epoch=epoch,
@@ -556,8 +569,8 @@ class Campaign:
         )
         return injector
 
-    def _run_epoch(self, state: CampaignState) -> Dict[str, Any]:
-        """Advance ``state`` by one epoch; returns the epoch record."""
+    def _run_epoch(self, state: CampaignState) -> EpochOutcome:
+        """Run epoch ``state.epoch``; ``state`` itself is left untouched."""
         config = self.config
         epoch = state.epoch
         storm = config.is_storm_epoch(epoch)
@@ -574,7 +587,9 @@ class Campaign:
             if not plan.active:
                 plan = None
 
-        budget, placed = self._build_wall(state)
+        rng = random.Random()
+        rng.setstate(state.rng.getstate())
+        budget, placed = self._build_wall(rng)
         session = WallSession(
             budget=budget,
             nodes=placed,
@@ -587,6 +602,7 @@ class Campaign:
 
         stuck = self._stuck_injector(state, stuck_rate)
         stuck_reads = 0
+        latches = dict(state.stuck_latches)
         if stuck is not None:
             for node_id in sorted(session_result.reports):
                 session_result.reports[node_id] = [
@@ -595,26 +611,22 @@ class Campaign:
                 ]
             stuck_reads = stuck.counts.get("stuck_reads", 0)
             exported = stuck.export_state()
-            state.stuck_latches = {
+            latches = {
                 f"{node_id}:{channel}": latched
                 for node_id, channel, latched in exported["stuck"]
             }
 
         samples = self._epoch_samples(epoch, storm)
-        samples.accumulate(state)
         self._export_epoch(samples, session_result)
-
         grade = self._epoch_grade(epoch, samples.counts)
-        state.grade_counts[grade] = state.grade_counts.get(grade, 0) + 1
 
         fault_counts = dict(session_result.fault_counts)
         if stuck_reads:
             fault_counts["stuck_reads"] = (
                 fault_counts.get("stuck_reads", 0) + stuck_reads
             )
-        state.absorb_faults(fault_counts)
 
-        return {
+        record = {
             "epoch": epoch,
             "status": "ok",
             "storm": storm,
@@ -630,6 +642,7 @@ class Campaign:
             "grade": grade,
             "fault_counts": fault_counts,
         }
+        return EpochOutcome(record=record, rng=rng, stuck_latches=latches)
 
     # ------------------------------------------------------------------
     # The supervised loop
@@ -669,8 +682,6 @@ class Campaign:
         heartbeat.  Mutates ``state`` in place."""
         config = self.config
         epoch = state.epoch
-        boundary_rng = state.rng.getstate()
-        boundary_latches = dict(state.stuck_latches)
         started = time.perf_counter()
         try:
             with obs_span(
@@ -678,13 +689,11 @@ class Campaign:
                 storm=config.is_storm_epoch(epoch),
             ):
                 with epoch_deadline(config.epoch_timeout_s):
-                    record = self._run_epoch(state)
+                    outcome = self._run_epoch(state)
         except EpochTimeout:
-            # Roll the mutable streams back to the epoch boundary so
-            # the *next* epoch sees exactly the state it would have
-            # seen had this epoch never drawn anything.
-            state.rng.setstate(boundary_rng)
-            state.stuck_latches = boundary_latches
+            # Nothing of the abandoned epoch reached state, so the
+            # *next* epoch sees exactly the state it would have seen
+            # had this epoch never run.
             record = {
                 "epoch": epoch,
                 "status": "epoch_timeout",
@@ -697,6 +706,9 @@ class Campaign:
                 "warning", "campaign.epoch_timeout",
                 epoch=epoch, budget_s=config.epoch_timeout_s,
             )
+        else:
+            outcome.commit(state)
+            record = outcome.record
         state.epoch_records.append(record)
         state.epoch = epoch + 1
         elapsed = time.perf_counter() - started
@@ -800,15 +812,26 @@ class Campaign:
     # ------------------------------------------------------------------
 
     def _finalize(self, state: CampaignState) -> CampaignResult:
-        """Run the Fig. 21 analytics over the accumulated campaign."""
+        """Run the Fig. 21 analytics over the committed epochs' series.
+
+        The series are regenerated here rather than checkpointed: each
+        epoch's is a pure function of (seed, epoch, storm), and an epoch
+        the watchdog abandoned contributes none.
+        """
         config = self.config
-        hours = np.asarray(state.hours, dtype=float)
-        acceleration = np.asarray(state.acceleration, dtype=float)
-        stress = np.asarray(state.stress_mpa, dtype=float)
-        if hours.size == 0:
+        timed_out = set(state.timeouts)
+        series = [
+            self._epoch_series(epoch, config.is_storm_epoch(epoch))
+            for epoch in range(state.epoch)
+            if epoch not in timed_out
+        ]
+        if not series:
             raise CampaignError(
                 "campaign accumulated no samples (every epoch timed out?)"
             )
+        hours, acceleration, stress = (
+            np.concatenate([s[i] for s in series]) for i in range(3)
+        )
 
         accel_windows = detect_anomalies(hours, acceleration)
         stress_dev = stress - float(np.median(stress))

@@ -5,9 +5,10 @@ its *audit* artifact: one JSON line per completed epoch, appended and
 fsynced as the campaign runs, so an operator (or the ``status`` verb)
 can see what a dead campaign was doing without deserializing state.
 
-Appends are not atomic -- a SIGKILL or power cut mid-append leaves a
-torn final line.  Recovery is deliberately simple and loss-bounded:
-each line carries its own CRC32 over its record payload; on open,
+Lines are CRC-framed through :mod:`repro.runtime.crclog`, the same
+primitive the store's segment journals use.  Appends are not atomic --
+a SIGKILL or power cut mid-append leaves a torn final line.  Recovery
+is deliberately simple and loss-bounded: on open,
 :meth:`EpochLog.recover` scans for the longest valid prefix and
 truncates the file to it.  A torn tail costs at most the one record
 that was being written (which the next checkpoint replay regenerates);
@@ -18,50 +19,25 @@ middle is worse than a short one.
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Union
 
 from ..faults.io import io_fsync, io_replace, io_write, retry_io
 from ..obs import obs_counter, obs_event
+from ..runtime import crclog
 
 #: Schema tag stamped into every log line.
 EPOCH_LOG_SCHEMA = "repro/campaign-epoch-log/v1"
 
 
-def _line_crc(record_json: str) -> int:
-    return zlib.crc32(record_json.encode("utf-8")) & 0xFFFFFFFF
-
-
 def encode_line(record: Mapping[str, Any]) -> str:
     """One log line: ``{"schema":..., "crc":..., "record":...}``."""
-    record_json = json.dumps(
-        dict(record), sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    envelope = {
-        "schema": EPOCH_LOG_SCHEMA,
-        "crc": _line_crc(record_json),
-        "record": json.loads(record_json),
-    }
-    return json.dumps(envelope, sort_keys=True, separators=(",", ":"))
+    return crclog.encode_line(EPOCH_LOG_SCHEMA, record)
 
 
 def decode_line(line: str) -> Dict[str, Any]:
     """The record inside one log line; raises ``ValueError`` when torn."""
-    envelope = json.loads(line)
-    if not isinstance(envelope, dict) or envelope.get("schema") != EPOCH_LOG_SCHEMA:
-        raise ValueError("wrong epoch-log schema tag")
-    record = envelope.get("record")
-    if not isinstance(record, dict):
-        raise ValueError("epoch-log line has no record object")
-    record_json = json.dumps(
-        record, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
-    if envelope.get("crc") != _line_crc(record_json):
-        raise ValueError("epoch-log line failed its CRC")
-    return record
+    return crclog.decode_line(EPOCH_LOG_SCHEMA, line)
 
 
 class EpochLog:
@@ -77,24 +53,14 @@ class EpochLog:
         retry the file is healed back to its pre-append length, so a
         torn first attempt can never merge with the retried line.
         """
-        line = encode_line(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        base_size = self.path.stat().st_size if self.path.exists() else 0
+        crclog.append_line(
+            self.path, encode_line(record), f"epoch_log_append:{self.path.name}"
+        )
 
-        def heal(_attempt: int, _exc: OSError) -> None:
-            if self.path.exists() and self.path.stat().st_size > base_size:
-                with self.path.open("r+b") as handle:
-                    handle.truncate(base_size)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-
-        def attempt() -> None:
-            with self.path.open("a") as handle:
-                io_write(handle, line + "\n")
-                handle.flush()
-                io_fsync(handle.fileno(), self.path)
-
-        retry_io(attempt, f"epoch_log_append:{self.path.name}", on_retry=heal)
+    def _scan(self) -> crclog.LineScan:
+        raw = self.path.read_bytes() if self.path.exists() else b""
+        return crclog.scan_lines(raw, EPOCH_LOG_SCHEMA)
 
     def recover(self) -> List[Dict[str, Any]]:
         """Validate the log, truncate any torn/corrupt tail, return records.
@@ -105,33 +71,17 @@ class EpochLog:
         """
         if not self.path.exists():
             return []
-        raw = self.path.read_bytes()
-        records: List[Dict[str, Any]] = []
-        good_bytes = 0
-        cursor = 0
-        while cursor < len(raw):
-            newline = raw.find(b"\n", cursor)
-            if newline < 0:
-                break  # torn tail: final line never got its newline
-            line = raw[cursor:newline]
-            try:
-                records.append(decode_line(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                break  # this line and everything after it is suspect
-            cursor = newline + 1
-            good_bytes = cursor
-        if good_bytes < len(raw):
-            with self.path.open("r+b") as handle:
-                handle.truncate(good_bytes)
-                handle.flush()
-                os.fsync(handle.fileno())
+        size = self.path.stat().st_size
+        scan = self._scan()
+        if scan.good_bytes < size:
+            crclog.truncate_file(self.path, scan.good_bytes)
             obs_counter("campaign.log_truncations").inc()
             obs_event(
                 "warning", "campaign.log_truncated",
-                path=str(self.path), kept_records=len(records),
-                kept_bytes=good_bytes, dropped_bytes=len(raw) - good_bytes,
+                path=str(self.path), kept_records=len(scan.records),
+                kept_bytes=scan.good_bytes, dropped_bytes=size - scan.good_bytes,
             )
-        return records
+        return scan.records
 
     def rewrite(self, records: List[Mapping[str, Any]]) -> None:
         """Replace the log's contents atomically (resume log-sync path).
@@ -160,12 +110,4 @@ class EpochLog:
 
     def records(self) -> List[Dict[str, Any]]:
         """All currently-valid records (without truncating the file)."""
-        if not self.path.exists():
-            return []
-        records: List[Dict[str, Any]] = []
-        for line in self.path.read_text().splitlines():
-            try:
-                records.append(decode_line(line))
-            except ValueError:
-                break
-        return records
+        return self._scan().records

@@ -5,10 +5,15 @@ epoch boundary N* plus *the config* fully determine every later epoch.
 :class:`CampaignState` is that boundary state: the epoch cursor, the
 master RNG stream (``random.Random`` with its exact Mersenne state),
 the cross-epoch fault-injector memory (stuck-sensor latches and fault
-totals), the accumulated SHM time series and the per-epoch summary
-records.  ``to_dict``/``from_dict`` round-trip all of it through JSON
-losslessly -- including the RNG state tuple -- which is what makes a
+totals), the grade histogram and the per-epoch summary records.
+``to_dict``/``from_dict`` round-trip all of it through JSON losslessly
+-- including the RNG state tuple -- which is what makes a
 kill-and-resume run byte-identical to an uninterrupted one.
+
+The SHM sample series are *not* state: each epoch's series is a pure
+function of (seed, epoch, storm), so the driver regenerates them for
+the committed epochs when it finalizes, and a checkpoint stays the same
+size however long the campaign has run.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from ..errors import CampaignError
 
 #: Schema tag for the state block inside a checkpoint.
-CAMPAIGN_STATE_SCHEMA = "repro/campaign-state/v1"
+CAMPAIGN_STATE_SCHEMA = "repro/campaign-state/v2"
+
+#: The previous tag, whose accumulated sample series are ignored on load.
+CAMPAIGN_STATE_SCHEMA_V1 = "repro/campaign-state/v1"
 
 
 def encode_rng_state(state: Tuple[Any, ...]) -> List[Any]:
@@ -51,9 +59,6 @@ class CampaignState:
             ``"node:channel"`` -- a sensor that latched in epoch 3 is
             still latched in epoch 40, across any number of resumes.
         fault_totals: Accumulated fault counts across all epochs.
-        hours: Accumulated SHM time base (hours since campaign start).
-        acceleration: Accumulated deck acceleration series (m/s^2).
-        stress_mpa: Accumulated steel stress series (MPa).
         grade_counts: Bridge-grade histogram over completed epochs.
         epoch_records: One summary dict per completed epoch (status,
             coverage, retries, fault counts, storm flag, grade).
@@ -64,9 +69,6 @@ class CampaignState:
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     stuck_latches: Dict[str, Optional[int]] = field(default_factory=dict)
     fault_totals: Dict[str, int] = field(default_factory=dict)
-    hours: List[float] = field(default_factory=list)
-    acceleration: List[float] = field(default_factory=list)
-    stress_mpa: List[float] = field(default_factory=list)
     grade_counts: Dict[str, int] = field(default_factory=dict)
     epoch_records: List[Dict[str, Any]] = field(default_factory=list)
     timeouts: List[int] = field(default_factory=list)
@@ -93,9 +95,6 @@ class CampaignState:
             "rng_state": encode_rng_state(self.rng.getstate()),
             "stuck_latches": dict(self.stuck_latches),
             "fault_totals": dict(self.fault_totals),
-            "hours": list(self.hours),
-            "acceleration": list(self.acceleration),
-            "stress_mpa": list(self.stress_mpa),
             "grade_counts": dict(self.grade_counts),
             "epoch_records": list(self.epoch_records),
             "timeouts": list(self.timeouts),
@@ -103,11 +102,15 @@ class CampaignState:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignState":
-        """Rebuild a state; raises :class:`CampaignError` on bad shape."""
+        """Rebuild a state; raises :class:`CampaignError` on bad shape.
+
+        A v1 state still loads; the sample series it carries are
+        ignored, because the driver regenerates them.
+        """
         if not isinstance(payload, Mapping):
             raise CampaignError("campaign state must be an object")
         schema = payload.get("schema")
-        if schema != CAMPAIGN_STATE_SCHEMA:
+        if schema not in (CAMPAIGN_STATE_SCHEMA, CAMPAIGN_STATE_SCHEMA_V1):
             raise CampaignError(
                 f"unsupported campaign-state schema {schema!r} "
                 f"(expected {CAMPAIGN_STATE_SCHEMA!r})"
@@ -122,9 +125,6 @@ class CampaignState:
                 fault_totals={
                     k: int(v) for k, v in payload["fault_totals"].items()
                 },
-                hours=[float(v) for v in payload["hours"]],
-                acceleration=[float(v) for v in payload["acceleration"]],
-                stress_mpa=[float(v) for v in payload["stress_mpa"]],
                 grade_counts={
                     k: int(v) for k, v in payload["grade_counts"].items()
                 },

@@ -4,6 +4,10 @@ Re-implements the reader's MATLAB post-processing pipeline (Sec. 5.1):
 the decoder "first takes a carrier frequency estimation by analyzing the
 power carrier and then performs a digital downconversion to extract the
 baseband backscatter signal", before ML FM0 decoding.
+
+``scipy.signal`` is imported inside the functions that use it: it costs
+most of a cold ``import repro``, and neither a campaign nor the serving
+tier calls it.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ..errors import DecodingError
 
@@ -70,6 +73,8 @@ def downconvert(
 def _lowpass_complex(
     x: np.ndarray, sample_rate: float, cutoff: float, order: int = 5
 ) -> np.ndarray:
+    from scipy import signal as sp_signal
+
     nyquist = sample_rate / 2.0
     normalised = min(cutoff / nyquist, 0.99)
     b, a = sp_signal.butter(order, normalised)
@@ -78,6 +83,8 @@ def _lowpass_complex(
 
 def lowpass(x: np.ndarray, sample_rate: float, cutoff: float, order: int = 5) -> np.ndarray:
     """Zero-phase Butterworth low-pass of a real signal."""
+    from scipy import signal as sp_signal
+
     if not 0.0 < cutoff < sample_rate / 2.0:
         raise DecodingError("cutoff must be in (0, Nyquist)")
     nyquist = sample_rate / 2.0
@@ -93,6 +100,8 @@ def bandpass(
     order: int = 4,
 ) -> np.ndarray:
     """Zero-phase Butterworth band-pass of a real signal."""
+    from scipy import signal as sp_signal
+
     nyquist = sample_rate / 2.0
     if not 0.0 < low < high < nyquist:
         raise DecodingError(f"band ({low}, {high}) invalid for Nyquist {nyquist}")
@@ -102,6 +111,8 @@ def bandpass(
 
 def envelope(waveform: np.ndarray) -> np.ndarray:
     """Amplitude envelope via the Hilbert transform."""
+    from scipy import signal as sp_signal
+
     waveform = np.asarray(waveform, dtype=float)
     if waveform.size == 0:
         raise DecodingError("cannot compute the envelope of an empty waveform")
@@ -118,6 +129,8 @@ def power_spectrum(
     waveform: np.ndarray, sample_rate: float
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(frequencies, power) one-sided spectrum for plots like Fig. 24."""
+    from scipy import signal as sp_signal
+
     waveform = np.asarray(waveform, dtype=float)
     if waveform.size < 2:
         raise DecodingError("waveform too short for a spectrum")

@@ -28,7 +28,14 @@ from typing import Any, Dict, Union
 import numpy as np
 
 from ..errors import SerializationError
-from ..faults.io import io_fsync, io_read_text, io_replace, io_write, retry_io
+from ..faults.io import (
+    io_fsync,
+    io_read_bytes,
+    io_read_text,
+    io_replace,
+    io_write,
+    retry_io,
+)
 
 #: Marker key used to round-trip non-finite floats through JSON.
 NONFINITE_KEY = "__nonfinite__"
@@ -141,13 +148,13 @@ def write_json_atomic(
                 os.unlink(tmp_name)
             raise
         if fsync:
-            _fsync_dir(path.parent)
+            fsync_dir(path.parent)
 
     retry_io(attempt, f"write_json_atomic:{path.name}")
     return path
 
 
-def _fsync_dir(directory: Path) -> None:
+def fsync_dir(directory: Path) -> None:
     """Make a directory mutation (a rename) durable."""
     fd = os.open(str(directory), os.O_RDONLY)
     try:
@@ -169,16 +176,18 @@ def write_json_atomic_verified(path: Union[str, Path], payload: Any) -> Path:
     expected = json.dumps(
         to_jsonable(payload), indent=2, sort_keys=True, allow_nan=False
     )
+    # Compared as bytes: a flipped bit need not leave valid UTF-8.
+    expected_bytes = (expected + "\n").encode("utf-8")
 
     def attempt() -> None:
         write_json_atomic(path, payload, fsync=True)
         try:
-            found = io_read_text(path)
+            found = io_read_bytes(path)
         except OSError as exc:
             raise OSError(
                 errno.EIO, f"result read-back failed: {exc}", str(path)
             )
-        if found != expected + "\n":
+        if found != expected_bytes:
             raise OSError(
                 errno.EIO, "result read-back mismatch", str(path)
             )

@@ -143,8 +143,12 @@ class AsyncGateway:
     def request_shutdown(self) -> None:
         """Ask the gateway to drain and stop (safe from any thread)."""
         loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None:
+        if loop is None or stop is None:
+            return
+        try:
             loop.call_soon_threadsafe(stop.set)
+        except RuntimeError:
+            pass  # the loop has closed: the gateway already stopped
 
     shutdown = request_shutdown
 

@@ -6,8 +6,9 @@ into multi-resolution rollups, and served back through a vectorized
 query engine plus a small JSON/HTTP API.
 
 Durability follows the campaign subsystem's rules: a sample is either
-acknowledged by a manifest (fsynced before the manifest was), or it
-does not exist; torn tails truncate loss-bounded; corruption is
+acknowledged by a segment's manifest or journal line (fsynced before
+either was written), or it does not exist; torn tails truncate
+loss-bounded; corruption is
 quarantined and raised as :class:`~repro.errors.SegmentError` -- never
 silently wrong data.
 """

@@ -1,7 +1,7 @@
 """Advisory per-building writer locks for the telemetry store.
 
 Two processes appending to the same building partition can interleave
-manifest rewrites and corrupt each other's acknowledged state, so every
+journal appends and corrupt each other's acknowledged state, so every
 :class:`~repro.store.store.StoreWriter` takes a :class:`PartitionLock`
 on each building it touches before its first flush into it.
 

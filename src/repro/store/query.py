@@ -1,7 +1,7 @@
 """The store's query engine: range scans, aggregation, damage queries.
 
 Everything here is read-only and vectorized: range scans ride the
-segment manifests' block index (blocks wholly outside the range are
+segments' block index (blocks wholly outside the range are
 never read), aggregates over rollup resolutions combine the stored
 ``(min, mean, max, count)`` statistics instead of re-reading raw
 samples, and the building-health queries reuse the SHM analytics

@@ -1,26 +1,42 @@
-"""Append-only columnar segments with per-block CRC32 and a manifest.
+"""Append-only columnar segments with per-block CRC32, a manifest and a journal.
 
 One *segment directory* holds everything the store knows about one
 series: an append-only binary file per resolution (``raw.seg``,
-``hourly.seg``, ``daily.seg``) plus one canonical-JSON ``manifest.json``
-(schema ``repro/store-segment/v1``) describing every block in every
-file -- offset, length, row count, time range and CRC32.
+``hourly.seg``, ``daily.seg``), one canonical-JSON ``manifest.json``
+(schema ``repro/store-segment/v2``) indexing every block -- offset,
+length, row count, time range and CRC32 -- and a ``journal.jsonl`` of
+the blocks appended since the manifest was last written.
 
+Acknowledging a block costs one appended line, not a manifest rewrite.
 The durability idioms mirror the campaign runtime's
 (:mod:`repro.campaign.checkpoint` / :mod:`repro.campaign.log`):
 
-* data blocks are appended + fsynced *before* the manifest is rewritten
-  through fsync-then-rename, so the manifest only ever acknowledges
-  bytes that are already on the platters;
-* on open-for-append, bytes past the manifest's acknowledged length
-  (a torn append, a crash between data-fsync and manifest-rename) are
-  truncated away -- loss bounded to the one unacknowledged batch;
-* a file *shorter* than its manifest, a block whose CRC32 does not
-  match, or an unparseable manifest is real corruption: the segment is
-  quarantined to ``.quarantine/`` (forensic evidence, never deleted)
-  and the access raises a loud :class:`~repro.errors.SegmentError` --
-  the failure mode is always "recovered" or "loud error", never a
-  silently wrong query result.
+* a block is appended + fsynced to its data file *before* one
+  CRC-framed line describing it (:mod:`repro.runtime.crclog`) is
+  appended + fsynced to the journal, so the journal only ever
+  acknowledges bytes that are already on the platters;
+* only :meth:`SegmentDir.replace` (compaction, ``truncate_from``)
+  rewrites the manifest, through fsync-then-rename: it writes the whole
+  index, journal blocks included, under a new ``snapshot`` id, then
+  empties the journal.  Every journal line carries the snapshot id of
+  the manifest it extends, so lines a crash left behind between that
+  rename and the reset are recognised as already folded and skipped;
+* on append, bytes past the acknowledged length (a torn append, a
+  crash between data-fsync and journal append) and a journal line that
+  never got its newline are truncated away -- loss bounded to the one
+  unacknowledged block;
+* a file *shorter* than acknowledged, a block or journal line whose
+  CRC32 does not match, a journal that skips offsets or runs ahead of
+  its manifest, or an unparseable manifest is real corruption: the
+  segment is quarantined to ``.quarantine/`` (forensic evidence, never
+  deleted) and the access raises a loud
+  :class:`~repro.errors.SegmentError` -- the failure mode is always
+  "recovered" or "loud error", never a silently wrong query result.
+
+Version-1 segments (no journal, the manifest rewritten per block) still
+load.  The first append to one rewrites its manifest as v2, which a
+v1-only reader refuses instead of truncating journal-acknowledged
+blocks as torn tails.
 
 Block frame (all integers little-endian)::
 
@@ -34,21 +50,39 @@ order, and the CRC32 covers header + payload.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import SegmentError, StoreError
-from ..faults.io import io_fsync, io_read, io_read_text, io_replace, io_write, retry_io
+from ..faults.io import (
+    io_fsync,
+    io_read,
+    io_read_bytes,
+    io_read_text,
+    io_replace,
+    io_write,
+    retry_io,
+)
 from ..obs import obs_counter, obs_event
-from ..runtime.serialize import write_json_atomic
+from ..runtime import crclog
+from ..runtime.serialize import (
+    fsync_dir,
+    write_json_atomic,
+    write_json_atomic_verified,
+)
 
 #: Schema tag stamped into every segment manifest.
-SEGMENT_SCHEMA = "repro/store-segment/v1"
+SEGMENT_SCHEMA = "repro/store-segment/v2"
+
+#: Manifests written before the journal existed (still readable).
+SEGMENT_SCHEMA_V1 = "repro/store-segment/v1"
+
+#: Schema tag of every journal line.
+JOURNAL_SCHEMA = "repro/store-journal/v1"
 
 #: Resolutions a segment directory may hold, coarsest last.
 RAW, HOURLY, DAILY = "raw", "hourly", "daily"
@@ -64,6 +98,10 @@ _U32 = struct.Struct("<I")
 _FLOAT_BYTES = 8
 
 MANIFEST_FILENAME = "manifest.json"
+JOURNAL_FILENAME = "journal.jsonl"
+
+#: The index fields of one block, in the manifest and in journal lines.
+_BLOCK_FIELDS = ("offset", "length", "n", "t0", "t1", "crc32")
 
 
 def _crc(data: bytes) -> int:
@@ -177,6 +215,16 @@ def _empty_file_entry(resolution: str) -> Dict[str, Any]:
     }
 
 
+def _journal_line_problem(record: Mapping[str, Any]) -> Optional[str]:
+    """Why a CRC-valid journal record is not a block entry, or None."""
+    missing = [f for f in _BLOCK_FIELDS + ("res", "snapshot") if f not in record]
+    if missing:
+        return f"journal line lacks {missing}"
+    if record["res"] not in RESOLUTIONS:
+        return f"journal line names unknown resolution {record['res']!r}"
+    return None
+
+
 class SegmentDir:
     """One series' on-disk segment directory.
 
@@ -197,10 +245,11 @@ class SegmentDir:
         self.directory = Path(directory)
         self.key_dict = dict(key_dict)
         self.quarantine_root = Path(quarantine_root)
+        #: The full block index (manifest plus journal), once loaded.
         self._manifest: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
-    # Manifest
+    # Manifest + journal
     # ------------------------------------------------------------------
 
     def seg_path(self, resolution: str) -> Path:
@@ -211,51 +260,125 @@ class SegmentDir:
     def manifest_path(self) -> Path:
         return self.directory / MANIFEST_FILENAME
 
+    @property
+    def journal_path(self) -> Path:
+        return self.directory / JOURNAL_FILENAME
+
     def exists(self) -> bool:
         return self.manifest_path.exists()
 
     def _fresh_manifest(self) -> Dict[str, Any]:
+        # Snapshot 0: never written (every manifest write advances it).
         return {
             "schema": SEGMENT_SCHEMA,
+            "snapshot": 0,
             "key": dict(self.key_dict),
             "files": {res: _empty_file_entry(res) for res in RESOLUTIONS},
         }
 
-    def _load_manifest(self) -> Dict[str, Any]:
-        """Read + shape-check the manifest (quarantine + raise if bad)."""
-        if self._manifest is not None:
-            return self._manifest
+    def _corrupt(self, reason: str) -> NoReturn:
+        """Quarantine the segment and raise a loud :class:`SegmentError`."""
+        self._quarantine(reason)
+        raise SegmentError(
+            f"segment {self.directory} is corrupt (quarantined): {reason}"
+        )
+
+    def _holds_data(self) -> bool:
+        paths = [self.seg_path(res) for res in RESOLUTIONS] + [self.journal_path]
+        return any(p.exists() and p.stat().st_size > 0 for p in paths)
+
+    def _read_manifest(self) -> Optional[Dict[str, Any]]:
+        """``manifest.json`` alone, shape-checked (quarantine + raise if bad).
+
+        None when there is no manifest (any data found without one is
+        quarantined first).
+        """
         if not self.manifest_path.exists():
-            if any(self.seg_path(res).exists() for res in RESOLUTIONS):
+            if self._holds_data():
                 # Data without a manifest: nothing acknowledges those
                 # bytes, so nothing can vouch for them.
                 self._quarantine("segment files present without a manifest")
-            self._manifest = self._fresh_manifest()
-            return self._manifest
+            return None
         try:
             payload = json.loads(io_read_text(self.manifest_path))
         except (OSError, ValueError) as exc:
-            self._quarantine(f"unreadable manifest: {exc}")
-            raise SegmentError(
-                f"segment manifest {self.manifest_path} is corrupt "
-                f"(quarantined): {exc}"
-            )
+            self._corrupt(f"unreadable manifest: {exc}")
         problems = self._manifest_problems(payload)
         if problems:
-            self._quarantine(f"malformed manifest: {problems[0]}")
-            raise SegmentError(
-                f"segment manifest {self.manifest_path} is malformed "
-                f"(quarantined): {problems[0]}"
-            )
-        self._manifest = payload
+            self._corrupt(f"malformed manifest: {problems[0]}")
+        payload.setdefault("snapshot", 0)  # v1: never written as v2
         return payload
+
+    def _read_journal(self) -> List[Dict[str, Any]]:
+        """Every complete journal line's record; a torn tail is ignored.
+
+        Ignoring (not truncating) a torn tail keeps readers from
+        mutating a segment whose writer may be mid-append; the writer
+        cuts it on its next append.
+        """
+        try:
+            raw = retry_io(
+                lambda: io_read_bytes(self.journal_path),
+                f"segment_journal_read:{self.directory.name}",
+            )
+        except FileNotFoundError:
+            return []
+        except OSError as exc:
+            raise SegmentError(f"cannot read {self.journal_path}: {exc}")
+        scan = crclog.scan_lines(raw, JOURNAL_SCHEMA)
+        if scan.bad is not None:
+            self._corrupt(f"journal line at byte {scan.good_bytes}: {scan.bad}")
+        for record in scan.records:
+            problem = _journal_line_problem(record)
+            if problem:
+                self._corrupt(problem)
+        return scan.records
+
+    def _load_manifest(self) -> Dict[str, Any]:
+        """The full block index: the manifest plus its journal's blocks."""
+        if self._manifest is not None:
+            return self._manifest
+        # The journal is read before the manifest: a concurrent replace()
+        # renames its manifest before it empties the journal, so lines
+        # read first are either still current or already folded into
+        # the manifest read second -- never lost in between.
+        records = self._read_journal()
+        manifest = self._read_manifest()
+        if manifest is None:
+            manifest, records = self._fresh_manifest(), []
+        snapshot = manifest["snapshot"]
+        if records and all(r["snapshot"] < snapshot for r in records):
+            records = []  # folded by a replace() whose reset never ran
+        files = manifest["files"]
+        for record in records:
+            if record["snapshot"] != snapshot:
+                self._corrupt(
+                    f"journal line of snapshot {record['snapshot']} against "
+                    f"manifest snapshot {snapshot}"
+                )
+            entry = files.setdefault(
+                record["res"], _empty_file_entry(record["res"])
+            )
+            if record["offset"] != entry["bytes"]:
+                self._corrupt(
+                    f"journal skips {record['res']} bytes: block at "
+                    f"{record['offset']}, expected {entry['bytes']}"
+                )
+            entry["blocks"].append({f: record[f] for f in _BLOCK_FIELDS})
+            entry["bytes"] += record["length"]
+            entry["rows"] += record["n"]
+        self._manifest = manifest
+        return manifest
 
     @staticmethod
     def _manifest_problems(payload: Any) -> List[str]:
         if not isinstance(payload, dict):
             return ["manifest is not an object"]
-        if payload.get("schema") != SEGMENT_SCHEMA:
-            return [f"wrong schema {payload.get('schema')!r}"]
+        schema = payload.get("schema")
+        if schema not in (SEGMENT_SCHEMA, SEGMENT_SCHEMA_V1):
+            return [f"wrong schema {schema!r}"]
+        if schema == SEGMENT_SCHEMA and not isinstance(payload.get("snapshot"), int):
+            return ["manifest has no snapshot id"]
         files = payload.get("files")
         if not isinstance(files, dict):
             return ["manifest has no files object"]
@@ -274,7 +397,7 @@ class SegmentDir:
             for block in blocks:
                 if not isinstance(block, dict):
                     return [f"{res}: block entry is not an object"]
-                for field in ("offset", "length", "n", "t0", "t1", "crc32"):
+                for field in _BLOCK_FIELDS:
                     if field not in block:
                         return [f"{res}: block missing {field!r}"]
                 if block["offset"] != offset:
@@ -290,8 +413,32 @@ class SegmentDir:
     def _write_manifest(
         self, manifest: Dict[str, Any], durable: bool = True
     ) -> None:
-        write_json_atomic(self.manifest_path, manifest, fsync=durable)
-        self._manifest = manifest
+        """Write the full index under a new snapshot id; empty the journal.
+
+        The journal file is created before the rename, so the rename's
+        directory fsync makes its name durable too.  Emptying it after
+        the rename may be lost to a crash: its lines then carry the old
+        snapshot id and are skipped as already folded.
+        """
+        self.directory.mkdir(parents=True, exist_ok=True)
+        journal = self.journal_path
+        if not journal.exists():
+            journal.open("ab").close()
+        written = dict(
+            manifest, schema=SEGMENT_SCHEMA, snapshot=manifest["snapshot"] + 1
+        )
+        try:
+            if journal.stat().st_size:
+                # Emptying the journal drops its lines, so the manifest
+                # now holding them is read back before that happens.
+                write_json_atomic_verified(self.manifest_path, written)
+                crclog.truncate_file(journal, 0, durable)
+            else:
+                write_json_atomic(self.manifest_path, written, fsync=durable)
+        except BaseException:
+            self._manifest = None  # disk may disagree; reload next time
+            raise
+        self._manifest = written
 
     def file_entry(self, resolution: str) -> Dict[str, Any]:
         manifest = self._load_manifest()
@@ -324,84 +471,169 @@ class SegmentDir:
         )
         return target
 
-    def recover(self) -> int:
-        """Cut each segment file back to its manifest-acknowledged length.
+    def _cut_torn_tail(
+        self, path: Path, size: int, keep: int, durable: bool = True
+    ) -> None:
+        """Truncate unacknowledged bytes past ``keep`` (counted, logged)."""
+        crclog.truncate_file(path, keep, durable)
+        obs_counter("store.truncations").inc()
+        obs_event(
+            "warning", "store.segment_truncated",
+            segment=str(path), kept_bytes=keep, dropped_bytes=size - keep,
+        )
 
-        Called before appending.  Returns the number of files that had
-        torn (unacknowledged) tails truncated.  A file *shorter* than
-        its manifest is corruption, not a torn append: the segment is
-        quarantined and a :class:`SegmentError` raised.
+    def _reconcile(
+        self, resolution: str, acknowledged: int, durable: bool = True
+    ) -> bool:
+        """Cut ``resolution``'s file back to its acknowledged length.
+
+        Returns whether a torn tail was truncated.  A file *shorter*
+        than acknowledged is corruption, not a torn append: the segment
+        is quarantined and a :class:`SegmentError` raised.
+        """
+        path = self.seg_path(resolution)
+        size = path.stat().st_size if path.exists() else 0
+        if size < acknowledged:
+            self._corrupt(
+                f"{resolution}.seg is {size} bytes but {acknowledged} are "
+                "acknowledged"
+            )
+        if size > acknowledged:
+            self._cut_torn_tail(path, size, acknowledged, durable)
+            return True
+        return False
+
+    def recover(self) -> int:
+        """Cut the journal and each segment file back to what is acknowledged.
+
+        Returns the number of files that had torn (unacknowledged)
+        tails truncated.  Validates every journal line; corruption
+        quarantines the segment and raises :class:`SegmentError`.
         """
         manifest = self._load_manifest()
         truncated = 0
+        tail = crclog.read_tail(self.journal_path)
+        if tail.rest:
+            self._cut_torn_tail(self.journal_path, tail.size, tail.end)
+            truncated += 1
         for resolution, entry in manifest["files"].items():
-            path = self.seg_path(resolution)
-            size = path.stat().st_size if path.exists() else 0
-            acknowledged = entry["bytes"]
-            if size < acknowledged:
-                self._quarantine(
-                    f"{resolution}.seg is {size} bytes but the manifest "
-                    f"acknowledges {acknowledged}"
-                )
-                raise SegmentError(
-                    f"segment {self.directory} lost data: {resolution}.seg "
-                    f"shorter than its manifest (quarantined)"
-                )
-            if size > acknowledged:
-                with path.open("r+b") as handle:
-                    handle.truncate(acknowledged)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                truncated += 1
-                obs_counter("store.truncations").inc()
-                obs_event(
-                    "warning", "store.segment_truncated",
-                    segment=str(path), kept_bytes=acknowledged,
-                    dropped_bytes=size - acknowledged,
-                )
+            truncated += self._reconcile(resolution, entry["bytes"])
         return truncated
 
     # ------------------------------------------------------------------
     # Append / replace
     # ------------------------------------------------------------------
 
+    def _tail_view(
+        self,
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]], crclog.FileTail]:
+        """``(manifest, last current journal record, journal tail)``.
+
+        Reads the manifest and the journal's last line only -- not every
+        line -- so its cost does not grow with the journal.  The record
+        is None when the journal is empty, torn to nothing, or holds
+        lines an interrupted :meth:`replace` already folded; the
+        manifest is None when there is none.  Mutates nothing unless it
+        finds corruption, which it quarantines.
+        """
+        tail = retry_io(
+            lambda: crclog.read_tail(self.journal_path),
+            f"segment_journal_tail:{self.directory.name}",
+        )
+        manifest = self._manifest
+        if manifest is None:
+            manifest = self._read_manifest()
+        if manifest is None:
+            # Any journal bytes went to quarantine with the segment.
+            return None, None, crclog.FileTail(None, 0, 0, b"")
+        if tail.rest and not crclog.is_torn_tail(tail.rest):
+            self._corrupt("journal: bytes follow the final line")
+        if tail.line is None:
+            return manifest, None, tail
+        try:
+            last = crclog.decode_line(JOURNAL_SCHEMA, tail.line.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            self._corrupt(f"journal's last line: {exc}")
+        problem = _journal_line_problem(last)
+        if problem:
+            self._corrupt(problem)
+        if last["snapshot"] > manifest["snapshot"]:
+            self._corrupt("journal runs ahead of its manifest")
+        if last["snapshot"] < manifest["snapshot"]:
+            return manifest, None, tail
+        return manifest, last, tail
+
+    def _last_block(
+        self,
+        resolution: str,
+        manifest: Dict[str, Any],
+        last: Optional[Dict[str, Any]],
+    ) -> Tuple[int, Optional[float]]:
+        """``(acknowledged bytes, last t1)`` of ``resolution``."""
+        if self._manifest is None and last is not None:
+            if last["res"] == resolution:
+                return last["offset"] + last["length"], last["t1"]
+            manifest = self._load_manifest()  # another resolution's line
+        entry = manifest["files"].get(resolution) or _empty_file_entry(resolution)
+        blocks = entry["blocks"]
+        return entry["bytes"], blocks[-1]["t1"] if blocks else None
+
+    def _append_cursor(
+        self, resolution: str, durable: bool
+    ) -> Tuple[int, int, Optional[float]]:
+        """``(snapshot, acknowledged bytes, last t1)`` for an append.
+
+        Heals on the way: a torn final journal line is cut, lines
+        already folded by an interrupted :meth:`replace` are dropped,
+        and a new (or version-1) segment gets its v2 manifest written.
+        """
+        manifest, last, tail = self._tail_view()
+        if manifest is None:
+            manifest = self._fresh_manifest()
+        if tail.rest:
+            self._cut_torn_tail(self.journal_path, tail.size, tail.end, durable)
+        if tail.line is not None and last is None:
+            crclog.truncate_file(self.journal_path, 0, durable)
+        if manifest["snapshot"] == 0:
+            # A new segment, or a v1 one: keys() finds the segment by
+            # its manifest, and a v1-only reader must refuse journals.
+            self._write_manifest(manifest, durable)
+            manifest = self._manifest
+        return (manifest["snapshot"], *self._last_block(resolution, manifest, last))
+
     def append_block(
         self, resolution: str, arrays: Sequence[np.ndarray], durable: bool = True
     ) -> Dict[str, Any]:
-        """Append one block and acknowledge it in the manifest.
+        """Append one block and acknowledge it with one journal line.
 
         ``arrays`` follow the resolution's column order.  Appends must
         advance time: the new block's ``t0`` may not precede the last
         acknowledged ``t1``.
 
-        ``durable=False`` skips both fsyncs (segment file and manifest).
-        A *process* crash still heals -- the page cache survives, and
-        any torn tail is cut back by :meth:`recover` -- but a power cut
-        can lose acknowledged rows (the manifest may reach disk before
-        the data, which :meth:`recover` then quarantines loudly).
+        ``durable=False`` skips the data and journal fsyncs.  A
+        *process* crash still heals -- the page cache survives, and
+        any torn tail is cut back by the next append -- but a power cut
+        can lose acknowledged rows (the journal line may reach disk
+        before the data, which the next append then quarantines loudly).
         Reserved for loss-tolerant series (``_obs`` self-telemetry).
         """
-        self.recover()
-        entry = self.file_entry(resolution)
         frame, meta = encode_block(columns_for(resolution), arrays)
-        if entry["blocks"] and meta["t0"] < entry["blocks"][-1]["t1"]:
+        snapshot, acknowledged, last_t1 = self._append_cursor(resolution, durable)
+        if last_t1 is not None and meta["t0"] < last_t1:
             raise StoreError(
                 f"out-of-order append to {self.directory.name}/{resolution}: "
                 f"block starts at t={meta['t0']} before the segment's "
-                f"last t={entry['blocks'][-1]['t1']}"
+                f"last t={last_t1}"
             )
         path = self.seg_path(resolution)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        acknowledged = entry["bytes"]
+        created = not path.exists()
+        self._reconcile(resolution, acknowledged, durable)
 
         def heal(_attempt: int, _exc: OSError) -> None:
             # A torn attempt left unacknowledged bytes; cut back to the
-            # manifest's length so the retry cannot merge with garbage.
+            # acknowledged length so the retry cannot merge with garbage.
             if path.exists() and path.stat().st_size > acknowledged:
-                with path.open("r+b") as handle:
-                    handle.truncate(acknowledged)
-                    handle.flush()
-                    os.fsync(handle.fileno())
+                crclog.truncate_file(path, acknowledged)
 
         def attempt() -> None:
             with path.open("ab") as handle:
@@ -411,11 +643,22 @@ class SegmentDir:
                     io_fsync(handle.fileno(), path)
 
         retry_io(attempt, f"segment_append:{path.name}", on_retry=heal)
-        block = {"offset": entry["bytes"], **meta}
-        entry["blocks"].append(block)
-        entry["bytes"] += meta["length"]
-        entry["rows"] += meta["n"]
-        self._write_manifest(self._load_manifest(), durable=durable)
+        if created and durable:
+            fsync_dir(self.directory)  # the new file's name, before its ack
+        block = {"offset": acknowledged, **meta}
+        crclog.append_line(
+            self.journal_path,
+            crclog.encode_line(
+                JOURNAL_SCHEMA, {"res": resolution, "snapshot": snapshot, **block}
+            ),
+            f"segment_journal:{self.directory.name}",
+            durable=durable,
+        )
+        if self._manifest is not None:
+            entry = self.file_entry(resolution)
+            entry["blocks"].append(block)
+            entry["bytes"] += meta["length"]
+            entry["rows"] += meta["n"]
         obs_counter("store.blocks_written").inc()
         obs_counter("store.bytes_written").inc(meta["length"])
         return block
@@ -427,8 +670,10 @@ class SegmentDir:
 
         ``None`` (or empty first column) clears the file.  The new file
         is written beside the old one and renamed into place, then the
-        manifest is updated -- a crash between the two leaves extra
-        acknowledged-or-not bytes that :meth:`recover` reconciles.
+        manifest is rewritten with every journaled block folded in and
+        the journal emptied.  A crash between the rename and the
+        manifest write leaves the old index over the new file; reads
+        check every block's CRC32 against that index, so it is loud.
         """
         entry = self.file_entry(resolution)
         path = self.seg_path(resolution)
@@ -553,10 +798,13 @@ class SegmentDir:
         straddling the cut would otherwise keep stale statistics) and
         regenerated by the next ``compact()``.
         """
-        entry = self.file_entry(RAW)
-        before = entry["rows"]
-        if before == 0 or entry["blocks"][-1]["t1"] < t:
+        manifest, last, _tail = self._tail_view()
+        if manifest is None:
+            return 0
+        _acknowledged, last_t1 = self._last_block(RAW, manifest, last)
+        if last_t1 is None or last_t1 < t:
             return 0  # nothing at or after t; existing rollups stay valid
+        before = self.file_entry(RAW)["rows"]
         data = self.read(RAW)
         mask = data["t"] < t
         dropped = before - int(mask.sum())

@@ -3,7 +3,7 @@
 :class:`TelemetryStore` is the subsystem's root object -- open (or
 create) a store directory, obtain a batched :class:`StoreWriter`, and
 every flushed batch becomes one CRC'd columnar block acknowledged by
-the owning segment's manifest.  Reads go through
+one line in the owning segment's journal.  Reads go through
 :meth:`TelemetryStore.read` (or the higher-level query engine in
 :mod:`repro.store.query`); neither ever returns silently wrong data --
 corruption surfaces as a :class:`~repro.errors.SegmentError`.
@@ -12,7 +12,8 @@ Layout::
 
     <root>/store.json                  # repro/store/v1 marker
     <root>/segments/<building>/<wall>/n<id>/<metric>/
-        manifest.json                  # repro/store-segment/v1
+        manifest.json                  # repro/store-segment/v2
+        journal.jsonl                  # blocks appended since
         raw.seg  hourly.seg  daily.seg
     <root>/.quarantine/                # corrupt segments, moved aside
 
@@ -24,8 +25,9 @@ bucket widths (1 h, 24 h).
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +60,8 @@ class TelemetryStore:
 
     def __init__(self, root: Union[str, Path], create: bool = True):
         self.root = Path(root)
-        self._generation_cache: Optional[Tuple[int, int]] = None
+        #: (open marker handle, its inode, the generation read from it).
+        self._generation_cache: Optional[Tuple[IO[bytes], int, int]] = None
         marker = self.root / STORE_MARKER_FILENAME
         if marker.exists():
             try:
@@ -108,30 +111,50 @@ class TelemetryStore:
         Persisted in ``store.json`` and bumped by every operation that
         rewrites rollup bytes in place (:meth:`compact`,
         :meth:`truncate_from`), so serving-tier caches keyed on it can
-        never return pre-compaction data.  Cross-process visible: the
-        marker is re-read whenever its mtime changes (one ``stat`` per
-        access), so a ``store compact`` in another process invalidates
-        a long-running server's cache too.
+        never return pre-compaction data.  Cross-process visible at the
+        cost of one ``stat`` per access: the marker is only ever
+        replaced by rename, so it is re-read whenever the file at its
+        path is no longer the inode the cached value came from.  That
+        inode is held open, so its number cannot be recycled by a later
+        marker -- not even by two bumps inside one mtime tick.
         """
         marker = self.root / STORE_MARKER_FILENAME
         try:
-            mtime_ns = marker.stat().st_mtime_ns
+            inode = os.stat(marker).st_ino
         except OSError:
             return 0
         cached = self._generation_cache
-        if cached is not None and cached[0] == mtime_ns:
-            return cached[1]
+        if cached is not None and cached[1] == inode:
+            return cached[2]
         try:
-            payload = json.loads(marker.read_text())
+            handle = open(marker, "rb")
+        except OSError:
+            return 0
+        try:
+            payload = json.loads(handle.read())
         except (OSError, ValueError):
             # Racing an atomic rewrite; next access re-reads.
+            handle.close()
             return 0
         value = (
             int(payload.get("generation", 0))
             if isinstance(payload, dict) else 0
         )
-        self._generation_cache = (mtime_ns, value)
+        self._set_generation_cache(
+            (handle, os.fstat(handle.fileno()).st_ino, value)
+        )
         return value
+
+    def _set_generation_cache(
+        self, entry: Optional[Tuple[IO[bytes], int, int]]
+    ) -> None:
+        previous, self._generation_cache = self._generation_cache, entry
+        if previous is not None:
+            previous[0].close()
+
+    def __del__(self) -> None:
+        if getattr(self, "_generation_cache", None) is not None:
+            self._set_generation_cache(None)
 
     def bump_generation(self) -> int:
         """Advance and persist the generation; returns the new value."""
@@ -145,7 +168,7 @@ class TelemetryStore:
         value = int(payload.get("generation", 0)) + 1
         payload["generation"] = value
         write_json_atomic(marker, payload)
-        self._generation_cache = None
+        self._set_generation_cache(None)
         obs_counter("store.generation_bumps").inc()
         return value
 

@@ -120,9 +120,6 @@ class TestCampaignState:
         state.epoch = 3
         state.stuck_latches = {"2:strain": 123, "1:humidity": None}
         state.fault_totals = {"brownouts": 4}
-        state.hours = [0.0, 1.0]
-        state.acceleration = [0.001, -0.002]
-        state.stress_mpa = [-60.0, -61.5]
         state.grade_counts = {"A": 3}
         state.epoch_records = [{"epoch": 0, "status": "ok"}]
         state.timeouts = [2]
@@ -130,6 +127,21 @@ class TestCampaignState:
         clone = CampaignState.from_dict(payload)
         assert clone.to_dict() == state.to_dict()
         assert clone.rng.random() == state.rng.random()
+
+    def test_v1_state_loads_without_its_sample_series(self):
+        state = CampaignState.fresh(5)
+        state.epoch = 2
+        state.grade_counts = {"B": 2}
+        v1 = dict(
+            state.to_dict(),
+            schema="repro/campaign-state/v1",
+            hours=[0.0, 1.0],
+            acceleration=[0.001, -0.002],
+            stress_mpa=[-60.0, -61.5],
+        )
+        clone = CampaignState.from_dict(json.loads(json.dumps(v1)))
+        assert clone.to_dict() == state.to_dict()
+        assert clone.to_dict()["schema"] == "repro/campaign-state/v2"
 
     def test_from_dict_rejects_bad_payloads(self):
         with pytest.raises(CampaignError):

@@ -21,8 +21,10 @@ from repro.campaign import (
     CHECKPOINT_DIRNAME,
     EPOCH_LOG_FILENAME,
     RESULT_FILENAME,
+    Campaign,
     CampaignConfig,
     EpochLog,
+    EpochTimeout,
     campaign_status,
     result_hash,
     resume_campaign,
@@ -209,6 +211,65 @@ class TestCrashAndResume:
         from repro.campaign import CheckpointStore
 
         assert CheckpointStore(newest.parent).verify(newest)["epoch"] == 3
+
+
+class TestAbandonedEpoch:
+    """An epoch the watchdog abandons leaves no trace in state, however
+    far it got: timing out in its last step must leave exactly the state
+    of timing out before it drew anything."""
+
+    @staticmethod
+    def _timed_out_at_2(monkeypatch, where):
+        if where == "hook":
+            def hook(epoch):
+                if epoch == 2:
+                    raise EpochTimeout("abandoned before any work")
+
+            return run_campaign(small_config(), epoch_hook=hook)
+        grade = Campaign._epoch_grade
+
+        def late(self, epoch, counts):
+            if epoch == 2:
+                raise EpochTimeout("abandoned after sampling and export")
+            return grade(self, epoch, counts)
+
+        monkeypatch.setattr(Campaign, "_epoch_grade", late)
+        return run_campaign(small_config())
+
+    def test_late_timeout_leaves_the_state_of_an_early_one(self, monkeypatch):
+        early = self._timed_out_at_2(monkeypatch, "hook")
+        late = self._timed_out_at_2(monkeypatch, "grade")
+        assert late.result.timeouts == [2]
+        assert late.result.epoch_records[2]["status"] == "epoch_timeout"
+        # Three committed epochs of 24 hourly samples, none from epoch 2.
+        assert late.result.hours.size == 3 * SMALL["hours_per_epoch"]
+        assert not ((late.result.hours >= 48.0) & (late.result.hours < 72.0)).any()
+        assert late.state.to_dict() == early.state.to_dict()
+        assert result_hash(late.result) == result_hash(early.result)
+
+
+class TestCheckpointSize:
+    def _final_state(self, tmp_path, epochs):
+        state_dir = tmp_path / f"e{epochs}"
+        config = small_config(epochs=epochs, hours_per_epoch=168)
+        run_campaign(config, state_dir=state_dir)
+        path = state_dir / CHECKPOINT_DIRNAME / f"epoch-{epochs:06d}.json"
+        return json.loads(path.read_text())["state"]
+
+    def test_checkpoint_does_not_grow_with_samples(self, tmp_path):
+        short = self._final_state(tmp_path, 4)
+        long = self._final_state(tmp_path, 16)
+        assert set(short) == set(long)
+        assert len(long["epoch_records"]) == 16
+
+        def boundary(state):
+            return len(json.dumps(
+                {k: v for k, v in state.items() if k != "epoch_records"}
+            ))
+
+        # Twelve more weeks of hourly samples would add ~100 KiB; the
+        # rest of the state differs only by the digits of its counters.
+        assert abs(boundary(long) - boundary(short)) < 1024
 
 
 @pytest.mark.skipif(

@@ -72,6 +72,27 @@ class TestAtomicJsonUnderFaults:
         assert injector.counts.get("renames_dropped", 0) > 0
         assert read_json(path) == {"final": True}
 
+    def test_verified_write_retries_a_read_back_that_is_not_utf8(
+        self, tmp_path, monkeypatch
+    ):
+        class RotFirstRead(IoFaultInjector):
+            def __init__(self):
+                super().__init__(IoFaultPlan(seed=0, bitrot_read_rate=1.0))
+
+            def read_bytes(self, path):
+                data = Path(path).read_bytes()
+                if not self.counts:
+                    self.record("bitrot_reads")
+                    return data[:-2] + b"\xa0" + data[-1:]
+                return data
+
+        injector = RotFirstRead()
+        monkeypatch.setattr("repro.faults.io._active", injector)
+        write_json_atomic_verified(tmp_path / "result.json", {"final": True})
+        monkeypatch.setattr("repro.faults.io._active", None)
+        assert injector.counts == {"bitrot_reads": 1}
+        assert read_json(tmp_path / "result.json") == {"final": True}
+
     def test_exhausted_retries_stay_loud(self, tmp_path):
         with io_faults(IoFaultPlan(seed=3, eio_fsync_rate=1.0)):
             with pytest.raises(OSError) as err:

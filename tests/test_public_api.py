@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +40,19 @@ class TestTopLevel:
 
     def test_base_exception_exported(self):
         assert issubclass(repro.ReproError, Exception)
+
+    def test_campaign_and_gateway_imports_leave_scipy_unloaded(self):
+        # scipy.signal is most of a cold import and only the PHY DSP
+        # helpers use it, so it must load lazily.
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; import repro, repro.campaign.driver, repro.serve; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            check=True, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert probe.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("module_name", SUBPACKAGES)

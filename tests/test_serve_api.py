@@ -2,6 +2,10 @@
 and the rollup cache's exact counter accounting."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,3 +243,34 @@ class TestStoreGeneration:
         before = store.generation
         store.truncate_from(1.0)
         assert store.generation == before + 1
+
+    def test_bumps_within_one_mtime_tick_are_seen(self, tmp_path):
+        reader = TelemetryStore(tmp_path / "s")
+        marker = reader.root / "store.json"
+        assert reader.generation == 0
+        before = marker.stat()
+        # Another process bumps twice; the marker is then given back the
+        # mtime the reader saw, as two bumps inside one coarse timestamp
+        # tick would leave it.
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from repro.store import TelemetryStore; "
+             "s = TelemetryStore(sys.argv[1]); "
+             "s.bump_generation(); s.bump_generation()",
+             str(reader.root)],
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        os.utime(marker, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert marker.stat().st_mtime_ns == before.st_mtime_ns
+        assert reader.generation == 2
+
+    def test_unchanged_marker_is_not_reread(self, tmp_path, monkeypatch):
+        reader = TelemetryStore(tmp_path / "s")
+        assert reader.generation == 0
+
+        def no_open(*_args, **_kwargs):
+            raise AssertionError("an unchanged marker was re-read")
+
+        monkeypatch.setattr("repro.store.store.open", no_open, raising=False)
+        assert reader.generation == 0
