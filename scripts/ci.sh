@@ -18,9 +18,11 @@
 #          result's sha256 must equal an uninterrupted reference run's.
 # Stage 6: telemetry-store smoke -- a short campaign exports into a
 #          store (--store), the store is compacted and queried through
-#          both the CLI and the HTTP API on an ephemeral port, and both
-#          answers must match an in-memory reference computed straight
-#          from the store.
+#          both the CLI and the HTTP gateway (`store serve`) on an
+#          ephemeral port, and both answers must match an in-memory
+#          reference computed straight from the store.  The gateway's
+#          parity matrix, keep-alive, SIGTERM drain and bind errors are
+#          pinned by tests/test_serve_gateway.py in stage 1.
 # Stage 7: PHY benchmark smoke -- a shrunk scalar-vs-batched Monte-Carlo
 #          workload (REPRO_PHY_BENCH_SMOKE=1) into a throwaway
 #          BENCH file, asserting bit-identical BERs and a >= 3x smoke
@@ -49,14 +51,6 @@
 #          run's; `chaos verify` re-derives the same verdict; then a
 #          byte is flipped in the drill's result.json and `chaos verify`
 #          MUST go red (non-zero) -- the oracle has teeth.
-# Stage 12: serving-tier smoke -- the threaded server and the asyncio
-#          gateway (`store serve --engine async`) run side by side on
-#          ephemeral ports against one seeded store; a request matrix
-#          (success + error payloads, POST/HEAD/nan/bad-cursor) must
-#          come back byte-identical from both; SIGTERM must drain the
-#          gateway to a clean exit 0; the serve load-bench smoke runs
-#          and its artifact is validated; finally `obs trend` proves
-#          the smoke reading is reported but never gated.
 #
 # Usage:  scripts/ci.sh [extra pytest args...]
 
@@ -627,163 +621,5 @@ if python -m repro.cli chaos verify --dir "${CHAOS_DIR}" > /dev/null 2>&1; then
     exit 1
 fi
 echo "chaos smoke OK: drill recovered, corrupted fixture caught"
-
-echo "== stage 12: serving-tier smoke (parity matrix + drain + bench) =="
-SERVE_STORE="${OUT_DIR}/serve-store"
-python - "${SERVE_STORE}" <<'PY'
-import sys
-
-import numpy as np
-
-from repro.store import SeriesKey, TelemetryStore
-
-store = TelemetryStore(sys.argv[1])
-hours = np.arange(0.0, 96.0, 0.5)
-for node in (1, 2):
-    store.append(
-        SeriesKey("hq", "east", node, "strain"),
-        hours, 120.0 + 0.2 * node + 0.1 * np.sin(hours),
-    )
-store.compact()
-PY
-
-THREADED_LOG="${OUT_DIR}/serve-threaded.log"
-GATEWAY_LOG="${OUT_DIR}/serve-gateway.log"
-python -m repro.cli store serve --store "${SERVE_STORE}" --port 0 \
-    > "${THREADED_LOG}" 2>&1 &
-THREADED_PID=$!
-python -m repro.cli store serve --store "${SERVE_STORE}" --port 0 \
-    --engine async > "${GATEWAY_LOG}" 2>&1 &
-GATEWAY_PID=$!
-trap 'kill "${THREADED_PID}" "${GATEWAY_PID}" 2>/dev/null || true; rm -rf "${OUT_DIR}"' EXIT
-
-THREADED_URL=""
-GATEWAY_URL=""
-for _ in $(seq 1 100); do
-    THREADED_URL="$(sed -n 's/^serving .* on \(http:\/\/[^ ]*\)$/\1/p' "${THREADED_LOG}" | head -n 1)"
-    GATEWAY_URL="$(sed -n 's/^serving .* on \(http:\/\/[^ ]*\)$/\1/p' "${GATEWAY_LOG}" | head -n 1)"
-    [ -n "${THREADED_URL}" ] && [ -n "${GATEWAY_URL}" ] && break
-    sleep 0.1
-done
-[ -n "${THREADED_URL}" ] || { echo "threaded server never announced its port" >&2; exit 1; }
-[ -n "${GATEWAY_URL}" ] || { echo "async gateway never announced its port" >&2; exit 1; }
-
-python - "${THREADED_URL}" "${GATEWAY_URL}" <<'PY'
-import http.client
-import sys
-from urllib.parse import urlsplit
-
-SERIES = "building=hq&wall=east&node=1&metric=strain"
-MATRIX = [
-    ("GET", "/stats"),
-    ("GET", f"/series?{SERIES}"),
-    ("GET", f"/series?{SERIES}&resolution=hourly&t0=0&t1=48"),
-    ("GET", f"/series?{SERIES}&resolution=daily&limit=2"),
-    ("GET", "/aggregate?metric=strain&agg=mean&resolution=daily&group_by=node"),
-    ("GET", "/health?building=hq"),
-    ("GET", "/nope"),
-    ("GET", "/aggregate?agg=mean"),
-    ("GET", f"/series?{SERIES}&t0=nan"),
-    ("GET", f"/series?{SERIES}&t1=inf"),
-    ("GET", f"/series?{SERIES}&limit=3&cursor=%%%"),
-    ("POST", "/stats"),
-    ("PUT", f"/series?{SERIES}"),
-    ("HEAD", "/stats"),
-    ("HEAD", f"/series?{SERIES}&resolution=hourly"),
-]
-
-def fetch(base, method, target):
-    host = urlsplit(base).netloc
-    conn = http.client.HTTPConnection(host, timeout=10.0)
-    try:
-        conn.request(method, target)
-        response = conn.getresponse()
-        headers = {k.lower(): v for k, v in response.getheaders()}
-        return response.status, headers, response.read()
-    finally:
-        conn.close()
-
-threaded_url, gateway_url = sys.argv[1], sys.argv[2]
-for method, target in MATRIX:
-    t_status, t_headers, t_body = fetch(threaded_url, method, target)
-    g_status, g_headers, g_body = fetch(gateway_url, method, target)
-    row = f"{method} {target}"
-    assert g_status == t_status, (
-        f"{row}: status {g_status} (gateway) != {t_status} (threaded)"
-    )
-    assert g_body == t_body, f"{row}: response bodies differ"
-    for header in ("content-type", "allow", "etag"):
-        assert g_headers.get(header) == t_headers.get(header), (
-            f"{row}: header {header!r} differs"
-        )
-    if method == "HEAD":
-        assert g_body == b"" and (
-            g_headers["content-length"] == t_headers["content-length"]
-        ), f"{row}: HEAD contract violated"
-print(f"serve parity OK: {len(MATRIX)} rows byte-identical across engines")
-PY
-kill "${THREADED_PID}" 2>/dev/null || true
-wait "${THREADED_PID}" 2>/dev/null || true
-
-# SIGTERM must drain the gateway gracefully: clean exit 0, not a kill.
-kill -TERM "${GATEWAY_PID}"
-set +e
-wait "${GATEWAY_PID}"
-GATEWAY_RC=$?
-set -e
-if [ "${GATEWAY_RC}" -ne 0 ]; then
-    echo "gateway SIGTERM drain exited ${GATEWAY_RC}, want 0" >&2
-    exit 1
-fi
-echo "gateway drain OK: SIGTERM -> graceful exit 0"
-trap 'rm -rf "${OUT_DIR}"' EXIT
-
-REPRO_SERVE_BENCH_SMOKE=1 REPRO_BENCH_OUT="${OUT_DIR}/BENCH_serve_smoke.json" \
-    python -m pytest benchmarks/test_serve_bench.py --benchmark-only \
-    --benchmark-disable-gc -q
-python - "${OUT_DIR}/BENCH_serve_smoke.json" <<'PY'
-import json
-import sys
-
-bench = json.load(open(sys.argv[1]))
-assert bench["schema"] == "repro/bench-serve/v1"
-assert bench["smoke"] is True
-assert bench["gateway"]["errors"] == 0 and bench["threaded"]["errors"] == 0
-assert bench["speedup_qps_vs_threaded"] > 0
-print(
-    f"serve bench smoke OK: {bench['gateway']['qps']} qps, "
-    f"{bench['speedup_qps_vs_threaded']}x vs threaded, "
-    f"cache hit rate {bench['gateway']['cache_hit_rate']}"
-)
-PY
-
-# Smoke readings must be reported by the trend gate but never gated:
-# a smoke artifact with an absurdly bad speedup still passes.
-SERVE_TREND_DIR="${OUT_DIR}/serve-trend"
-mkdir -p "${SERVE_TREND_DIR}"
-cp BENCH_phy.json BENCH_store.json BENCH_obs.json BENCH_fleet.json \
-    "${SERVE_TREND_DIR}/"
-python - "${OUT_DIR}/BENCH_serve_smoke.json" "${SERVE_TREND_DIR}/BENCH_serve.json" <<'PY'
-import json
-import sys
-
-bench = json.load(open(sys.argv[1]))
-bench["speedup_qps_vs_threaded"] = 0.01  # would regress hard if gated
-json.dump(bench, open(sys.argv[2], "w"))
-PY
-python -m repro.cli obs trend --bench-dir "${SERVE_TREND_DIR}" \
-    --history BENCH_HISTORY.jsonl --json > "${OUT_DIR}/serve-trend.json"
-python - "${OUT_DIR}/serve-trend.json" <<'PY'
-import json
-import sys
-
-verdicts = json.load(open(sys.argv[1]))["verdicts"]
-serve = {v["metric"]: v["verdict"] for v in verdicts
-         if v["metric"].startswith("serve.")}
-assert serve["serve.speedup_vs_threaded"] == "smoke", serve
-assert all(v == "smoke" for v in serve.values()), serve
-print("serve trend OK: smoke readings reported, never gated")
-PY
-echo "serve smoke OK: parity + drain + bench + trend"
 
 echo "== CI OK =="

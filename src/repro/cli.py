@@ -59,7 +59,7 @@ import math
 import random
 import sys
 from pathlib import Path
-from typing import Any, List, Optional
+from typing import List, Optional
 
 from .acoustics import StructureGeometry, WavePrism, paper_structures
 from .link import PlacedNode, PowerUpLink, WallSession, plan_stations
@@ -973,23 +973,34 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 def _cmd_store_serve(args: argparse.Namespace) -> int:
     import time as time_module
 
+    from .errors import StoreError
+    from .serve import AsyncGateway, run_gateway
+
     store = _open_store(args)
+    try:
+        gateway = AsyncGateway(
+            store, host=args.host, port=args.port,
+            workers=args.workers, max_queue=args.max_queue,
+            cache_entries=args.cache_entries,
+        )
+    except StoreError as exc:
+        raise _usage_exit(f"store serve: {exc}")
+    recorder = None
 
-    def start_recorder(registry: Any) -> Any:
-        if args.self_record <= 0.0:
-            return None
-        from .obs.pipeline import MetricsRecorder
+    def on_ready(gw: "AsyncGateway") -> None:
+        nonlocal recorder
+        if args.self_record > 0.0:
+            from .obs.pipeline import MetricsRecorder
 
-        return MetricsRecorder(
-            store, source="serve", registry=registry,
-            clock=lambda: time_module.time() / 3600.0,
-        ).start(interval_s=args.self_record)
-
-    def announce(port: int) -> None:
-        # The port line is machine-read by CI (ephemeral --port 0);
-        # keep it first and flush before blocking.
+            recorder = MetricsRecorder(
+                store, source="serve", registry=gw.registry,
+                clock=lambda: time_module.time() / 3600.0,
+            ).start(interval_s=args.self_record)
+        # The port line is machine-read by CI and tests (ephemeral
+        # --port 0); keep it first and flush before blocking.
         print(
-            f"serving {args.store} on http://{args.host}:{port}", flush=True
+            f"serving {args.store} on http://{args.host}:{gw.port}",
+            flush=True,
         )
         print(
             "endpoints: /series /aggregate /health /stats /metrics /healthz"
@@ -1000,48 +1011,24 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
                 f"self-recording serve metrics into _obs/serve every "
                 f"{args.self_record:g} s"
             )
-
-    if args.engine == "async":
-        from .serve import AsyncGateway, run_gateway
-
-        gateway = AsyncGateway(
-            store, host=args.host, port=args.port,
-            workers=args.workers, max_queue=args.max_queue,
-            cache_entries=args.cache_entries,
+        print(
+            f"gateway: {args.workers} worker(s), queue depth "
+            f"{args.max_queue}, {args.cache_entries} cache entries"
         )
-        recorder = None
 
-        def on_ready(gw: "AsyncGateway") -> None:
-            nonlocal recorder
-            recorder = start_recorder(gw.registry)
-            announce(gw.port)
-            print(
-                f"engine: async ({args.workers} worker(s), queue depth "
-                f"{args.max_queue}, {args.cache_entries} cache entries)"
-            )
-
-        try:
-            run_gateway(gateway, ready=on_ready)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if recorder is not None:
-                recorder.stop()
-        return 0
-
-    from .store import StoreServer
-
-    server = StoreServer(store, host=args.host, port=args.port)
-    recorder = start_recorder(server.registry)
-    announce(server.port)
     try:
-        server.serve_forever()
+        run_gateway(gateway, ready=on_ready)
     except KeyboardInterrupt:
         pass
+    except (OSError, OverflowError) as exc:
+        # Raised while binding, before anything is served: a busy
+        # port, an unresolvable --host or a port past 65535.
+        raise _usage_exit(
+            f"store serve: cannot listen on {args.host}:{args.port}: {exc}"
+        )
     finally:
         if recorder is not None:
             recorder.stop()
-        server.server_close()
     return 0
 
 
@@ -1532,22 +1519,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="0 picks an ephemeral port"
     )
     st_serve.add_argument(
-        "--engine", choices=("threaded", "async"), default="threaded",
-        help="threaded = stdlib reference server (default); async = "
-        "asyncio gateway with keep-alive, rollup cache and load shedding",
-    )
-    st_serve.add_argument(
         "--workers", type=int, default=8, metavar="N",
-        help="async engine: size of the blocking-read worker pool",
+        help="size of the blocking-read worker pool",
     )
     st_serve.add_argument(
         "--max-queue", type=int, default=64, metavar="N",
-        help="async engine: max queued-or-executing requests before "
-        "shedding with 503 + Retry-After",
+        help="max queued-or-executing requests before shedding with "
+        "503 + Retry-After",
     )
     st_serve.add_argument(
         "--cache-entries", type=int, default=512, metavar="N",
-        help="async engine: LRU capacity of the hot-rollup block cache",
+        help="LRU capacity of the hot-rollup block cache",
     )
     st_serve.add_argument(
         "--self-record", type=float, default=0.0, metavar="SECONDS",

@@ -1,22 +1,20 @@
-"""repro.serve: the production serving tier over the telemetry store.
+"""repro.serve: the HTTP serving tier over the telemetry store.
 
-The store's HTTP story has two implementations sharing one endpoint
-core (:mod:`repro.serve.api`), so they provably serve identical JSON:
+:class:`AsyncGateway` (:mod:`repro.serve.gateway`) is the store's one
+HTTP server: an asyncio HTTP/1.1 gateway with connection reuse, a
+bounded worker pool over segment reads, explicit load shedding (503 +
+``Retry-After`` instead of unbounded queueing), an LRU cache of hot
+rollup blocks invalidated by the store's compaction generation
+counter, ETag/If-None-Match, cursor pagination with chunked streaming
+for long windows, and graceful drain on SIGINT/SIGTERM.
 
-* the legacy stdlib ``ThreadingHTTPServer`` in :mod:`repro.store.serve`
-  -- the reference implementation, one thread per connection, no
-  caching; and
-* :class:`AsyncGateway` (:mod:`repro.serve.gateway`) -- an asyncio
-  HTTP/1.1 gateway with connection reuse, a bounded worker pool over
-  segment reads, explicit load shedding (503 + ``Retry-After`` instead
-  of unbounded queueing), an LRU cache of hot rollup blocks invalidated
-  by the store's compaction generation counter, ETag/If-None-Match,
-  cursor pagination with chunked streaming for long windows, and
-  graceful drain on SIGINT/SIGTERM.
+Every response body comes from :class:`EndpointCore`
+(:mod:`repro.serve.api`); an uncached core called in-process is the
+reference the gateway's responses are checked against.
 
 See ``docs/SERVING.md`` for the architecture and the cache-invalidation
-contract, and ``benchmarks/test_serve_bench.py`` for the closed-loop
-load benchmark that pins the qps/p99 trajectory (``BENCH_serve.json``).
+contract; ``perfbench/`` measures the gateway under load from separate
+processes.
 """
 
 from .api import (

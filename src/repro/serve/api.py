@@ -1,13 +1,12 @@
-"""The shared endpoint core behind both store HTTP servers.
+"""The endpoint core behind the store's HTTP gateway.
 
 Everything that decides *what bytes a query answers with* lives here --
 parameter parsing/validation, routing, error mapping, the JSON
-encoding, ETags, cursor pagination, and the optional hot-rollup cache
--- so the legacy threaded server (:mod:`repro.store.serve`) and the
-asyncio gateway (:mod:`repro.serve.gateway`) provably serve identical
-response bodies, including error payloads.  The servers themselves
-only own transport concerns (threads vs event loop, keep-alive,
-chunking, load shedding).
+encoding, ETags, cursor pagination, and the optional hot-rollup cache.
+The asyncio gateway (:mod:`repro.serve.gateway`) only owns transport
+concerns (keep-alive, chunking, load shedding), so an uncached core
+called in-process is the reference its responses are checked against,
+error payloads included.
 
 Endpoints (GET/HEAD only; any other method is 405 + ``Allow``):
 
@@ -23,10 +22,6 @@ Bad queries return 400 with ``{"error": ...}``; unknown paths 404;
 anything else 500.  Non-finite ``t0``/``t1``/``stale_hours`` values
 (``nan``/``inf``) are rejected with 400 -- they would silently poison
 every window comparison downstream.
-
-Imports deliberately target ``repro.store`` *submodules* (never the
-package) because ``repro.store.serve`` imports this module while the
-``repro.store`` package is still initialising.
 """
 
 from __future__ import annotations
@@ -69,7 +64,7 @@ METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def encode_json(payload: Any) -> bytes:
-    """The one JSON encoding both servers use (byte-level contract)."""
+    """The one JSON encoding every response uses (byte-level contract)."""
     return json.dumps(payload).encode("utf-8")
 
 
@@ -179,7 +174,7 @@ class _Block:
 
 
 class EndpointCore:
-    """Routing + response construction shared by both servers.
+    """Routing + response construction behind the gateway.
 
     Args:
         store: The telemetry store to serve.
@@ -187,11 +182,11 @@ class EndpointCore:
             counters/histograms.  Defaults to the live obs registry,
             else a private one -- ``/metrics`` always has something
             real to expose.
-        cache: Optional :class:`RollupCache`.  The legacy threaded
-            server runs without one (the uncached reference
-            implementation); the gateway attaches one.  Only hourly/
-            daily resolutions are cached -- raw windows are unbounded
-            and already ride the segment block index.
+        cache: Optional :class:`RollupCache`.  The gateway attaches
+            one; without it the core is the uncached reference its
+            responses are checked against.  Only hourly/daily
+            resolutions are cached -- raw windows are unbounded and
+            already ride the segment block index.
     """
 
     def __init__(
@@ -287,28 +282,16 @@ class EndpointCore:
             return self._series_body(params)
         if path == "/aggregate":
             return self._aggregate_body(params)
-        return encode_json(self.route(path, params))
-
-    def route(self, path: str, params: Dict[str, str]) -> Dict[str, Any]:
-        """Path + params -> JSON-ready payload (uncached, unpaginated).
-
-        Kept as the payload-level seam the legacy server historically
-        exposed; ``/series`` here answers without pagination.
-        """
         if path == "/stats":
-            return self.store.stats()
+            return encode_json(self.store.stats())
         if path == "/health":
-            return self.engine.degradation_report(
+            return encode_json(self.engine.degradation_report(
                 _require(params, "building"),
                 t0=_opt_float(params, "t0"),
                 t1=_opt_float(params, "t1"),
                 strain_metric=params.get("metric", "strain"),
                 stale_hours=_opt_float(params, "stale_hours"),
-            )
-        if path == "/series":
-            return json.loads(self._series_body(params))
-        if path == "/aggregate":
-            return json.loads(self._aggregate_body(params))
+            ))
         raise LookupError(path)
 
     # ------------------------------------------------------------------

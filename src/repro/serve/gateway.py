@@ -1,7 +1,7 @@
 """The asyncio query gateway: connection reuse, bounded workers, shedding.
 
-:class:`AsyncGateway` is a small HTTP/1.1 server built on
-``asyncio.start_server`` in front of the shared
+:class:`AsyncGateway` is the store's HTTP/1.1 server, built on
+``asyncio.start_server`` in front of
 :class:`~repro.serve.api.EndpointCore`.  Design points:
 
 * **The event loop never touches the disk.**  Every request body is
@@ -14,10 +14,9 @@
   instead of joining an unbounded pile-up.  A shed request costs the
   event loop microseconds, which is the point: under overload the
   gateway stays responsive and tells clients when to come back.
-* **Connection reuse.**  HTTP/1.1 keep-alive by default (the legacy
-  threaded server is HTTP/1.0, one TCP handshake + thread per
-  request); bodies past ``stream_chunk_bytes`` are written with
-  chunked transfer encoding so long windows stream in bounded pieces.
+* **Connection reuse.**  HTTP/1.1 keep-alive by default; bodies past
+  ``stream_chunk_bytes`` are written with chunked transfer encoding so
+  long windows stream in bounded pieces.
 * **Graceful drain.**  :func:`run_gateway` installs SIGINT/SIGTERM
   handlers that stop accepting, wait up to ``drain_grace_s`` for
   in-flight requests, then close -- a deploy never kills a response
@@ -373,11 +372,7 @@ def gateway_background(
     registry: Optional[MetricsRegistry] = None,
     **kwargs: Any,
 ) -> Tuple[AsyncGateway, threading.Thread]:
-    """Start a gateway on a daemon thread; caller owns ``.shutdown()``.
-
-    The asyncio mirror of :func:`repro.store.serve.serve_background`,
-    for tests and in-process benchmarks.
-    """
+    """Start a gateway on a daemon thread; caller owns ``.shutdown()``."""
     gateway = AsyncGateway(
         store, host=host, port=port, registry=registry, **kwargs
     )

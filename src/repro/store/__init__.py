@@ -2,8 +2,9 @@
 
 The persistence layer under the smart-building vision: surveys and
 campaign epochs are ingested into durable columnar segments, compacted
-into multi-resolution rollups, and served back through a vectorized
-query engine plus a small JSON/HTTP API.
+into multi-resolution rollups, and read back through a vectorized
+query engine.  The HTTP API over a store lives in :mod:`repro.serve`,
+which this package does not import.
 
 Durability follows the campaign subsystem's rules: a sample is either
 acknowledged by a segment's manifest or journal line (fsynced before
@@ -38,7 +39,6 @@ from .segment import (
     SEGMENT_SCHEMA,
     SegmentDir,
 )
-from .serve import StoreRequestHandler, StoreServer, serve_background
 from .store import STORE_SCHEMA, StoreWriter, TelemetryStore
 
 __all__ = [
@@ -58,8 +58,6 @@ __all__ = [
     "STRUCTURE_NODE_ID",
     "SegmentDir",
     "SeriesKey",
-    "StoreRequestHandler",
-    "StoreServer",
     "StoreWriter",
     "TelemetryStore",
     "compact_store",
@@ -70,6 +68,5 @@ __all__ = [
     "ingest_session",
     "pid_alive",
     "rollup",
-    "serve_background",
     "validate_component",
 ]

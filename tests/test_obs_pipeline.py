@@ -16,13 +16,13 @@ from repro.campaign.driver import Campaign, result_hash
 from repro.errors import CampaignError, ObsError
 from repro.obs import MetricsRegistry, observed
 from repro.obs.pipeline import MetricsRecorder, sanitize_store_metric
+from repro.serve import gateway_background
 from repro.store import (
     OBS_BUILDING,
     QueryEngine,
     SeriesKey,
     TelemetryStore,
     compact_store,
-    serve_background,
 )
 
 
@@ -244,8 +244,8 @@ class TestCampaignHeartbeat:
 
     def test_obs_series_served_over_http(self, recorded):
         _, _, store = recorded
-        server, _thread = serve_background(store)
-        base = f"http://127.0.0.1:{server.port}"
+        gateway, _thread = gateway_background(store)
+        base = f"http://127.0.0.1:{gateway.port}"
         try:
             series = json.loads(urllib.request.urlopen(
                 base + "/series?building=_obs&wall=campaign&node=0"
@@ -260,7 +260,7 @@ class TestCampaignHeartbeat:
             metrics_text = urllib.request.urlopen(base + "/metrics").read()
             assert b"# TYPE serve_requests counter" in metrics_text
         finally:
-            server.shutdown()
+            gateway.shutdown()
 
 
 class TestResumeHealing:

@@ -41,14 +41,22 @@ class TestTopLevel:
     def test_base_exception_exported(self):
         assert issubclass(repro.ReproError, Exception)
 
-    def test_campaign_and_gateway_imports_leave_scipy_unloaded(self):
+    @pytest.mark.parametrize("imports,unloaded", [
         # scipy.signal is most of a cold import and only the PHY DSP
         # helpers use it, so it must load lazily.
+        ("repro, repro.campaign.driver, repro.serve", ("scipy",)),
+        # Campaign processes, fleet workers and chaos drills never serve
+        # HTTP, so they must not pay for the gateway's imports.
+        ("repro, repro.campaign.driver",
+         ("asyncio", "http.server", "repro.serve")),
+    ], ids=["scipy", "serving"])
+    def test_imports_leave_modules_unloaded(self, imports, unloaded):
         src = Path(__file__).resolve().parents[1] / "src"
         probe = subprocess.run(
             [sys.executable, "-c",
-             "import sys; import repro, repro.campaign.driver, repro.serve; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+             f"import sys; import {imports}; "
+             "print(sorted(m for m in sys.modules if any("
+             f"m == p or m.startswith(p + '.') for p in {unloaded!r})))"],
             check=True, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )

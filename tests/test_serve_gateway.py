@@ -1,17 +1,28 @@
-"""Asyncio gateway tests: byte parity with the threaded server, cache
-invalidation on compaction, load shedding, keep-alive, and drain."""
+"""Asyncio gateway tests: byte parity with the uncached in-process
+core, cache invalidation on compaction, load shedding, keep-alive,
+drain, and ``store serve`` as a CLI process."""
 
 import http.client
 import json
+import os
+import re
+import select
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
+from urllib.parse import parse_qsl, urlsplit
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.obs import MetricsRegistry
-from repro.serve import gateway_background
-from repro.store import SeriesKey, TelemetryStore, serve_background
+from repro.serve import EndpointCore, gateway_background
+from repro.store import OBS_BUILDING, SeriesKey, TelemetryStore
 
 KEY = SeriesKey("hq", "east", 1, "strain")
 SERIES_QS = "building=hq&wall=east&node=1&metric=strain"
@@ -53,10 +64,33 @@ def request(port, method, target, headers=None):
         conn.close()
 
 
-#: The parity matrix: every row must come back byte-identical from the
-#: threaded reference server and the asyncio gateway -- success and
-#: error payloads alike.  (/metrics and /healthz carry uptime/registry
-#: state and are deliberately not byte-comparable.)
+def core_response(core, method, target):
+    """The reference answer: the core called in-process, as the gateway
+    would call it for this request line."""
+    parts = urlsplit(target)
+    return core.handle(method, parts.path, dict(parse_qsl(parts.query)))
+
+
+def assert_matches_core(expected, method, status, headers, body):
+    """One HTTP exchange (as :func:`request` returns it) against the
+    core's response: status, body, Content-Type, Allow and ETag; HEAD
+    sends no body but advertises the GET body's length."""
+    assert status == expected.status
+    assert headers.get("content-type") == expected.content_type
+    reference = {name.lower(): value for name, value in expected.headers}
+    for header in ("allow", "etag"):
+        assert headers.get(header) == reference.get(header)
+    if method == "HEAD":
+        assert body == b""
+        assert int(headers["content-length"]) == len(expected.body)
+    else:
+        assert body == expected.body
+
+
+#: The parity matrix: every row must come back from the gateway exactly
+#: as an uncached :class:`EndpointCore` answers it in-process -- success
+#: and error payloads alike.  (/metrics and /healthz carry uptime and
+#: registry state and are deliberately not byte-comparable.)
 PARITY_MATRIX = [
     ("GET", "/stats"),
     ("GET", f"/series?{SERIES_QS}"),
@@ -83,22 +117,11 @@ PARITY_MATRIX = [
 class TestParity:
     @pytest.mark.parametrize("method,target", PARITY_MATRIX)
     def test_matrix_row_is_byte_identical(self, store, gateway, method, target):
-        server, thread = serve_background(store, registry=MetricsRegistry())
-        try:
-            t_status, t_headers, t_body = request(server.port, method, target)
-            g_status, g_headers, g_body = request(gateway.port, method, target)
-            assert g_status == t_status
-            assert g_body == t_body
-            for header in ("content-type", "allow", "etag"):
-                assert g_headers.get(header) == t_headers.get(header)
-            if method == "HEAD":
-                assert g_body == b""
-                assert (
-                    g_headers["content-length"] == t_headers["content-length"]
-                )
-        finally:
-            server.shutdown()
-            thread.join(timeout=5.0)
+        core = EndpointCore(store, registry=MetricsRegistry())
+        assert_matches_core(
+            core_response(core, method, target), method,
+            *request(gateway.port, method, target),
+        )
 
     def test_head_advertises_get_length(self, gateway):
         g_status, g_headers, _ = request(gateway.port, "HEAD", "/stats")
@@ -246,6 +269,51 @@ class TestTransport:
         assert body == b""
         assert revalidated["etag"] == headers["etag"]
 
+    def test_concurrent_keep_alive_clients_get_core_bodies(self, store):
+        registry = MetricsRegistry()
+        gateway, thread = gateway_background(store, registry=registry)
+        core = EndpointCore(store, registry=MetricsRegistry())
+        expected = {}
+        for method, target in PARITY_MATRIX:
+            response = core_response(core, method, target)
+            if method == "GET" and response.status == 200:
+                expected[target] = response.body
+        targets = sorted(expected)
+        answers = []
+
+        def client(offset):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", gateway.port, timeout=10.0
+            )
+            try:
+                for i in range(25):
+                    target = targets[(offset + i) % len(targets)]
+                    conn.request("GET", target)
+                    response = conn.getresponse()
+                    same = response.read() == expected[target]
+                    answers.append((target, response.status, same))
+            finally:
+                conn.close()
+
+        clients = [
+            threading.Thread(target=client, args=(n,)) for n in range(8)
+        ]
+        try:
+            for worker in clients:
+                worker.start()
+            for worker in clients:
+                worker.join(timeout=30.0)
+            assert not any(worker.is_alive() for worker in clients)
+        finally:
+            gateway.shutdown()
+            thread.join(timeout=5.0)
+        assert len(answers) == 8 * 25
+        assert [a for a in answers if a[1:] != (200, True)] == []
+        counters = registry.snapshot()["counters"]
+        assert counters.get("serve.shed", 0) == 0
+        # One connection per client: keep-alive held for all 25 GETs.
+        assert counters["serve.connections"] == 8
+
     def test_malformed_request_line_is_400(self, gateway):
         import socket
 
@@ -323,3 +391,97 @@ class TestGatewayMetrics:
         assert "serve_cache_misses 1" in text
         assert "serve_connections" in text
         assert "serve_in_flight" in text
+
+
+def stable_exchange(core, port, method, target, attempts=50):
+    """One HTTP exchange bracketed by two equal core answers.
+
+    A self-recording server appends ``_obs`` rows while it is queried,
+    so ``/stats`` can move between the server's answer and the core's.
+    The store only grows, so when the core answers the same before and
+    after the exchange, the server saw that state too.
+    """
+    for _ in range(attempts):
+        before = core_response(core, method, target)
+        answer = request(port, method, target)
+        if core_response(core, method, target) == before:
+            return before, answer
+    pytest.fail(f"{method} {target}: the store never held still")
+
+
+class TestServeCli:
+    def test_process_matches_core_self_records_and_drains(self, store):
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "store", "serve",
+                "--store", str(store.root), "--port", "0",
+                "--self-record", "0.2",
+            ],
+            env={**os.environ, "PYTHONPATH": "src"},
+            cwd=Path(__file__).resolve().parent.parent,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30.0)
+            assert ready, "store serve never announced its port"
+            first = proc.stdout.readline()
+            announced = re.fullmatch(
+                rf"serving {re.escape(str(store.root))} on "
+                r"http://127\.0\.0\.1:(\d+)\n",
+                first,
+            )
+            assert announced, first
+            port = int(announced.group(1))
+
+            core = EndpointCore(store, registry=MetricsRegistry())
+            for method, target in PARITY_MATRIX:
+                expected, answer = stable_exchange(core, port, method, target)
+                assert_matches_core(expected, method, *answer)
+
+            deadline = time.monotonic() + 10.0
+            while True:
+                _, _, body = request(port, "GET", "/stats")
+                walls = {
+                    (entry["key"]["building"], entry["key"]["wall"])
+                    for entry in json.loads(body)["series"]
+                }
+                if (OBS_BUILDING, "serve") in walls:
+                    break
+                assert time.monotonic() < deadline, "no _obs/serve series"
+                time.sleep(0.05)
+
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10.0) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            proc.stdout.close()
+            proc.stderr.close()
+
+    def test_busy_port_exits_2_with_one_line(self, store, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            port = holder.getsockname()[1]
+            with pytest.raises(SystemExit) as excinfo:
+                main([
+                    "store", "serve", "--store", str(store.root),
+                    "--port", str(port),
+                ])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"store serve: cannot listen on 127.0.0.1:{port}:")
+        assert "address already in use" in err
+        assert err.count("\n") == 1
+
+    def test_zero_workers_exits_2_with_one_line(self, store, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "store", "serve", "--store", str(store.root),
+                "--port", "0", "--workers", "0",
+            ])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "store serve: workers must be >= 1, got 0\n"
+        )

@@ -9,12 +9,8 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.store import (
-    QueryEngine,
-    SeriesKey,
-    TelemetryStore,
-    serve_background,
-)
+from repro.serve import gateway_background
+from repro.store import QueryEngine, SeriesKey, TelemetryStore
 
 
 @pytest.fixture()
@@ -30,9 +26,9 @@ def served(tmp_path):
         hours, 118.0 + 0.1 * np.sin(hours),
     )
     store.compact()
-    server, thread = serve_background(store, registry=MetricsRegistry())
-    yield store, f"http://127.0.0.1:{server.port}"
-    server.shutdown()
+    gateway, thread = gateway_background(store, registry=MetricsRegistry())
+    yield store, f"http://127.0.0.1:{gateway.port}"
+    gateway.shutdown()
     thread.join(timeout=5.0)
 
 
@@ -186,12 +182,12 @@ class TestObservabilityEndpoints:
             SeriesKey(OBS_BUILDING, "campaign", 0, "campaign.epoch"),
             [0.0, 24.0], [1.0, 2.0],
         )
-        server, thread = serve_background(store, registry=MetricsRegistry())
+        gateway, thread = gateway_background(store, registry=MetricsRegistry())
         try:
-            payload = _get(f"http://127.0.0.1:{server.port}/healthz")
+            payload = _get(f"http://127.0.0.1:{gateway.port}/healthz")
             assert payload["campaign"] == {
                 "last_epoch": 2.0, "last_tick_hours": 24.0,
             }
         finally:
-            server.shutdown()
+            gateway.shutdown()
             thread.join(timeout=5.0)
