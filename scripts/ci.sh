@@ -20,7 +20,10 @@
 #          store (--store), the store is compacted and queried through
 #          both the CLI and the HTTP gateway (`store serve`) on an
 #          ephemeral port, and both answers must match an in-memory
-#          reference computed straight from the store.  The gateway's
+#          reference computed straight from the store.  The campaign's
+#          result.json is then ingested under a new building while the
+#          gateway runs, and its raw /aggregate and /stats bodies must
+#          equal a fresh in-process core's.  The gateway's
 #          parity matrix, keep-alive, SIGTERM drain and bind errors are
 #          pinned by tests/test_serve_gateway.py in stage 1.
 # Stage 7: PHY benchmark smoke -- a shrunk scalar-vs-batched Monte-Carlo
@@ -273,6 +276,42 @@ assert stats == json.loads(json.dumps(engine.store.stats())), (
 print(
     f"store smoke OK: {reference['series']} strain series, "
     f"CLI == HTTP == reference ({reference['value']:.3f})"
+)
+PY
+
+# The running gateway must see data written after it started: ingest
+# the campaign's result.json under a new building while it serves.
+python -m repro.cli store ingest --store "${STORE_DIR}" --building late \
+    "${OUT_DIR}/store-campaign/result.json" > /dev/null
+python - "${STORE_DIR}" "${BASE_URL}" <<'PY'
+import json
+import sys
+import urllib.request
+from urllib.parse import parse_qsl, urlsplit
+
+from repro.obs import MetricsRegistry
+from repro.serve import EndpointCore
+from repro.store import TelemetryStore
+
+store_dir, base_url = sys.argv[1], sys.argv[2]
+core = EndpointCore(
+    TelemetryStore(store_dir, create=False), registry=MetricsRegistry()
+)
+served = {}
+for target in ("/aggregate?metric=acceleration&agg=count&building=late",
+               "/stats"):
+    with urllib.request.urlopen(base_url + target, timeout=10.0) as response:
+        served[target] = response.read()
+    parts = urlsplit(target)
+    fresh = core.handle("GET", parts.path, dict(parse_qsl(parts.query)))
+    assert fresh.status == 200 and served[target] == fresh.body, (
+        f"running gateway's {target} diverged from a fresh core after ingest"
+    )
+count = json.loads(served["/aggregate?metric=acceleration&agg=count&building=late"])
+assert count["series"] > 0 and count["value"] > 0, count
+print(
+    f"store freshness OK: {count['value']:.0f} acceleration samples ingested "
+    "under a running gateway, served == fresh core"
 )
 PY
 kill "${SERVE_PID}" 2>/dev/null || true

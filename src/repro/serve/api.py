@@ -149,7 +149,7 @@ class Response:
 
 
 class _Block:
-    """A cached query result with its lazily rendered body/ETag.
+    """A cached query result with its lazily rendered body.
 
     The cache holds the *decoded* rollup block (numpy columns or the
     aggregate payload); the first unpaginated request renders and pins
@@ -158,18 +158,15 @@ class _Block:
     same bytes, so no lock is needed.
     """
 
-    __slots__ = ("value", "body", "etag")
+    __slots__ = ("value", "body")
 
     def __init__(self, value: Any):
         self.value = value
         self.body: Optional[bytes] = None
-        self.etag: Optional[str] = None
 
     def render(self, payload: Any) -> bytes:
         if self.body is None:
-            body = encode_json(payload)
-            self.etag = etag_for(body)
-            self.body = body
+            self.body = encode_json(payload)
         return self.body
 
 

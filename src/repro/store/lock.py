@@ -33,8 +33,8 @@ from ..errors import PartitionLockError, StoreError
 from ..obs import obs_counter, obs_event
 
 #: Lockfile name inside a building's segment directory.  Dot-prefixed
-#: so the segment-manifest glob in :meth:`TelemetryStore.keys` and the
-#: stats walk never mistake it for series data.
+#: so the directory walk in :meth:`TelemetryStore.keys` and the stats
+#: walk never mistake it for series data.
 LOCK_FILENAME = ".writer.lock"
 
 LOCK_SCHEMA = "repro/store-lock/v1"

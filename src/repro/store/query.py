@@ -275,12 +275,11 @@ class QueryEngine:
                 f"{building!r}"
             )
         monitor = BuildingMonitor(name=building)
+        lasts = [self.latest(key) for key in keys]
         newest = max(
-            (entry["t"] for entry in map(self.latest, keys) if entry),
-            default=None,
+            (entry["t"] for entry in lasts if entry), default=None,
         )
-        for key in keys:
-            last = self.latest(key)
+        for key, last in zip(keys, lasts):
             reachable = last is not None and (
                 stale_hours is None
                 or newest is None

@@ -51,9 +51,12 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -225,8 +228,39 @@ def _journal_line_problem(record: Mapping[str, Any]) -> Optional[str]:
     return None
 
 
+def _with_entry(
+    manifest: Dict[str, Any], resolution: str, entry: Dict[str, Any]
+) -> Dict[str, Any]:
+    """A copy of ``manifest`` whose ``resolution`` entry is ``entry``.
+
+    Indexes are shared between threads once published, so every change
+    builds a new one instead of editing the old in place.
+    """
+    files = dict(manifest["files"])
+    files[resolution] = entry
+    return dict(manifest, files=files)
+
+
+class _Index(NamedTuple):
+    """A parsed block index and the exact bytes it was parsed from."""
+
+    journal: bytes
+    manifest_text: Optional[str]
+    manifest: Dict[str, Any]
+
+
 class SegmentDir:
     """One series' on-disk segment directory.
+
+    A :class:`~repro.store.store.TelemetryStore` keeps one object per
+    series and calls :meth:`begin_use` each time it hands it out.  The
+    first index access of a use reads the journal, then the manifest,
+    and reuses the held index only when both are byte-for-byte the ones
+    it was parsed from; otherwise it parses and validates the bytes just
+    read.  Later accesses in the same use (per thread) see that same
+    index, as a freshly constructed object would.  Writes never edit a
+    published index: they drop it, so the next use parses what they
+    wrote.
 
     Args:
         directory: The segment directory (created on first append).
@@ -243,10 +277,22 @@ class SegmentDir:
         quarantine_root: Union[str, Path],
     ):
         self.directory = Path(directory)
+        self.manifest_path = self.directory / MANIFEST_FILENAME
+        self.journal_path = self.directory / JOURNAL_FILENAME
         self.key_dict = dict(key_dict)
         self.quarantine_root = Path(quarantine_root)
-        #: The full block index (manifest plus journal), once loaded.
-        self._manifest: Optional[Dict[str, Any]] = None
+        #: The held index: the last one parsed from disk, with its bytes.
+        self._manifest: Optional[_Index] = None
+        #: Per thread, ``index``: the full block index (manifest plus
+        #: journal) this thread's current use works on, once loaded.
+        self._use = threading.local()
+
+    def begin_use(self) -> None:
+        """Start a new use on this thread: the next index access re-reads."""
+        self._use.index = None
+
+    def _use_index(self) -> Optional[Dict[str, Any]]:
+        return getattr(self._use, "index", None)
 
     # ------------------------------------------------------------------
     # Manifest + journal
@@ -255,14 +301,6 @@ class SegmentDir:
     def seg_path(self, resolution: str) -> Path:
         columns_for(resolution)  # validates the name
         return self.directory / f"{resolution}.seg"
-
-    @property
-    def manifest_path(self) -> Path:
-        return self.directory / MANIFEST_FILENAME
-
-    @property
-    def journal_path(self) -> Path:
-        return self.directory / JOURNAL_FILENAME
 
     def exists(self) -> bool:
         return self.manifest_path.exists()
@@ -287,8 +325,8 @@ class SegmentDir:
         paths = [self.seg_path(res) for res in RESOLUTIONS] + [self.journal_path]
         return any(p.exists() and p.stat().st_size > 0 for p in paths)
 
-    def _read_manifest(self) -> Optional[Dict[str, Any]]:
-        """``manifest.json`` alone, shape-checked (quarantine + raise if bad).
+    def _manifest_text(self) -> Optional[str]:
+        """``manifest.json``'s text (quarantine + raise if unreadable).
 
         None when there is no manifest (any data found without one is
         quarantined first).
@@ -300,8 +338,15 @@ class SegmentDir:
                 self._quarantine("segment files present without a manifest")
             return None
         try:
-            payload = json.loads(io_read_text(self.manifest_path))
+            return io_read_text(self.manifest_path)
         except (OSError, ValueError) as exc:
+            self._corrupt(f"unreadable manifest: {exc}")
+
+    def _parse_manifest(self, text: str) -> Dict[str, Any]:
+        """The manifest in ``text``, shape-checked (quarantine + raise if bad)."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
             self._corrupt(f"unreadable manifest: {exc}")
         problems = self._manifest_problems(payload)
         if problems:
@@ -309,22 +354,30 @@ class SegmentDir:
         payload.setdefault("snapshot", 0)  # v1: never written as v2
         return payload
 
-    def _read_journal(self) -> List[Dict[str, Any]]:
+    def _read_manifest(self) -> Optional[Dict[str, Any]]:
+        """``manifest.json`` alone, shape-checked; None when there is none."""
+        text = self._manifest_text()
+        return None if text is None else self._parse_manifest(text)
+
+    def _journal_bytes(self) -> bytes:
+        """The journal's bytes (empty when there is no journal)."""
+        try:
+            return retry_io(
+                lambda: io_read_bytes(self.journal_path),
+                f"segment_journal_read:{self.directory.name}",
+            )
+        except FileNotFoundError:
+            return b""
+        except OSError as exc:
+            raise SegmentError(f"cannot read {self.journal_path}: {exc}")
+
+    def _journal_records(self, raw: bytes) -> List[Dict[str, Any]]:
         """Every complete journal line's record; a torn tail is ignored.
 
         Ignoring (not truncating) a torn tail keeps readers from
         mutating a segment whose writer may be mid-append; the writer
         cuts it on its next append.
         """
-        try:
-            raw = retry_io(
-                lambda: io_read_bytes(self.journal_path),
-                f"segment_journal_read:{self.directory.name}",
-            )
-        except FileNotFoundError:
-            return []
-        except OSError as exc:
-            raise SegmentError(f"cannot read {self.journal_path}: {exc}")
         scan = crclog.scan_lines(raw, JOURNAL_SCHEMA)
         if scan.bad is not None:
             self._corrupt(f"journal line at byte {scan.good_bytes}: {scan.bad}")
@@ -336,14 +389,34 @@ class SegmentDir:
 
     def _load_manifest(self) -> Dict[str, Any]:
         """The full block index: the manifest plus its journal's blocks."""
-        if self._manifest is not None:
-            return self._manifest
+        manifest = self._use_index()
+        if manifest is not None:
+            return manifest
+        held = self._manifest
         # The journal is read before the manifest: a concurrent replace()
         # renames its manifest before it empties the journal, so lines
         # read first are either still current or already folded into
         # the manifest read second -- never lost in between.
-        records = self._read_journal()
-        manifest = self._read_manifest()
+        journal = self._journal_bytes()
+        records = None
+        if held is None or journal != held.journal:
+            records = self._journal_records(journal)
+        text = self._manifest_text()
+        if records is None and text == held.manifest_text:
+            index = held  # both byte-identical: skip the parse
+        else:
+            if records is None:
+                records = self._journal_records(journal)
+            index = _Index(journal, text, self._fold(text, records))
+            self._manifest = index
+        self._use.index = index.manifest
+        return index.manifest
+
+    def _fold(
+        self, text: Optional[str], records: List[Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """The manifest in ``text`` with the journal ``records`` appended."""
+        manifest = None if text is None else self._parse_manifest(text)
         if manifest is None:
             manifest, records = self._fresh_manifest(), []
         snapshot = manifest["snapshot"]
@@ -367,7 +440,6 @@ class SegmentDir:
             entry["blocks"].append({f: record[f] for f in _BLOCK_FIELDS})
             entry["bytes"] += record["length"]
             entry["rows"] += record["n"]
-        self._manifest = manifest
         return manifest
 
     @staticmethod
@@ -427,6 +499,7 @@ class SegmentDir:
         written = dict(
             manifest, schema=SEGMENT_SCHEMA, snapshot=manifest["snapshot"] + 1
         )
+        self._manifest = None  # the next use parses what is written here
         try:
             if journal.stat().st_size:
                 # Emptying the journal drops its lines, so the manifest
@@ -436,15 +509,14 @@ class SegmentDir:
             else:
                 write_json_atomic(self.manifest_path, written, fsync=durable)
         except BaseException:
-            self._manifest = None  # disk may disagree; reload next time
+            self._use.index = None  # disk may disagree; reload next time
             raise
-        self._manifest = written
+        self._use.index = written
 
     def file_entry(self, resolution: str) -> Dict[str, Any]:
-        manifest = self._load_manifest()
-        return manifest["files"].setdefault(
-            resolution, _empty_file_entry(resolution)
-        )
+        """``resolution``'s index entry (shared: read it, never edit it)."""
+        files = self._load_manifest()["files"]
+        return files.get(resolution) or _empty_file_entry(resolution)
 
     # ------------------------------------------------------------------
     # Quarantine + recovery
@@ -463,6 +535,7 @@ class SegmentDir:
             target = self.quarantine_root / f"{stem}.{suffix}"
         self.directory.replace(target)
         self._manifest = None
+        self._use.index = None
         obs_counter("store.quarantines").inc()
         obs_event(
             "warning", "store.segment_quarantined",
@@ -518,6 +591,8 @@ class SegmentDir:
             truncated += 1
         for resolution, entry in manifest["files"].items():
             truncated += self._reconcile(resolution, entry["bytes"])
+        if truncated:
+            self._manifest = None  # parsed from bytes just cut
         return truncated
 
     # ------------------------------------------------------------------
@@ -540,7 +615,7 @@ class SegmentDir:
             lambda: crclog.read_tail(self.journal_path),
             f"segment_journal_tail:{self.directory.name}",
         )
-        manifest = self._manifest
+        manifest = self._use_index()
         if manifest is None:
             manifest = self._read_manifest()
         if manifest is None:
@@ -570,7 +645,7 @@ class SegmentDir:
         last: Optional[Dict[str, Any]],
     ) -> Tuple[int, Optional[float]]:
         """``(acknowledged bytes, last t1)`` of ``resolution``."""
-        if self._manifest is None and last is not None:
+        if self._use_index() is None and last is not None:
             if last["res"] == resolution:
                 return last["offset"] + last["length"], last["t1"]
             manifest = self._load_manifest()  # another resolution's line
@@ -598,7 +673,7 @@ class SegmentDir:
             # A new segment, or a v1 one: keys() finds the segment by
             # its manifest, and a v1-only reader must refuse journals.
             self._write_manifest(manifest, durable)
-            manifest = self._manifest
+            manifest = self._use_index()
         return (manifest["snapshot"], *self._last_block(resolution, manifest, last))
 
     def append_block(
@@ -654,11 +729,19 @@ class SegmentDir:
             f"segment_journal:{self.directory.name}",
             durable=durable,
         )
-        if self._manifest is not None:
+        self._manifest = None
+        manifest = self._use_index()
+        if manifest is not None:
             entry = self.file_entry(resolution)
-            entry["blocks"].append(block)
-            entry["bytes"] += meta["length"]
-            entry["rows"] += meta["n"]
+            self._use.index = _with_entry(
+                manifest, resolution,
+                dict(
+                    entry,
+                    blocks=entry["blocks"] + [block],
+                    bytes=entry["bytes"] + meta["length"],
+                    rows=entry["rows"] + meta["n"],
+                ),
+            )
         obs_counter("store.blocks_written").inc()
         obs_counter("store.bytes_written").inc(meta["length"])
         return block
@@ -675,13 +758,14 @@ class SegmentDir:
         manifest write leaves the old index over the new file; reads
         check every block's CRC32 against that index, so it is loud.
         """
-        entry = self.file_entry(resolution)
+        manifest = self._load_manifest()
         path = self.seg_path(resolution)
         if arrays is None or len(arrays[0]) == 0:
             if path.exists():
                 path.unlink()
-            entry.update(_empty_file_entry(resolution))
-            self._write_manifest(self._load_manifest())
+            self._write_manifest(
+                _with_entry(manifest, resolution, _empty_file_entry(resolution))
+            )
             return
         frame, meta = encode_block(columns_for(resolution), arrays)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -700,15 +784,17 @@ class SegmentDir:
             if tmp.exists():
                 tmp.unlink()
             raise
-        entry.update(
-            {
-                "columns": list(columns_for(resolution)),
-                "bytes": meta["length"],
-                "rows": meta["n"],
-                "blocks": [{"offset": 0, **meta}],
-            }
+        self._write_manifest(
+            _with_entry(
+                manifest, resolution,
+                {
+                    "columns": list(columns_for(resolution)),
+                    "bytes": meta["length"],
+                    "rows": meta["n"],
+                    "blocks": [{"offset": 0, **meta}],
+                },
+            )
         )
-        self._write_manifest(self._load_manifest())
         obs_counter("store.blocks_written").inc()
         obs_counter("store.bytes_written").inc(meta["length"])
 

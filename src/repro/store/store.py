@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -37,7 +38,7 @@ from ..obs import obs_counter, obs_event
 from ..runtime.serialize import write_json_atomic
 from .keys import SeriesKey
 from .lock import PartitionLock
-from .segment import RAW, RESOLUTIONS, SegmentDir
+from .segment import MANIFEST_FILENAME, RAW, RESOLUTIONS, SegmentDir
 
 #: Schema tag for the store-level marker file.
 STORE_SCHEMA = "repro/store/v1"
@@ -45,6 +46,19 @@ STORE_SCHEMA = "repro/store/v1"
 STORE_MARKER_FILENAME = "store.json"
 SEGMENTS_DIRNAME = "segments"
 QUARANTINE_DIRNAME = ".quarantine"
+
+
+def _subdirs(path: str) -> List[str]:
+    """The sorted names of the directories in ``path``.
+
+    Empty when ``path`` is absent, not a directory, or unreadable --
+    including a segment a concurrent quarantine moved mid-walk.
+    """
+    try:
+        with os.scandir(path) as entries:
+            return sorted(entry.name for entry in entries if entry.is_dir())
+    except OSError:
+        return []
 
 
 class TelemetryStore:
@@ -62,6 +76,9 @@ class TelemetryStore:
         self.root = Path(root)
         #: (open marker handle, its inode, the generation read from it).
         self._generation_cache: Optional[Tuple[IO[bytes], int, int]] = None
+        #: One segment object per series on disk; see :meth:`segment`.
+        self._segments: Dict[SeriesKey, SegmentDir] = {}
+        self._segments_lock = threading.Lock()
         marker = self.root / STORE_MARKER_FILENAME
         if marker.exists():
             try:
@@ -173,27 +190,52 @@ class TelemetryStore:
         return value
 
     def segment(self, key: SeriesKey) -> SegmentDir:
-        return SegmentDir(
-            self.segments_dir / key.relpath,
-            key.to_dict(),
-            self.quarantine_dir,
-        )
+        """``key``'s segment directory, starting a new use of its index.
+
+        The store holds one :class:`SegmentDir` per series on disk, so
+        an index parsed by one query is reused by the next one whenever
+        the journal and manifest bytes are unchanged.  A key with no
+        directory gets a throwaway object, so requests for absent
+        series cannot grow the map.
+        """
+        segment = self._segments.get(key)
+        if segment is None:
+            segment = SegmentDir(
+                self.segments_dir / key.relpath,
+                key.to_dict(),
+                self.quarantine_dir,
+            )
+            if segment.directory.is_dir():
+                with self._segments_lock:
+                    segment = self._segments.setdefault(key, segment)
+        segment.begin_use()
+        return segment
 
     def keys(self) -> List[SeriesKey]:
-        """Every series in the store, sorted."""
+        """Every series in the store, sorted.
+
+        Walks the four directory levels under ``segments/`` on every
+        call: a directory's mtime cannot tell two changes inside one
+        tick apart, so a cached listing could miss a new series.
+        """
+        # (path parts, directory) pairs, one level deeper per pass.
+        level: List[Tuple[Tuple[str, ...], str]] = [((), str(self.segments_dir))]
+        for _depth in range(4):  # building, wall, node, metric
+            level = [
+                (parts + (name,), f"{directory}/{name}")
+                for parts, directory in level
+                for name in _subdirs(directory)
+            ]
         found: List[SeriesKey] = []
-        base = self.segments_dir
-        if not base.is_dir():
-            return found
-        for manifest in sorted(base.glob("*/*/*/*/manifest.json")):
-            parts = manifest.parent.relative_to(base).parts
+        for parts, directory in level:
+            if not os.path.exists(f"{directory}/{MANIFEST_FILENAME}"):
+                continue
             try:
                 found.append(SeriesKey.from_path_parts(parts))
             except StoreError:
                 # Not a segment directory we recognise; skip loudly.
                 obs_event(
-                    "warning", "store.unrecognised_segment",
-                    path=str(manifest.parent),
+                    "warning", "store.unrecognised_segment", path=directory,
                 )
         return sorted(found)
 
