@@ -6,16 +6,7 @@ from .attenuation import (
     guidance_exponent,
     range_for_gain,
 )
-from .batch import (
-    ArrivalBatch,
-    attenuation_db_batch,
-    complex_gains,
-    complex_gains_vs_frequency,
-    impulse_responses,
-    power_gains,
-    spreading_gains,
-    trace_arrivals,
-)
+from .batch import attenuation_db_batch, spreading_gains
 from .boundary import (
     RefractionResult,
     critical_angle,
@@ -71,14 +62,8 @@ __all__ = [
     "channel_amplitude_gain",
     "guidance_exponent",
     "range_for_gain",
-    "ArrivalBatch",
     "attenuation_db_batch",
-    "complex_gains",
-    "complex_gains_vs_frequency",
-    "impulse_responses",
-    "power_gains",
     "spreading_gains",
-    "trace_arrivals",
     "RefractionResult",
     "critical_angle",
     "first_critical_angle",

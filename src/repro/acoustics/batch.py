@@ -1,53 +1,31 @@
-"""Batched image-source raytracing: all paths/receivers/frequencies at once.
+"""Vectorized propagation-loss primitives for the batched link budget.
 
-The scalar :class:`repro.acoustics.raytrace.ImageSourceModel` walks the
-image orders in a Python loop and returns a delay-sorted list of
-:class:`Arrival` objects -- one call per (source, receiver) pair, one
-iteration per image.  This module evaluates the same construction as
-broadcast numpy expressions:
+:meth:`repro.link.PowerUpLink.node_voltages` solves a whole wall's
+charging budget in one broadcast; these are the two loss laws it
+evaluates over an array of distances:
 
-* :func:`trace_arrivals` -- every image order for every receiver in one
-  ``(receivers, orders)`` pass;
-* :func:`complex_gains` / :func:`power_gains` -- coherent/incoherent
-  channel gains for a whole receiver grid;
-* :func:`complex_gains_vs_frequency` -- one (paths x frequencies)
-  broadcast for channel-response sweeps;
-* :func:`impulse_responses` -- a tap-delay-line matrix, one row per
-  receiver;
-* :func:`attenuation_db_batch` / :func:`spreading_gains` -- vectorized
-  forms of the propagation-loss primitives.
+* :func:`attenuation_db_batch` -- ``Medium.attenuation_db`` over arrays
+  of frequencies/distances;
+* :func:`spreading_gains` -- ``SpreadingModel.amplitude_gain`` over an
+  array of distances.
 
 Equivalence contract (enforced by
-``tests/test_acoustics_batch_equivalence.py``): the batched results
-match the scalar reference to a relative tolerance of ``1e-12``, *not*
-byte-exactly -- ``np.hypot`` and vectorized ``10.0 ** x`` differ from
-``math.hypot`` / scalar ``**`` by up to 1 ulp, and the gain reductions
-sum in image order rather than delay order.  Distance vectorization of
-the attenuation law is exact (the law is linear in distance); frequency
-vectorization is ulp-close only.  The scalar implementations remain the
-reference that feeds the pinned goldens' single-point calls.
-
-Axis conventions: receiver axis first, image-order axis second, in
-image order ``-max_bounces .. +max_bounces`` (the scalar API returns
-arrivals sorted by delay instead; use :meth:`ArrivalBatch.sorted_row`
-to compare).
+``tests/test_acoustics_batch_equivalence.py``): distance vectorization
+of the attenuation law is exact (the law is linear in distance);
+frequency vectorization and the spreading power law match the scalar
+reference to a relative tolerance of ``1e-12`` -- vectorized
+``10.0 ** x`` differs from scalar ``**`` by up to 1 ulp.  The scalar
+implementations remain the reference that feeds the pinned goldens'
+single-point calls.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import AcousticsError
 from ..materials import Medium
-from ..units import TWO_PI
 from .attenuation import SpreadingModel
-from .raytrace import ImageSourceModel
-
-#: Amplitude reference distance (m) -- mirrors the scalar raytracer.
-REFERENCE_DISTANCE = 0.05
 
 
 def attenuation_db_batch(
@@ -80,228 +58,7 @@ def spreading_gains(spreading: SpreadingModel, distance) -> np.ndarray:
     return (spreading.reference_distance / effective) ** spreading.exponent
 
 
-@dataclass(frozen=True)
-class ArrivalBatch:
-    """Struct-of-arrays multipath arrivals for a batch of receivers.
-
-    Attributes:
-        delays: ``(receivers, orders)`` arrival times (s).
-        amplitudes: ``(receivers, orders)`` linear amplitudes.
-        path_lengths: ``(receivers, orders)`` unfolded ray lengths (m).
-        bounces: ``(orders,)`` face-reflection counts per image.
-        orders: ``(orders,)`` signed image orders, ``-max .. +max``.
-    """
-
-    delays: np.ndarray
-    amplitudes: np.ndarray
-    path_lengths: np.ndarray
-    bounces: np.ndarray
-    orders: np.ndarray
-
-    @property
-    def n_receivers(self) -> int:
-        return self.delays.shape[0]
-
-    @property
-    def n_paths(self) -> int:
-        return self.delays.shape[1]
-
-    def sorted_row(
-        self, receiver: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One receiver's arrivals sorted by delay (the scalar ordering).
-
-        Returns ``(delays, amplitudes, bounces, path_lengths)``.  The
-        sort is stable, matching the scalar ``list.sort``'s tie order
-        (image order within equal delays).
-        """
-        order = np.argsort(self.delays[receiver], kind="stable")
-        return (
-            self.delays[receiver][order],
-            self.amplitudes[receiver][order],
-            self.bounces[order],
-            self.path_lengths[receiver][order],
-        )
-
-
-def _receiver_grid(receivers) -> np.ndarray:
-    grid = np.asarray(receivers, dtype=float)
-    if grid.ndim == 1:
-        if grid.shape != (2,):
-            raise AcousticsError(
-                f"a single receiver must be an (x, y) pair, got shape "
-                f"{grid.shape}"
-            )
-        grid = grid[None, :]
-    if grid.ndim != 2 or grid.shape[1] != 2:
-        raise AcousticsError(
-            f"receivers must be an (n, 2) array of (x, y) points, got "
-            f"shape {grid.shape}"
-        )
-    return grid
-
-
-def _default_speed(model: ImageSourceModel) -> float:
-    medium = model.geometry.medium
-    return medium.cs if not medium.is_fluid else medium.cp
-
-
-def trace_arrivals(
-    model: ImageSourceModel,
-    source: Tuple[float, float],
-    receivers,
-    speed: Optional[float] = None,
-) -> ArrivalBatch:
-    """All image-source arrivals for every receiver in one broadcast.
-
-    ``receivers`` is an ``(n, 2)`` array (or one ``(x, y)`` pair).  The
-    order axis runs ``-max_bounces .. +max_bounces``; use
-    :meth:`ArrivalBatch.sorted_row` for the scalar (delay-sorted) view.
-    """
-    thickness = model.geometry.thickness
-    sx, sy = float(source[0]), float(source[1])
-    grid = _receiver_grid(receivers)
-    if not 0.0 <= sy <= thickness:
-        raise AcousticsError(
-            f"source depth {sy} outside the structure thickness {thickness}"
-        )
-    depths = grid[:, 1]
-    if grid.size and (
-        (depths < 0.0).any() or (depths > thickness).any()
-    ):
-        bad = depths[(depths < 0.0) | (depths > thickness)][0]
-        raise AcousticsError(
-            f"receiver depth {bad} outside the structure thickness {thickness}"
-        )
-    if speed is None:
-        speed = _default_speed(model)
-
-    orders = np.arange(-model.max_bounces, model.max_bounces + 1)
-    # Classic unfolding: mirror the source across repeated faces.
-    image_y = np.where(
-        orders % 2 == 0,
-        orders * thickness + sy,
-        orders * thickness + (thickness - sy),
-    )
-    dx = grid[:, 0] - sx  # (receivers,)
-    dy = depths[:, None] - image_y[None, :]  # (receivers, orders)
-    path = np.hypot(dx[:, None], dy)
-    bounces = np.abs(orders)
-    decay = (model.face_reflection * model.mode_retention) ** bounces
-    att_per_m = model.geometry.medium.attenuation_db(model.frequency, 1.0)
-    amplitude = (
-        (REFERENCE_DISTANCE / np.maximum(path, REFERENCE_DISTANCE))
-        * decay
-        * 10.0 ** (-(att_per_m * path) / 20.0)
-    )
-    return ArrivalBatch(
-        delays=path / speed,
-        amplitudes=amplitude,
-        path_lengths=path,
-        bounces=bounces,
-        orders=orders,
-    )
-
-
-def complex_gains(
-    model: ImageSourceModel,
-    source: Tuple[float, float],
-    receivers,
-    speed: Optional[float] = None,
-) -> np.ndarray:
-    """Coherent channel gain for every receiver (one value per row).
-
-    Matches the scalar :meth:`ImageSourceModel.complex_gain` to ~1e-12
-    relative: the sum runs in image order, not delay order.
-    """
-    batch = trace_arrivals(model, source, receivers, speed)
-    phase = -TWO_PI * model.frequency * batch.delays
-    return np.sum(
-        batch.amplitudes * (np.cos(phase) + 1j * np.sin(phase)), axis=1
-    )
-
-
-def power_gains(
-    model: ImageSourceModel,
-    source: Tuple[float, float],
-    receivers,
-    speed: Optional[float] = None,
-) -> np.ndarray:
-    """Incoherent (power-sum) gain for every receiver."""
-    batch = trace_arrivals(model, source, receivers, speed)
-    return np.sum(batch.amplitudes**2, axis=1)
-
-
-def complex_gains_vs_frequency(
-    model: ImageSourceModel,
-    source: Tuple[float, float],
-    receiver: Tuple[float, float],
-    frequencies,
-    speed: Optional[float] = None,
-) -> np.ndarray:
-    """Channel response over a frequency grid in one (paths x freqs) pass.
-
-    Re-evaluates both the per-path attenuation and the carrier phase at
-    each frequency -- the broadcast equivalent of constructing one
-    scalar ``ImageSourceModel`` per frequency and summing its arrivals.
-    """
-    frequencies = np.asarray(frequencies, dtype=float)
-    if (frequencies <= 0.0).any():
-        raise AcousticsError("frequency must be positive")
-    base = trace_arrivals(model, source, receiver, speed)
-    path = base.path_lengths[0]  # (orders,)
-    delays = base.delays[0]
-    decay = (model.face_reflection * model.mode_retention) ** base.bounces
-    spread = REFERENCE_DISTANCE / np.maximum(path, REFERENCE_DISTANCE)
-    att_db = attenuation_db_batch(
-        model.geometry.medium, frequencies[:, None], path[None, :]
-    )
-    amplitude = spread[None, :] * decay[None, :] * 10.0 ** (-att_db / 20.0)
-    phase = -TWO_PI * frequencies[:, None] * delays[None, :]
-    return np.sum(amplitude * (np.cos(phase) + 1j * np.sin(phase)), axis=1)
-
-
-def impulse_responses(
-    model: ImageSourceModel,
-    source: Tuple[float, float],
-    receivers,
-    sample_rate: float,
-    duration: Optional[float] = None,
-    speed: Optional[float] = None,
-) -> np.ndarray:
-    """Tap-delay-line matrix: one impulse-response row per receiver.
-
-    When ``duration`` is None the row length covers the latest arrival
-    across *all* receivers (the scalar method sizes per receiver).
-    Taps use the same banker's rounding as the scalar code; colliding
-    taps accumulate in image order instead of delay order.
-    """
-    if sample_rate <= 0.0:
-        raise AcousticsError("sample rate must be positive")
-    batch = trace_arrivals(model, source, receivers, speed)
-    if batch.delays.size == 0:
-        return np.zeros((batch.n_receivers, 1))
-    if duration is None:
-        duration = float(batch.delays.max()) + 1.0 / sample_rate
-    n = max(1, int(np.ceil(duration * sample_rate)))
-    h = np.zeros((batch.n_receivers, n))
-    indices = np.rint(batch.delays * sample_rate).astype(np.int64)
-    rows = np.broadcast_to(
-        np.arange(batch.n_receivers)[:, None], indices.shape
-    )
-    keep = indices < n
-    np.add.at(h, (rows[keep], indices[keep]), batch.amplitudes[keep])
-    return h
-
-
 __all__ = [
-    "REFERENCE_DISTANCE",
-    "ArrivalBatch",
     "attenuation_db_batch",
-    "complex_gains",
-    "complex_gains_vs_frequency",
-    "impulse_responses",
-    "power_gains",
     "spreading_gains",
-    "trace_arrivals",
 ]

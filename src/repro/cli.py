@@ -260,6 +260,7 @@ def _fault_overrides(names, plan):
 
 
 def _cmd_experiments_run(args: argparse.Namespace) -> int:
+    from .errors import RegistryError
     from .runtime import run_experiments
 
     if not args.all and not args.only:
@@ -268,18 +269,21 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
     overrides = None
     if args.faults:
         overrides = _fault_overrides(names, _load_fault_plan(args.faults))
-    report = run_experiments(
-        names=names,
-        jobs=args.jobs,
-        out_dir=args.out,
-        force=args.force,
-        timeout_s=args.timeout,
-        cache_dir=args.cache_dir,
-        overrides=overrides,
-        quick=args.quick,
-        obs=args.obs,
-        retries=args.retries,
-    )
+    try:
+        report = run_experiments(
+            names=names,
+            jobs=args.jobs,
+            out_dir=args.out,
+            force=args.force,
+            timeout_s=args.timeout,
+            cache_dir=args.cache_dir,
+            overrides=overrides,
+            quick=args.quick,
+            obs=args.obs,
+            retries=args.retries,
+        )
+    except RegistryError as exc:
+        raise _usage_exit(f"experiments run: {exc}")
     for outcome in report.outcomes:
         line = (
             f"{outcome.name:22s} {outcome.status:7s} cache={outcome.cache:6s} "
@@ -501,12 +505,7 @@ def _print_campaign_outcome(args: argparse.Namespace, outcome) -> int:
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from .campaign import (
-        CHECKPOINT_DIRNAME,
-        CampaignConfig,
-        CheckpointStore,
-        run_campaign,
-    )
+    from .campaign import CHECKPOINT_DIRNAME, CheckpointStore, run_campaign
 
     if args.state_dir:
         store = CheckpointStore(Path(args.state_dir) / CHECKPOINT_DIRNAME)
@@ -516,26 +515,11 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 f"epoch {store.latest_epoch()}); use `campaign resume`, or "
                 "point --state-dir at a fresh directory"
             )
-    config = CampaignConfig(
-        epochs=args.epochs,
-        nodes=args.nodes,
-        wall_length=args.wall_length,
-        tx_voltage=args.tx_voltage,
-        hours_per_epoch=args.hours_per_epoch,
-        samples_per_hour=args.samples_per_hour,
-        seed=args.seed,
-        fault_rates=None if args.no_faults else dict(_default_faults()),
-        fault_intensity=args.fault_intensity,
-        storm_period_epochs=args.storm_period,
-        storm_duration_epochs=args.storm_duration,
-        storm_fault_intensity=args.storm_intensity,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_keep=args.checkpoint_keep,
-        epoch_timeout_s=args.epoch_timeout_s,
-    )
-    outcome = _run_supervised(
-        args, lambda hook: run_campaign(
-            config, state_dir=args.state_dir or None, epoch_hook=hook,
+    config = _campaign_config(args, "campaign run", seed=args.seed)
+    outcome = _with_obs(
+        args, "campaign", lambda: run_campaign(
+            config, state_dir=args.state_dir or None,
+            epoch_hook=_campaign_hook(args),
             store_dir=args.store or None,
             record_obs=bool(args.obs and args.store),
         )
@@ -543,22 +527,47 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     return _print_campaign_outcome(args, outcome)
 
 
-def _default_faults():
-    from .campaign import DEFAULT_CAMPAIGN_FAULTS
+def _campaign_config(args: argparse.Namespace, verb: str, **fields):
+    """The CampaignConfig the shared campaign flags describe.
 
-    return DEFAULT_CAMPAIGN_FAULTS
+    A value the config rejects exits 2 with one ``<verb>: ...`` line.
+    """
+    from .campaign import DEFAULT_CAMPAIGN_FAULTS, CampaignConfig
+    from .errors import CampaignError
+
+    faults = None if args.no_faults else dict(DEFAULT_CAMPAIGN_FAULTS)
+    try:
+        return CampaignConfig(
+            epochs=args.epochs,
+            nodes=args.nodes,
+            wall_length=args.wall_length,
+            tx_voltage=args.tx_voltage,
+            hours_per_epoch=args.hours_per_epoch,
+            samples_per_hour=args.samples_per_hour,
+            fault_rates=faults,
+            fault_intensity=args.fault_intensity,
+            storm_period_epochs=args.storm_period,
+            storm_duration_epochs=args.storm_duration,
+            storm_fault_intensity=args.storm_intensity,
+            checkpoint_interval=args.checkpoint_interval,
+            checkpoint_keep=args.checkpoint_keep,
+            epoch_timeout_s=args.epoch_timeout_s,
+            **fields,
+        )
+    except CampaignError as exc:
+        raise _usage_exit(f"{verb}: {exc}")
 
 
-def _run_supervised(args: argparse.Namespace, runner):
-    """Run a campaign callable under optional --obs instrumentation."""
+def _with_obs(args: argparse.Namespace, label: str, runner):
+    """Run ``runner()`` under optional --obs instrumentation."""
     from .obs import activate_obs, obs_registry, render_snapshot_text, restore_obs
 
-    scope = activate_obs(process_label="campaign") if args.obs else None
+    scope = activate_obs(process_label=label) if args.obs else None
     try:
-        return runner(_campaign_hook(args))
+        return runner()
     finally:
         if scope is not None:
-            print("campaign metrics:")
+            print(f"{label} metrics:")
             print(render_snapshot_text(obs_registry().snapshot()), end="")
             restore_obs(scope)
 
@@ -593,9 +602,9 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
     _require_campaign_dir(args.state_dir, "resume")
     try:
-        outcome = _run_supervised(
-            args, lambda hook: resume_campaign(
-                args.state_dir, epoch_hook=hook,
+        outcome = _with_obs(
+            args, "campaign", lambda: resume_campaign(
+                args.state_dir, epoch_hook=_campaign_hook(args),
                 store_dir=args.store or None,
                 record_obs=bool(args.obs and args.store),
             )
@@ -646,20 +655,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     return 1 if "checkpoint_error" in status else 0
 
 
-def _fleet_supervised(args: argparse.Namespace, runner):
-    """Run a fleet callable under optional --obs instrumentation."""
-    from .obs import activate_obs, obs_registry, render_snapshot_text, restore_obs
-
-    scope = activate_obs(process_label="fleet") if args.obs else None
-    try:
-        return runner()
-    finally:
-        if scope is not None:
-            print("fleet metrics:")
-            print(render_snapshot_text(obs_registry().snapshot()), end="")
-            restore_obs(scope)
-
-
 def _load_worker_faults(args: argparse.Namespace):
     from .errors import FaultConfigError
     from .faults import WorkerFaultPlan
@@ -704,26 +699,10 @@ def _print_fleet_outcome(args: argparse.Namespace, outcome) -> int:
 
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
-    from .campaign import CampaignConfig
     from .errors import FleetError
     from .fleet import FleetConfig, building_names, run_fleet
 
-    template = CampaignConfig(
-        epochs=args.epochs,
-        nodes=args.nodes,
-        wall_length=args.wall_length,
-        tx_voltage=args.tx_voltage,
-        hours_per_epoch=args.hours_per_epoch,
-        samples_per_hour=args.samples_per_hour,
-        fault_rates=None if args.no_faults else dict(_default_faults()),
-        fault_intensity=args.fault_intensity,
-        storm_period_epochs=args.storm_period,
-        storm_duration_epochs=args.storm_duration,
-        storm_fault_intensity=args.storm_intensity,
-        checkpoint_interval=args.checkpoint_interval,
-        checkpoint_keep=args.checkpoint_keep,
-        epoch_timeout_s=args.epoch_timeout_s,
-    )
+    template = _campaign_config(args, "fleet run")
     try:
         config = FleetConfig(
             buildings=building_names(args.buildings),
@@ -735,8 +714,8 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
             backoff_base_s=args.backoff_base_s,
             backoff_max_s=args.backoff_max_s,
         )
-        outcome = _fleet_supervised(
-            args, lambda: run_fleet(
+        outcome = _with_obs(
+            args, "fleet", lambda: run_fleet(
                 config,
                 args.fleet_dir,
                 store_dir=args.store or None,
@@ -755,8 +734,8 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
     from .fleet import resume_fleet
 
     try:
-        outcome = _fleet_supervised(
-            args, lambda: resume_fleet(
+        outcome = _with_obs(
+            args, "fleet", lambda: resume_fleet(
                 args.fleet_dir,
                 store_dir=args.store or None,
                 epoch_sleep_s=args.epoch_sleep_s,
@@ -1169,6 +1148,31 @@ def _cmd_chaos_verify(args: argparse.Namespace) -> int:
     return _print_chaos_verdict(args, verdict)
 
 
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The per-building campaign flags `campaign run` and `fleet run` share."""
+    parser.add_argument("--epochs", type=int, default=74,
+                        help="weekly visits to simulate (74 = 17 months)")
+    parser.add_argument("--nodes", type=int, default=8)
+    parser.add_argument("--wall-length", type=float, default=8.0)
+    parser.add_argument("--tx-voltage", type=float, default=250.0)
+    parser.add_argument("--hours-per-epoch", type=int, default=168)
+    parser.add_argument("--samples-per-hour", type=int, default=1)
+    parser.add_argument("--no-faults", action="store_true",
+                        help="disable fault injection entirely")
+    parser.add_argument("--fault-intensity", type=float, default=1.0)
+    parser.add_argument("--storm-period", type=int, default=26,
+                        help="epochs between storm windows")
+    parser.add_argument("--storm-duration", type=int, default=2)
+    parser.add_argument("--storm-intensity", type=float, default=3.0,
+                        help="fault multiplier during storm epochs")
+    parser.add_argument("--checkpoint-interval", type=int, default=1)
+    parser.add_argument("--checkpoint-keep", type=int, default=5)
+    parser.add_argument("--epoch-timeout-s", type=float, default=120.0,
+                        help="watchdog bound per epoch (<=0 disables)")
+    parser.add_argument("--epoch-sleep-s", type=float, default=0.0,
+                        help=argparse.SUPPRESS)  # CI kill-timing seam
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="EcoCapsule reproduction toolkit"
@@ -1309,34 +1313,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir", default="",
         help="directory for checkpoints/log/result (empty = in-memory)",
     )
-    camp_run.add_argument("--epochs", type=int, default=74,
-                          help="weekly visits to simulate (74 = 17 months)")
-    camp_run.add_argument("--nodes", type=int, default=8)
-    camp_run.add_argument("--wall-length", type=float, default=8.0)
-    camp_run.add_argument("--tx-voltage", type=float, default=250.0)
-    camp_run.add_argument("--hours-per-epoch", type=int, default=168)
-    camp_run.add_argument("--samples-per-hour", type=int, default=1)
     camp_run.add_argument("--seed", type=int, default=2021)
-    camp_run.add_argument("--no-faults", action="store_true",
-                          help="disable fault injection entirely")
-    camp_run.add_argument("--fault-intensity", type=float, default=1.0)
-    camp_run.add_argument("--storm-period", type=int, default=26,
-                          help="epochs between storm windows")
-    camp_run.add_argument("--storm-duration", type=int, default=2)
-    camp_run.add_argument("--storm-intensity", type=float, default=3.0,
-                          help="fault multiplier during storm epochs")
-    camp_run.add_argument("--checkpoint-interval", type=int, default=1)
-    camp_run.add_argument("--checkpoint-keep", type=int, default=5)
-    camp_run.add_argument("--epoch-timeout-s", type=float, default=120.0,
-                          help="watchdog bound per epoch (<=0 disables)")
+    _add_campaign_flags(camp_run)
     camp_run.add_argument("--obs", action="store_true",
                           help="collect campaign.* metrics and print them")
     camp_run.add_argument(
         "--store", default="", metavar="DIR",
         help="export every epoch's telemetry into this store directory",
     )
-    camp_run.add_argument("--epoch-sleep-s", type=float, default=0.0,
-                          help=argparse.SUPPRESS)  # CI kill-timing seam
     camp_run.set_defaults(func=_cmd_campaign_run)
 
     camp_resume = camp_sub.add_parser(
@@ -1395,21 +1379,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(see docs/FLEET.md)",
     )
     # Campaign template (per-building; seeds are derived, not set here).
-    fl_run.add_argument("--epochs", type=int, default=74)
-    fl_run.add_argument("--nodes", type=int, default=8)
-    fl_run.add_argument("--wall-length", type=float, default=8.0)
-    fl_run.add_argument("--tx-voltage", type=float, default=250.0)
-    fl_run.add_argument("--hours-per-epoch", type=int, default=168)
-    fl_run.add_argument("--samples-per-hour", type=int, default=1)
-    fl_run.add_argument("--no-faults", action="store_true",
-                        help="disable campaign fault injection entirely")
-    fl_run.add_argument("--fault-intensity", type=float, default=1.0)
-    fl_run.add_argument("--storm-period", type=int, default=26)
-    fl_run.add_argument("--storm-duration", type=int, default=2)
-    fl_run.add_argument("--storm-intensity", type=float, default=3.0)
-    fl_run.add_argument("--checkpoint-interval", type=int, default=1)
-    fl_run.add_argument("--checkpoint-keep", type=int, default=5)
-    fl_run.add_argument("--epoch-timeout-s", type=float, default=120.0)
+    _add_campaign_flags(fl_run)
     fl_run.add_argument(
         "--store", default="", metavar="DIR",
         help="shared telemetry store; each building gets its own "
@@ -1417,8 +1387,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fl_run.add_argument("--obs", action="store_true",
                         help="collect fleet.* metrics and print them")
-    fl_run.add_argument("--epoch-sleep-s", type=float, default=0.0,
-                        help=argparse.SUPPRESS)  # CI kill-timing seam
     fl_run.set_defaults(func=_cmd_fleet_run)
 
     fl_resume = fleet_sub.add_parser(

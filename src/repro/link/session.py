@@ -153,8 +153,8 @@ class WallSession:
     def charge(self) -> Tuple[List[PlacedNode], List[PlacedNode], float]:
         """Apply the CBW field to every node.
 
-        The field solve dispatches on the ambient PHY engine (see
-        :mod:`repro.phy.batch`): the batch engines evaluate the whole
+        The field solve dispatches on the PHY engine in force (see
+        :mod:`repro.phy.batch`): the batch engine evaluates the whole
         wall's link budget in one broadcast
         (:meth:`PowerUpLink.node_voltages`), the scalar engine walks the
         nodes through the reference :meth:`PowerUpLink.node_voltage`.
@@ -166,9 +166,9 @@ class WallSession:
             (powered nodes, dark nodes, charge time) where charge time is
             the slowest cold start among the powered nodes.
         """
-        from ..phy.batch import resolve_engine
+        from ..phy.batch import default_engine
 
-        if resolve_engine() == "scalar" or len(self.nodes) == 1:
+        if default_engine() == "scalar" or len(self.nodes) == 1:
             voltages = [
                 self.budget.node_voltage(placed.distance, self.tx_voltage)
                 for placed in self.nodes

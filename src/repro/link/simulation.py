@@ -43,8 +43,8 @@ from ..phy import (
 )
 from ..phy.batch import (
     Fm0BatchDecoder,
+    default_engine,
     encode_baseband_batch,
-    resolve_engine,
 )
 from ..phy.modem import BackscatterModulator
 from ..units import db_amplitude
@@ -103,14 +103,12 @@ class UplinkBasebandSimulator:
 
     An unlocked packet decodes as coin flips.
 
-    ``engine`` selects the decode implementation for the batch-capable
-    entry points (:meth:`measure_ber`, :meth:`run_batch`): ``None``
-    defers to the ambient :func:`repro.phy.batch.default_engine`;
-    ``"scalar"`` forces the per-packet reference path; ``"batch"``
-    produces bit-identical results via the vectorized kernels;
-    ``"batch-float32"`` is the tolerance-documented fast path.  The RNG
-    draw order is identical across engines, so a given seed yields the
-    same packet stream regardless of engine.
+    :meth:`measure_ber` runs the engine in force
+    (:func:`repro.phy.batch.default_engine`): ``"batch"`` decodes the
+    synced packets with the vectorized kernels, ``"scalar"`` walks them
+    through the per-packet reference path.  The RNG draw order is
+    identical across engines, so a given seed yields the same packet
+    stream -- and the same BER -- regardless of engine.
     """
 
     samples_per_symbol: int = 10
@@ -120,7 +118,6 @@ class UplinkBasebandSimulator:
     detection_center_db: float = 3.5
     detection_scale_db: float = 0.45
     seed: Optional[int] = DEFAULT_SIMULATION_SEED
-    engine: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.samples_per_symbol < 2 or self.samples_per_symbol % 2:
@@ -210,87 +207,6 @@ class UplinkBasebandSimulator:
                 obs_counter("link.uplink.sync_failures").inc()
         return result
 
-    def run_batch(
-        self,
-        payloads: Sequence[Sequence[int]],
-        bitrate: float,
-        snr_db: float,
-        engine: Optional[str] = None,
-    ) -> "list[UplinkResult]":
-        """Send several payloads, decoding synced packets in one batch.
-
-        Equivalent to ``[self.run(p, bitrate, snr_db) for p in payloads]``
-        -- same RNG draw order, same results -- but all synced packets
-        are decoded with one batched matched-filter pass.  The batch
-        engines require equal-length payloads (the scalar engine does
-        not).
-        """
-        resolved = resolve_engine(engine if engine is not None else self.engine)
-        payloads = [list(p) for p in payloads]
-        if resolved == "scalar":
-            return [self.run(p, bitrate, snr_db) for p in payloads]
-        if bitrate <= 0.0:
-            raise DecodingError("bitrate must be positive")
-        if any(not p for p in payloads):
-            raise DecodingError("payload cannot be empty")
-        if len({len(p) for p in payloads}) > 1:
-            raise DecodingError(
-                "run_batch requires equal-length payloads under the batch "
-                "engines; use engine='scalar' for ragged frames"
-            )
-        dtype = np.float32 if resolved == "batch-float32" else np.float64
-        results: list[Optional[UplinkResult]] = [None] * len(payloads)
-        synced_rows = []
-        synced_indices = []
-        total_symbols = 0
-        sync_failures = 0
-        for index, payload in enumerate(payloads):
-            transfer = self._transfer_draws(payload, snr_db)
-            total_symbols += transfer["samples"]
-            duration = len(payload) / bitrate
-            if transfer["synced"]:
-                synced_rows.append(transfer["received"])
-                synced_indices.append(index)
-            else:
-                sync_failures += 1
-                results[index] = UplinkResult(
-                    bits_sent=len(payload),
-                    bit_errors=transfer["flips"],
-                    duration=duration,
-                    snr_db=snr_db,
-                    synced=False,
-                )
-        if synced_rows:
-            decoded = Fm0BatchDecoder(
-                samples_per_symbol=self.samples_per_symbol, dtype=dtype
-            ).decode(np.stack(synced_rows))
-            payload_bits = decoded[:, len(self.preamble):]
-            for row, index in enumerate(synced_indices):
-                payload = payloads[index]
-                errors = int(
-                    np.count_nonzero(payload_bits[row] != np.asarray(payload))
-                )
-                results[index] = UplinkResult(
-                    bits_sent=len(payload),
-                    bit_errors=errors,
-                    duration=len(payload) / bitrate,
-                    snr_db=snr_db,
-                    synced=True,
-                )
-        final = [result for result in results if result is not None]
-        if obs_enabled() and final:
-            obs_counter("link.uplink.packets").inc(len(final))
-            obs_counter("link.uplink.bits_sent").inc(
-                sum(r.bits_sent for r in final)
-            )
-            obs_counter("link.uplink.bit_errors").inc(
-                sum(r.bit_errors for r in final)
-            )
-            obs_counter("link.uplink.symbols_simulated").inc(total_symbols)
-            if sync_failures:
-                obs_counter("link.uplink.sync_failures").inc(sync_failures)
-        return final
-
     def _transfer_draws(self, payload: Sequence[int], snr_db: float) -> dict:
         """One packet's RNG draws + sync decision, decode deferred.
 
@@ -331,29 +247,22 @@ class UplinkBasebandSimulator:
     ) -> float:
         """Monte-Carlo BER at one SNR point (Fig. 15 harness).
 
-        Dispatches on the resolved engine (see the class docstring):
+        Dispatches on the engine in force (see the class docstring):
         the default batch engine produces bit-identical BERs to the
         scalar reference with the decode vectorized across packets.
         """
         if total_bits <= 0 or packet_bits <= 0:
             raise DecodingError("bit counts must be positive")
-        engine = resolve_engine(self.engine)
         with obs_span(
             "link.measure_ber", snr_db=snr_db, total_bits=total_bits
         ):
-            if engine == "scalar":
+            if default_engine() == "scalar":
                 ber = self._measure_ber_scalar(
                     snr_db, bitrate, total_bits, packet_bits
                 )
             else:
                 ber = self._measure_ber_batch(
-                    snr_db,
-                    bitrate,
-                    total_bits,
-                    packet_bits,
-                    dtype=np.float32
-                    if engine == "batch-float32"
-                    else np.float64,
+                    snr_db, bitrate, total_bits, packet_bits
                 )
         obs_counter("link.uplink.ber_points").inc()
         return ber
@@ -380,14 +289,13 @@ class UplinkBasebandSimulator:
         bitrate: float,
         total_bits: int,
         packet_bits: int,
-        dtype: type = np.float64,
     ) -> float:
         """Batched engine: per-packet RNG draws, one deferred batch decode.
 
         Draw order per packet matches the scalar path exactly (payload
         integers -> noise normal -> detection uniform -> coin-flip
         binomial when unsynced); only the matched-filter decode of the
-        synced packets is deferred and batched, and the float64 kernels
+        synced packets is deferred and batched, and the batch kernels
         are bit-identical to the scalar decoder, so the returned BER is
         byte-identical to the scalar engine at the same seed.
         """
@@ -417,7 +325,7 @@ class UplinkBasebandSimulator:
             sent += packet_bits
         if synced_rows:
             decoded = Fm0BatchDecoder(
-                samples_per_symbol=self.samples_per_symbol, dtype=dtype
+                samples_per_symbol=self.samples_per_symbol
             ).decode(np.stack(synced_rows))
             payload_bits = decoded[:, len(self.preamble):]
             errors += int(

@@ -12,7 +12,6 @@ from .batch import (
     encode_baseband_batch,
     encode_levels_batch,
     matched_filter_bank,
-    resolve_engine,
     use_engine,
 )
 from .fdma import FdmaPlan, FdmaReceiver, composite_waveform
@@ -45,7 +44,6 @@ __all__ = [
     "encode_baseband_batch",
     "encode_levels_batch",
     "matched_filter_bank",
-    "resolve_engine",
     "use_engine",
     "FdmaPlan",
     "FdmaReceiver",

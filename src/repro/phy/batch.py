@@ -18,78 +18,46 @@ numpy kernels operating on ``(trials, symbols, samples)`` tensors:
   symbol axis only; every step operates on all trials at once).
 
 Equivalence contract (enforced by ``tests/test_phy_batch_equivalence``):
-the float64 batch kernels produce **bit-identical** levels, waveforms
-and decoded bits to the scalar reference -- the matched-filter scores
-are per-element dot products over the same samples in the same order,
-so even the floats match exactly.  The optional float32 fast path
-(``dtype=np.float32``) trades that guarantee for throughput: scores
-carry ~1e-7 relative error, so bit decisions may differ on razor-thin
-score ties (documented in ``docs/PERFORMANCE.md``).
+the batch kernels produce **bit-identical** levels, waveforms and
+decoded bits to the scalar reference -- the matched-filter scores are
+per-element dot products over the same samples in the same order, so
+even the floats match exactly.
 
 Engine dispatch
 ---------------
 
-Consumers that offer both implementations (``UplinkBasebandSimulator``,
-``WallSession``) resolve their engine through :func:`resolve_engine`:
-an explicit argument wins, then a :func:`use_engine` context override,
-then the ``REPRO_PHY_ENGINE`` environment variable, then the default
-(``"batch"``).  ``"scalar"`` forces the reference path everywhere --
-CI's cross-check stage runs the whole suite that way.
+The consumers that keep both implementations
+(``UplinkBasebandSimulator.measure_ber``, ``WallSession.charge``) ask
+:func:`default_engine` which one to run: ``"batch"`` unless a
+:func:`use_engine` block says otherwise.  ``"scalar"`` forces the
+reference path for everything inside the block -- the oracle checks
+flip whole experiments that way.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from ..errors import DecodingError, EncodingError, ReproError
 
-#: Engine names understood by :func:`resolve_engine`.  ``batch-float32``
-#: is the tolerance-checked fast path: float64 everywhere except the
-#: matched-filter scores.
-ENGINES = ("batch", "scalar", "batch-float32")
+#: Engine names understood by :func:`use_engine`.
+ENGINES = ("batch", "scalar")
 
-#: Environment variable consulted by :func:`default_engine`.
-ENGINE_ENV_VAR = "REPRO_PHY_ENGINE"
-
-#: Module default when neither an override nor the env var is set.
-DEFAULT_ENGINE = "batch"
-
-_engine_override: Optional[str] = None
+_engine = "batch"
 
 
 class EngineError(ReproError):
     """An unknown scalar/batch engine name was requested."""
 
 
-def _validate_engine(name: str) -> str:
-    if name not in ENGINES:
-        raise EngineError(
-            f"unknown PHY engine {name!r}; expected one of {ENGINES}"
-        )
-    return name
-
-
 def default_engine() -> str:
-    """The ambient engine: ``use_engine`` override > env var > default."""
-    if _engine_override is not None:
-        return _engine_override
-    env = os.environ.get(ENGINE_ENV_VAR)
-    if env:
-        return _validate_engine(env)
-    return DEFAULT_ENGINE
-
-
-def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve an optional per-call engine request against the ambient one."""
-    if explicit is not None:
-        return _validate_engine(explicit)
-    return default_engine()
+    """The engine in force: ``"batch"`` outside any :func:`use_engine`."""
+    return _engine
 
 
 @contextmanager
@@ -100,14 +68,17 @@ def use_engine(name: str) -> Iterator[str]:
     ...     default_engine()
     'scalar'
     """
-    global _engine_override
-    _validate_engine(name)
-    previous = _engine_override
-    _engine_override = name
+    global _engine
+    if name not in ENGINES:
+        raise EngineError(
+            f"unknown PHY engine {name!r}; expected one of {ENGINES}"
+        )
+    previous = _engine
+    _engine = name
     try:
         yield name
     finally:
-        _engine_override = previous
+        _engine = previous
 
 
 # ----------------------------------------------------------------------
@@ -236,14 +207,10 @@ class Fm0BatchDecoder:
     Args:
         samples_per_symbol: Even number of samples per bit.
         initial_level: The encoder's starting level.
-        dtype: ``np.float64`` (default; bit-identical to the scalar
-            reference) or ``np.float32`` (fast path; scores carry ~1e-7
-            relative error so decisions may differ on exact ties).
     """
 
     samples_per_symbol: int
     initial_level: int = 1
-    dtype: type = np.float64
 
     def __post_init__(self) -> None:
         if self.samples_per_symbol < 2 or self.samples_per_symbol % 2 != 0:
@@ -253,11 +220,7 @@ class Fm0BatchDecoder:
             )
         if self.initial_level not in (0, 1):
             raise DecodingError("initial level must be 0 or 1")
-        if self.dtype not in (np.float64, np.float32):
-            raise DecodingError("dtype must be np.float64 or np.float32")
-        self._bank = matched_filter_bank(self.samples_per_symbol).astype(
-            self.dtype, copy=False
-        )
+        self._bank = matched_filter_bank(self.samples_per_symbol)
 
     def decode(self, waveforms: np.ndarray) -> np.ndarray:
         """Decode a ``(trials, symbols * sps)`` batch into (trials, symbols) bits.
@@ -265,7 +228,7 @@ class Fm0BatchDecoder:
         A 1-D waveform is treated as a single trial.  Zero-trial and
         zero-symbol batches decode to correspondingly empty bit arrays.
         """
-        waveforms = np.asarray(waveforms, dtype=self.dtype)
+        waveforms = np.asarray(waveforms, dtype=np.float64)
         if waveforms.ndim == 1:
             waveforms = waveforms[None, :]
         if waveforms.ndim != 2:
@@ -312,43 +275,13 @@ class Fm0BatchDecoder:
         return bits
 
 
-def decode_frames(
-    waveforms: np.ndarray,
-    samples_per_symbol: int,
-    initial_level: int = 1,
-    dtype: type = np.float64,
-) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`Fm0BatchDecoder`."""
-    return Fm0BatchDecoder(
-        samples_per_symbol=samples_per_symbol,
-        initial_level=initial_level,
-        dtype=dtype,
-    ).decode(waveforms)
-
-
-def count_bit_errors(decoded: np.ndarray, sent: np.ndarray) -> int:
-    """Element-wise bit-error count between two equal-shape bit arrays."""
-    decoded = np.asarray(decoded)
-    sent = np.asarray(sent)
-    if decoded.shape != sent.shape:
-        raise DecodingError(
-            f"shape mismatch: decoded {decoded.shape}, sent {sent.shape}"
-        )
-    return int(np.count_nonzero(decoded != sent))
-
-
 __all__ = [
-    "DEFAULT_ENGINE",
     "ENGINES",
-    "ENGINE_ENV_VAR",
     "EngineError",
     "Fm0BatchDecoder",
-    "count_bit_errors",
-    "decode_frames",
     "default_engine",
     "encode_baseband_batch",
     "encode_levels_batch",
     "matched_filter_bank",
-    "resolve_engine",
     "use_engine",
 ]

@@ -19,8 +19,9 @@
   long windows stream in bounded pieces.
 * **Graceful drain.**  :func:`run_gateway` installs SIGINT/SIGTERM
   handlers that stop accepting, wait up to ``drain_grace_s`` for
-  in-flight requests, then close -- a deploy never kills a response
-  mid-body.
+  in-flight requests, then close every connection and wait for its
+  handler to finish -- a deploy never kills a response mid-body, and
+  an idle keep-alive client does not leave a cancelled handler behind.
 
 Instrumentation (all on the gateway's registry, scrapeable from its
 own ``/metrics``): per-endpoint ``serve.requests``/``serve.request_s``
@@ -107,7 +108,8 @@ class AsyncGateway:
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._in_flight = 0
-        self._writers: set = set()
+        #: Open connections: each writer and the task that handles it.
+        self._writers: Dict[asyncio.StreamWriter, asyncio.Task] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -152,7 +154,12 @@ class AsyncGateway:
     shutdown = request_shutdown
 
     async def drain(self) -> None:
-        """Stop accepting, wait for in-flight work, then tear down."""
+        """Stop accepting, wait for in-flight work, then tear down.
+
+        Closing a connection hands its handler an EOF; the handlers are
+        awaited (within the same ``drain_grace_s``) so none is left for
+        ``asyncio.run`` to cancel.
+        """
         if self._stop is not None:
             self._stop.set()
         if self._server is not None:
@@ -161,8 +168,13 @@ class AsyncGateway:
         deadline = time.monotonic() + self.drain_grace_s
         while self._in_flight > 0 and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        handlers = list(self._writers.values())
         for writer in list(self._writers):
             writer.close()
+        if handlers:
+            await asyncio.wait(
+                handlers, timeout=max(0.0, deadline - time.monotonic())
+            )
         if self._executor is not None:
             self._executor.shutdown(wait=False)
 
@@ -193,7 +205,7 @@ class AsyncGateway:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.registry.counter("serve.connections").inc()
-        self._writers.add(writer)
+        self._writers[writer] = asyncio.current_task()
         try:
             while True:
                 request = await self._read_request(reader)
@@ -264,7 +276,7 @@ class AsyncGateway:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away mid-exchange; nothing to answer
         finally:
-            self._writers.discard(writer)
+            self._writers.pop(writer, None)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

@@ -288,3 +288,29 @@ class TestFaultsFlag:
         )
         assert args.retries == 2
         assert args.faults is None
+
+
+class TestBadValuesExit2:
+    """A value a run rejects is an operator error: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "verb,argv",
+        [
+            ("campaign run", ["campaign", "run", "--epochs", "0"]),
+            ("fleet run", ["fleet", "run", "--epochs", "0"]),
+            ("fleet run", ["fleet", "run", "--nodes", "0"]),
+            ("experiments run", ["experiments", "run", "--only", "nosuch"]),
+        ],
+        ids=["campaign-epochs", "fleet-epochs", "fleet-nodes", "experiment-name"],
+    )
+    def test_one_stderr_line_and_exit_2(self, verb, argv, capsys, tmp_path):
+        if argv[0] == "fleet":
+            argv = argv + ["--fleet-dir", str(tmp_path / "fleet")]
+        if argv[0] == "experiments":
+            argv = argv + ["--out", str(tmp_path / "results")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{verb}: ")
+        assert err.count("\n") == 1

@@ -450,8 +450,17 @@ class TestServeCli:
                 assert time.monotonic() < deadline, "no _obs/serve series"
                 time.sleep(0.05)
 
-            proc.send_signal(signal.SIGTERM)
-            assert proc.wait(timeout=10.0) == 0
+            # An idle keep-alive client, parked across the drain: its
+            # handler must see EOF and finish, not be cancelled.
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+            idle.request("GET", "/stats")
+            assert idle.getresponse().read()
+            try:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10.0) == 0
+            finally:
+                idle.close()
+            assert "Traceback" not in proc.stderr.read()
         finally:
             if proc.poll() is None:
                 proc.kill()
