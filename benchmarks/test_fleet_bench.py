@@ -13,9 +13,9 @@ The two runs must produce byte-identical fleet results -- the bench
 doubles as a determinism check (a restart that changed the sha256
 would make the overhead number meaningless anyway).
 
-Environment knobs (used by scripts/ci.sh stage 10):
+Environment knobs (``scripts/ci.sh`` sets both):
 
-* ``REPRO_FLEET_BENCH_SMOKE=1`` -- shrink the fleet for CI; smoke
+* ``REPRO_BENCH_SMOKE=1`` -- shrink the fleet for CI; smoke
   readings are never gated or recorded by ``obs trend``.
 * ``REPRO_BENCH_OUT=/path.json`` -- redirect the artifact so CI smoke
   runs do not overwrite the committed full-run numbers.
@@ -34,7 +34,7 @@ from repro.campaign import CampaignConfig
 from repro.faults import WorkerFault, WorkerFaultPlan
 from repro.fleet import FleetConfig, building_names, run_fleet
 
-SMOKE = os.environ.get("REPRO_FLEET_BENCH_SMOKE", "") == "1"
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 BUILDINGS = 3 if SMOKE else 6
 WORKERS = 3 if SMOKE else 4

@@ -19,9 +19,9 @@ The campaign spans exactly ``OBS_FLUSH_EPOCHS`` epochs so the batched
 flush amortises at its design cadence -- the documented budget
 (enforced by ``obs trend``) is <= 2% at that default cadence.
 
-Environment knobs (used by scripts/ci.sh stage 9):
+Environment knobs (``scripts/ci.sh`` sets both):
 
-* ``REPRO_OBS_BENCH_SMOKE=1`` -- shrink the campaign for CI and relax
+* ``REPRO_BENCH_SMOKE=1`` -- shrink the campaign for CI and relax
   the ceiling (a handful of epochs cannot amortise the final flush;
   the committed full-run artifact must meet the real budget).
 * ``REPRO_BENCH_OUT=/path.json`` -- redirect the artifact so CI smoke
@@ -42,7 +42,7 @@ from repro.campaign.driver import Campaign, OBS_FLUSH_EPOCHS, result_hash
 from repro.obs import observed, obs_registry
 from repro.store import OBS_BUILDING, TelemetryStore
 
-SMOKE = os.environ.get("REPRO_OBS_BENCH_SMOKE", "") == "1"
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 EPOCHS = 8 if SMOKE else OBS_FLUSH_EPOCHS
 OVERHEAD_CEILING_PCT = 25.0 if SMOKE else 2.0

@@ -7,9 +7,9 @@ under the scalar reference engine and the batched engine, profiles both
 with :class:`repro.obs.ProfileProbe`, times a campaign epoch both ways,
 and emits ``BENCH_phy.json`` at the repo root.
 
-Environment knobs (used by scripts/ci.sh stage 7):
+Environment knobs (``scripts/ci.sh`` sets both):
 
-* ``REPRO_PHY_BENCH_SMOKE=1`` -- shrink the workload for CI and relax
+* ``REPRO_BENCH_SMOKE=1`` -- shrink the workload for CI and relax
   the speedup floor to 3x (tiny batches amortise less of the per-packet
   RNG cost; the committed full-run artifact must show >= 10x).
 * ``REPRO_BENCH_OUT=/path.json`` -- redirect the artifact so CI smoke
@@ -30,7 +30,7 @@ from repro.obs import ProfileProbe
 from repro.phy.batch import use_engine
 from repro.runtime import experiment_registry
 
-SMOKE = os.environ.get("REPRO_PHY_BENCH_SMOKE", "") == "1"
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
 
 #: Monte-Carlo workload: one BER point per SNR, fig15-class settings.
 SNR_POINTS = (2.0, 3.5, 5.0) if SMOKE else (0.0, 2.0, 3.5, 5.0, 8.0)

@@ -150,7 +150,8 @@ class CampaignResult:
 
 def result_hash(result: CampaignResult) -> str:
     """SHA-256 over the canonical JSON of a result -- the identity the
-    kill-and-resume test (and CI stage 5) compares."""
+    kill-and-resume tests (``TestKillDashNine`` SIGKILLs a CLI run)
+    compare."""
     return hashlib.sha256(
         canonical_json(result).encode("utf-8")
     ).hexdigest()

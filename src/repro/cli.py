@@ -449,7 +449,8 @@ def _cmd_experiments_trace(args: argparse.Namespace) -> int:
 
 
 def _campaign_hook(args: argparse.Namespace):
-    """The (hidden) per-epoch delay used by CI to stage mid-epoch kills."""
+    """The (hidden) per-epoch delay the kill-and-resume tests use to stage
+    mid-epoch kills."""
     sleep_s = getattr(args, "epoch_sleep_s", 0.0)
     if sleep_s <= 0.0:
         return None
@@ -1033,6 +1034,7 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
 
     from .errors import ObsError
     from .obs.trend import (
+        BENCH_METRICS,
         evaluate,
         load_bench,
         load_history,
@@ -1040,6 +1042,11 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
         render_trend_text,
     )
 
+    tracked = sorted({spec["file"] for spec in BENCH_METRICS.values()})
+    if not any((Path(args.bench_dir) / name).is_file() for name in tracked):
+        raise _usage_exit(
+            f"obs trend: {args.bench_dir} holds none of {', '.join(tracked)}"
+        )
     try:
         readings = load_bench(args.bench_dir)
         history = load_history(args.history)

@@ -7,7 +7,7 @@ Fig. 21 analytics over the accumulated series.  The registry entry runs
 fully in memory (no state directory), but the result is byte-identical
 to the same config executed as a supervised ``campaign run`` on disk,
 killed, and resumed: the golden snapshot pins ``extra.result_sha256``,
-the exact hash the crash-recovery CI stage compares.
+the exact hash the kill-and-resume tests compare.
 """
 
 from __future__ import annotations

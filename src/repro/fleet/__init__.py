@@ -5,8 +5,8 @@ campaigns sharded across a pool of worker processes, supervised for
 crashes and hangs, restarted from checkpoints with bounded backoff,
 quarantined when poison -- and byte-deterministic through all of it.
 
-The three invariants (enforced by ``tests/test_fleet_*`` and CI
-stage 10; see ``docs/FLEET.md``):
+The three invariants (enforced by ``tests/test_fleet_*``; see
+``docs/FLEET.md``):
 
 * the fleet ``result.json`` sha256 is identical across worker counts;
 * it is identical across SIGKILL-and-resume of any subset of workers

@@ -151,5 +151,6 @@ def build_fleet_result(
 
 def fleet_result_hash(body: Mapping[str, Any]) -> str:
     """sha256 over the canonical JSON of a fleet result body -- the
-    identity CI stage 10 and the kill-schedule property test compare."""
+    identity the worker-count, SIGKILL-and-resume and kill-schedule
+    tests compare."""
     return hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()

@@ -20,8 +20,8 @@ scheduling, backoff, kills and resumes only decide *when* shards run,
 while every shard's content is pinned by its derived seed.  The merge
 (:mod:`repro.fleet.merge`) then folds shard artifacts in canonical
 order, so the fleet ``result.json`` sha256 is invariant across all of
-it -- the property CI stage 10 and the hypothesis kill-schedule test
-enforce.
+it -- the property the supervisor SIGKILL-and-resume test and the
+hypothesis kill-schedule test enforce.
 
 The manifest (``fleet.json``) is the operational ledger: per-shard
 restart counts, failure reasons, quarantine records, supervision

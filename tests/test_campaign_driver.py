@@ -341,7 +341,7 @@ class TestKillDashNine:
 
     EPOCHS = 5
 
-    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path):
+    def test_sigkill_then_resume_matches_uninterrupted(self, tmp_path, capsys):
         reference = run_campaign(small_config(epochs=self.EPOCHS))
         state_dir = tmp_path / "pilot"
         proc = subprocess.Popen(
@@ -374,9 +374,20 @@ class TestKillDashNine:
 
         status = campaign_status(state_dir)
         assert status["complete"] is False
-        assert 2 <= status["verified_epoch"] < self.EPOCHS
+        verified = status["verified_epoch"]
+        assert 2 <= verified < self.EPOCHS
 
-        outcome = resume_campaign(state_dir)
-        assert outcome.completed
-        assert outcome.resumed_from_epoch >= 2
-        assert result_hash(outcome.result) == result_hash(reference.result)
+        # The operator's path: both verbs through the CLI entry point.
+        argv = ["--state-dir", str(state_dir)]
+        assert main(["campaign", "status", *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"resume point:   epoch {verified} of {self.EPOCHS}" in out
+        assert "complete: no" in out
+
+        expected = result_hash(reference.result)
+        assert main(["campaign", "resume", *argv]) == 0
+        out = capsys.readouterr().out
+        assert f"(resumed from epoch {verified})" in out
+        assert f"result sha256: {expected}" in out
+        written = json.loads((state_dir / RESULT_FILENAME).read_text())
+        assert written["sha256"] == expected

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ChaosError
 from repro.faults.chaos import (
     CHAOS_MANIFEST_FILENAME,
@@ -85,6 +86,7 @@ class TestCampaignScenario:
         verdict = run_drill(tmp_path / "d", config)
         assert verdict["status"] in ("pass", "degraded")
         assert verdict["drill_sha256"] == verdict["clean_sha256"]
+        assert sum(verdict["io"].values()) > 0  # the plan really fired
         # verify recomputes the same verdict from the artifacts alone
         assert verify_drill(tmp_path / "d")["status"] == verdict["status"]
 
@@ -101,10 +103,13 @@ class TestCampaignScenario:
         assert run_drill(tmp_path / "d", config)["status"] in (
             "pass", "degraded",
         )
+        verify_argv = ["chaos", "verify", "--dir", str(tmp_path / "d")]
+        assert main(verify_argv) == 0
         result = tmp_path / "d" / "drill" / "state" / "result.json"
         raw = bytearray(result.read_bytes())
         raw[len(raw) // 2] ^= 0x01
         result.write_bytes(bytes(raw))
+        assert main(verify_argv) == 1
         verdict = verify_drill(tmp_path / "d")
         assert verdict["status"] == "fail"
         # Depending on where the bit lands the file is either

@@ -251,15 +251,23 @@ class TestFaultsFlag:
             main(["survey", "--faults", str(bad)])
 
     def test_experiments_run_with_faults(self, capsys, tmp_path):
+        import json
+
         plan = self._write_plan(tmp_path, reply_loss_rate=0.2)
-        assert main(
-            [
-                "experiments", "run", "--only", "fault_sweep", "--quick",
-                "--jobs", "0", "--out", str(tmp_path / "out"),
-                "--faults", plan,
-            ]
-        ) == 0
-        assert "fault_sweep" in capsys.readouterr().out
+        argv = [
+            "experiments", "run", "--only", "fault_sweep", "--quick",
+            "--jobs", "0", "--out", str(tmp_path), "--faults", plan, "--force",
+        ]
+        for _ in range(2):  # one --out: --force makes the rerun recompute
+            assert main(argv) == 0
+            assert "(0 cache hit(s), 1 fresh)" in capsys.readouterr().out
+        payloads = []
+        for run_dir in sorted(tmp_path.glob("run-*")):
+            assert main(["experiments", "validate", str(run_dir)]) == 0
+            payloads.append((run_dir / "fault_sweep.json").read_bytes())
+        assert len(payloads) == 2 and payloads[0] == payloads[1]
+        points = json.loads(payloads[0])["result"]["points"]
+        assert any(p["retries"] > 0 or p["degraded"] for p in points)
 
     def test_experiments_run_faults_rejected_without_acceptor(self, tmp_path):
         plan = self._write_plan(tmp_path, reply_loss_rate=0.2)

@@ -31,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CampaignConfig
+from repro.cli import main
 from repro.errors import FleetError
 from repro.faults import WorkerFault, WorkerFaultPlan
 from repro.fleet import (
@@ -146,7 +147,7 @@ class TestHashInvariance:
         )
 
     def test_sigkilled_supervisor_resumes_identically(
-        self, clean_reference, tmp_path
+        self, clean_reference, tmp_path, capsys
     ):
         fleet_dir = tmp_path / "fleet"
         env = dict(os.environ)
@@ -178,8 +179,16 @@ class TestHashInvariance:
         finally:
             proc.kill()
             proc.wait()
-        outcome = resume_fleet(fleet_dir)
-        assert outcome.sha256 == clean_reference["sha256"]
+        argv = ["--fleet-dir", str(fleet_dir)]
+        assert main(["fleet", "status", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "3 building(s) on 3 worker(s)" in out
+        assert "complete: no" in out
+        expected = clean_reference["sha256"]
+        assert main(["fleet", "resume", *argv]) == 0
+        assert f"result sha256: {expected}" in capsys.readouterr().out
+        written = json.loads((fleet_dir / "result.json").read_text())
+        assert written["sha256"] == expected
 
 
 class TestQuarantine:
@@ -370,8 +379,6 @@ class TestFleetCli:
     def test_quarantine_exits_4_and_status_reports_it(
         self, tmp_path, capsys
     ):
-        from repro.cli import main
-
         plan_file = tmp_path / "plan.json"
         WorkerFaultPlan(faults=(
             WorkerFault("b002", 0, "poison"),

@@ -1,9 +1,10 @@
 """The obs -> store telemetry pipeline (repro/obs/pipeline.py).
 
 Covers the recorder's delta semantics, the campaign heartbeat's
-zero-effect-on-result-bytes contract, survival of ``_obs`` series
-through compaction, HTTP serving of the self-telemetry, and the
-resume-healing rule that protects foreign ``_obs`` walls.
+zero-effect-on-result-bytes contract (in-process and through
+``campaign run --obs``), survival of ``_obs`` series through
+compaction, HTTP serving and ``obs report`` of the self-telemetry, and
+the resume-healing rule that protects foreign ``_obs`` walls.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, run_campaign
 from repro.campaign.driver import Campaign, result_hash
+from repro.cli import main
 from repro.errors import CampaignError, ObsError
 from repro.obs import MetricsRegistry, observed
 from repro.obs.pipeline import MetricsRecorder, sanitize_store_metric
@@ -209,6 +211,32 @@ class TestCampaignHeartbeat:
     def test_result_bytes_identical_with_and_without_obs(self, recorded):
         plain, outcome, _ = recorded
         assert result_hash(outcome.result) == result_hash(plain.result)
+
+    def test_cli_obs_run_matches_plain_and_reports(
+        self, recorded, tmp_path, capsys
+    ):
+        plain, _, _ = recorded
+        store = str(tmp_path / "store")
+        assert main([
+            "campaign", "run", "--state-dir", str(tmp_path / "state"),
+            "--store", store, "--obs", "--epochs", "4", "--nodes", "3",
+            "--hours-per-epoch", "24", "--samples-per-hour", "2",
+            "--seed", "5", "--storm-period", "3", "--storm-duration", "1",
+            "--checkpoint-interval", "2", "--epoch-timeout-s", "0",
+        ]) == 0
+        written = json.loads((tmp_path / "state" / "result.json").read_text())
+        assert written["sha256"] == result_hash(plain.result)
+        capsys.readouterr()
+
+        assert main(["obs", "report", "--store", store]) == 0
+        markdown = capsys.readouterr().out
+        assert "## Source `campaign`" in markdown
+        assert "| epochs run | 4 |" in markdown
+        assert main(["obs", "report", "--store", store, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        metrics = report["sources"]["campaign"]["metrics"]
+        assert metrics["campaign.epochs_run"]["total"] == 4.0
+        assert metrics["campaign.epoch_wall_s"]["samples"] == 4
 
     def test_required_series_exist_even_in_a_clean_run(self, recorded):
         _, _, store = recorded

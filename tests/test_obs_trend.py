@@ -1,6 +1,7 @@
 """The bench-trend regression gate (repro/obs/trend.py, ``obs trend``)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -184,9 +185,21 @@ class TestCli:
         assert payload["regressed"] == 0
         assert len(payload["verdicts"]) >= 5
 
-    def test_cli_gates_on_the_committed_bench_artifacts(self):
-        # The acceptance check: the repo's own BENCH files pass.
+    def test_cli_gates_on_the_committed_bench_artifacts(self, capsys):
+        # The acceptance check: the repo's own full-run BENCH files
+        # pass (a missing file or a committed smoke artifact does not).
+        root = Path(__file__).resolve().parents[1]
         assert main([
-            "obs", "trend", "--bench-dir", ".",
-            "--history", "BENCH_HISTORY.jsonl",
+            "obs", "trend", "--bench-dir", str(root),
+            "--history", str(root / "BENCH_HISTORY.jsonl"), "--json",
         ]) == 0
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert {v["verdict"] for v in verdicts} <= {"pass", "no-baseline"}
+
+    def test_cli_exits_2_when_no_bench_file_is_there(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["obs", "trend", "--bench-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"obs trend: {tmp_path} holds none of ")
+        assert err.count("\n") == 1

@@ -7,9 +7,9 @@ matched-filter decisions and end-to-end Monte-Carlo BERs all match
 exactly, across random seeds, SNRs, frame lengths and trial counts,
 including degenerate shapes (0 trials, 1 symbol).
 
-CI runs this file under multiple ``PYTHONHASHSEED`` values (stage 8 of
-scripts/ci.sh): any divergence beyond the documented tolerances is a
-release blocker.
+``scripts/ci.sh`` runs this file again under ``PYTHONHASHSEED`` 0 and
+31337, next to ``tests/test_batch_golden_regression.py``: any divergence
+beyond the documented tolerances is a release blocker.
 """
 
 import numpy as np

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ManifestError
 from repro.runtime import (
     ExperimentSpec,
+    experiment_registry,
     load_manifest,
     run_experiments,
     validate_manifest,
@@ -54,7 +55,7 @@ def _make_spec(tmp_path, monkeypatch, name, body, params=None):
 
 
 class TestSweep:
-    NAMES = ["fig04", "fig13", "tables"]
+    NAMES = list(experiment_registry())
 
     def test_parallel_sweep_writes_results_and_manifest(self, tmp_path):
         report = run_experiments(

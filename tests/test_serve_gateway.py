@@ -438,6 +438,22 @@ class TestServeCli:
                 expected, answer = stable_exchange(core, port, method, target)
                 assert_matches_core(expected, method, *answer)
 
+            # A building appended while the process serves must show up,
+            # answered exactly as a core opened after the append answers.
+            late = "/aggregate?metric=strain&agg=count&building=late"
+            assert json.loads(request(port, "GET", late)[2])["series"] == 0
+            store.append(
+                SeriesKey("late", "east", 1, "strain"), [1.0, 2.0], [5.0, 6.0]
+            )
+            fresh = EndpointCore(
+                TelemetryStore(store.root, create=False),
+                registry=MetricsRegistry(),
+            )
+            for target in ("/stats", late):
+                expected, answer = stable_exchange(fresh, port, "GET", target)
+                assert_matches_core(expected, "GET", *answer)
+            assert json.loads(answer[2])["value"] == 2
+
             deadline = time.monotonic() + 10.0
             while True:
                 _, _, body = request(port, "GET", "/stats")
