@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import CampaignError
-from ..faults import FaultPlan
+from ..faults.plan import FaultPlan, strict_fields
 
 #: Schema tag for serialized campaign configs.
 CAMPAIGN_CONFIG_SCHEMA = "repro/campaign-config/v1"
@@ -103,8 +103,11 @@ class CampaignConfig:
             if not isinstance(value, int) or value < 1:
                 raise CampaignError(f"{name} must be a positive int, got {value!r}")
         for name in ("wall_length", "tx_voltage"):
-            if getattr(self, name) <= 0.0:
-                raise CampaignError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise CampaignError(
+                    f"{name} must be finite and positive, got {value}"
+                )
         for name in ("fault_intensity", "storm_fault_intensity"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
@@ -179,22 +182,7 @@ class CampaignConfig:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignConfig":
         """Rebuild a config from :meth:`to_dict` output, strictly."""
-        if not isinstance(payload, Mapping):
-            raise CampaignError(
-                f"campaign config must be an object, got {type(payload).__name__}"
-            )
-        schema = payload.get("schema", CAMPAIGN_CONFIG_SCHEMA)
-        if schema != CAMPAIGN_CONFIG_SCHEMA:
-            raise CampaignError(
-                f"unsupported campaign-config schema {schema!r} "
-                f"(expected {CAMPAIGN_CONFIG_SCHEMA!r})"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known - {"schema"})
-        if unknown:
-            raise CampaignError(
-                f"unknown campaign-config field(s) {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        kwargs = {k: v for k, v in payload.items() if k != "schema"}
-        return cls(**kwargs)
+        return cls(**strict_fields(
+            cls, payload, "campaign-config", CAMPAIGN_CONFIG_SCHEMA,
+            CampaignError,
+        ))

@@ -62,6 +62,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .acoustics import StructureGeometry, WavePrism, paper_structures
+from .faults import FaultPlan, IoFaultPlan, WorkerFaultPlan
 from .link import PlacedNode, PowerUpLink, WallSession, plan_stations
 from .materials import PLA, get_concrete
 from .node import EcoCapsule, Environment, resin_shell, steel_shell
@@ -139,10 +140,9 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         )
         for i in range(args.nodes)
     ]
-    plan = _load_fault_plan(args.faults) if args.faults else None
     session = WallSession(
         budget=budget, nodes=nodes, tx_voltage=args.voltage, seed=args.seed,
-        faults=plan,
+        faults=_load_plan(FaultPlan, args.faults, "survey --faults"),
     )
     result = session.run()
     print(
@@ -229,15 +229,21 @@ def _format_profile(profile) -> str:
     return " ".join(parts)
 
 
-def _load_fault_plan(path: str):
-    """Load a CLI ``--faults`` plan or exit with the config error."""
-    from .errors import FaultConfigError
-    from .faults import FaultPlan
+def _load_plan(cls, path: str, label: str):
+    """The ``cls`` plan in the JSON file at ``path`` (None when unset).
 
+    A file the plan class rejects -- unreadable, not JSON, the wrong
+    shape or schema, an out-of-range rate -- exits 2 with one
+    ``<label>: ...`` line, ``label`` naming the verb and its flag.
+    """
+    from .errors import FaultConfigError
+
+    if not path:
+        return None
     try:
-        return FaultPlan.from_json_file(path)
+        return cls.from_json_file(path)
     except FaultConfigError as exc:
-        raise SystemExit(f"--faults: {exc}")
+        raise _usage_exit(f"{label}: {exc}")
 
 
 def _fault_overrides(names, plan):
@@ -267,8 +273,9 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
         raise SystemExit("experiments run: pass --all or --only NAME [NAME ...]")
     names = None if args.all else args.only
     overrides = None
-    if args.faults:
-        overrides = _fault_overrides(names, _load_fault_plan(args.faults))
+    plan = _load_plan(FaultPlan, args.faults, "experiments run --faults")
+    if plan is not None:
+        overrides = _fault_overrides(names, plan)
     try:
         report = run_experiments(
             names=names,
@@ -656,18 +663,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
     return 1 if "checkpoint_error" in status else 0
 
 
-def _load_worker_faults(args: argparse.Namespace):
-    from .errors import FaultConfigError
-    from .faults import WorkerFaultPlan
-
-    if not getattr(args, "worker_faults", None):
-        return None
-    try:
-        return WorkerFaultPlan.from_json_file(args.worker_faults)
-    except FaultConfigError as exc:
-        raise _usage_exit(f"fleet: bad --worker-faults plan: {exc}")
-
-
 def _print_fleet_outcome(args: argparse.Namespace, outcome) -> int:
     if outcome.interrupted:
         print(
@@ -704,6 +699,9 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
     from .fleet import FleetConfig, building_names, run_fleet
 
     template = _campaign_config(args, "fleet run")
+    worker_faults = _load_plan(
+        WorkerFaultPlan, args.worker_faults, "fleet run --worker-faults"
+    )
     try:
         config = FleetConfig(
             buildings=building_names(args.buildings),
@@ -720,7 +718,7 @@ def _cmd_fleet_run(args: argparse.Namespace) -> int:
                 config,
                 args.fleet_dir,
                 store_dir=args.store or None,
-                worker_faults=_load_worker_faults(args),
+                worker_faults=worker_faults,
                 epoch_sleep_s=args.epoch_sleep_s,
                 record_obs=bool(args.obs and args.store),
             )
@@ -1078,22 +1076,14 @@ _CHAOS_EXIT_CODES = {"pass": 0, "degraded": 0, "loud": 4, "fail": 1}
 
 
 def _chaos_plan(args: argparse.Namespace):
+    """The ``--plan`` file (or the inactive plan), flags overriding fields."""
     import dataclasses
 
-    from .faults.io import IoFaultPlan
-
-    plan = (
-        IoFaultPlan.from_json_file(args.plan)
-        if args.plan
-        else IoFaultPlan()
-    )
+    plan = _load_plan(IoFaultPlan, args.plan, "chaos run --plan")
+    plan = plan or IoFaultPlan()
     overrides = {
         name: getattr(args, name)
-        for name in (
-            "enospc_write_rate", "eio_read_rate", "eio_fsync_rate",
-            "torn_write_rate", "drop_rename_rate", "bitrot_read_rate",
-            "persistence",
-        )
+        for name in IoFaultPlan.probabilities()
         if getattr(args, name) is not None
     }
     if args.fault_seed is not None:
@@ -1122,7 +1112,7 @@ def _print_chaos_verdict(args: argparse.Namespace, verdict) -> int:
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from .errors import ChaosError, FaultConfigError, FaultPlanError
+    from .errors import ChaosError, FaultConfigError
     from .faults.chaos import ChaosConfig, run_drill
 
     try:
@@ -1138,8 +1128,11 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
             max_attempts=args.max_attempts,
             plan=_chaos_plan(args),
         )
+    except (ChaosError, FaultConfigError) as exc:
+        raise _usage_exit(f"chaos run: {exc}")
+    try:
         verdict = run_drill(args.dir, config)
-    except (ChaosError, FaultConfigError, FaultPlanError, OSError) as exc:
+    except (ChaosError, FaultConfigError, OSError) as exc:
         raise SystemExit(f"chaos run: {exc}")
     return _print_chaos_verdict(args, verdict)
 
@@ -1587,12 +1580,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch_run.add_argument("--fault-seed", type=int, default=None,
                         help="fault-schedule seed (default: plan's)")
-    for rate in (
-        "enospc-write-rate", "eio-read-rate", "eio-fsync-rate",
-        "torn-write-rate", "drop-rename-rate", "bitrot-read-rate",
-        "persistence",
-    ):
-        ch_run.add_argument(f"--{rate}", type=float, default=None)
+    for name in IoFaultPlan.probabilities():
+        ch_run.add_argument(
+            f"--{name.replace('_', '-')}", type=float, default=None
+        )
     ch_run.add_argument("--json", action="store_true")
     ch_run.set_defaults(func=_cmd_chaos_run)
 

@@ -9,12 +9,17 @@ fires, reproducibly.  ``TdmaInventory`` and ``WallSession`` accept a
 plan directly; the CLI loads one from JSON via
 ``experiments run --faults plan.json``.
 
-Beyond the physical-world faults, two sibling modules model a hostile
+Beyond the physical-world faults, sibling modules model a hostile
 *machine*: :mod:`repro.faults.io` injects seeded storage faults
 (ENOSPC, EIO, torn writes, dropped renames, bit rot) underneath every
-real write path, and :mod:`repro.faults.chaos` runs end-to-end drills
+real write path, :mod:`repro.faults.chaos` runs end-to-end drills
 proving the stack recovers from them -- or fails loudly -- never
-silently diverging.
+silently diverging, and :mod:`repro.faults.worker` kills, hangs or
+poisons fleet workers.
+
+The three plan formats stay separate; each job they share has one
+implementation in :mod:`repro.faults.plan` (``RatePlan``,
+``SeededInjector``, ``PlanFile`` and the ``strict_fields`` parser).
 
 See ``docs/ROBUSTNESS.md`` for the fault taxonomy, the plan schema and
 the retry/degradation policies layered on top.

@@ -78,6 +78,7 @@ from ..obs import obs_event
 from ..runtime.serialize import canonical_json, read_json, write_json_atomic
 from ..store import TelemetryStore, ingest_series
 from .io import IoFaultInjector, IoFaultPlan, io_faults
+from .plan import strict_fields
 
 #: Schema tag for the drill manifest (``chaos.json``).
 CHAOS_SCHEMA = "repro/chaos-drill/v1"
@@ -150,32 +151,13 @@ class ChaosConfig:
             )
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "nodes": self.nodes,
-            "hours_per_epoch": self.hours_per_epoch,
-            "buildings": self.buildings,
-            "batches": self.batches,
-            "rows_per_batch": self.rows_per_batch,
-            "max_attempts": self.max_attempts,
-            "plan": self.plan.to_dict(),
-        }
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        payload["plan"] = self.plan.to_dict()
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ChaosConfig":
-        if not isinstance(payload, Mapping):
-            raise ChaosError(
-                f"chaos config must be an object, got {type(payload).__name__}"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ChaosError(
-                f"unknown chaos config field(s) {unknown}; known: {sorted(known)}"
-            )
-        kwargs = dict(payload)
+        kwargs = strict_fields(cls, payload, "chaos config", error=ChaosError)
         if "plan" in kwargs:
             kwargs["plan"] = IoFaultPlan.from_dict(kwargs["plan"])
         return cls(**kwargs)

@@ -1,12 +1,14 @@
 """Deterministic fault injection driven by a :class:`FaultPlan`.
 
-The injector is the single source of fault randomness.  Every fault
-type draws from its own named RNG stream (seeded from the plan seed +
-the stream name), so enabling one fault never perturbs the draws of
-another: a run with ``brownout_rate=0.1`` sees the same brownouts
-whether or not bit errors are also enabled.  A rate of zero never
-touches its stream at all, which is what keeps an inactive plan's
-simulation byte-identical to a run with no plan.
+The injector is the single source of fault randomness.  Its streams
+and accounting are :class:`~repro.faults.plan.SeededInjector`'s, shared
+with the storage-fault injector: every fault type draws from its own
+named RNG stream (seeded from the plan seed + the stream name), so
+enabling one fault never perturbs the draws of another -- a run with
+``brownout_rate=0.1`` sees the same brownouts whether or not bit
+errors are also enabled.  A rate of zero never touches its stream at
+all, which is what keeps an inactive plan's simulation byte-identical
+to a run with no plan.
 
 Every injected fault is double-booked: into the injector's local
 ``counts`` (returned with degraded results so fault totals are part of
@@ -20,57 +22,24 @@ import random
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FaultConfigError
-from ..obs import obs_counter, obs_enabled
-from .plan import FaultPlan
+from .plan import FaultPlan, SeededInjector
 
 
-class FaultInjector:
+class FaultInjector(SeededInjector):
     """Replays the faults a :class:`FaultPlan` describes, deterministically.
 
     Args:
         plan: The fault plan to execute.
 
-    Build one per simulation run (its RNG streams and stuck-sensor
-    latches are stateful); :meth:`from_plan` returns None for absent
-    or inactive plans so call sites can keep a fast no-fault path.
+    Build one per simulation run: its RNG streams and stuck-sensor
+    latches are stateful.
     """
 
+    COUNTER_PREFIX = "faults"
+
     def __init__(self, plan: FaultPlan):
-        self.plan = plan
-        self.counts: Dict[str, int] = {}
-        self._streams: Dict[str, random.Random] = {}
+        super().__init__(plan)
         self._stuck: Dict[Tuple[int, str], Optional[int]] = {}
-
-    @classmethod
-    def from_plan(cls, plan: Optional[FaultPlan]) -> Optional["FaultInjector"]:
-        """An injector for ``plan``, or None when there is nothing to inject."""
-        if plan is None or not plan.active:
-            return None
-        return cls(plan)
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-
-    def _stream(self, name: str) -> random.Random:
-        """The named RNG stream (created on first use, seed-stable)."""
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = random.Random(f"{self.plan.seed}:{name}")
-            self._streams[name] = stream
-        return stream
-
-    def record(self, name: str, count: int = 1) -> None:
-        """Book ``count`` occurrences of fault ``name`` (local + obs)."""
-        if count <= 0:
-            return
-        self.counts[name] = self.counts.get(name, 0) + count
-        if obs_enabled():
-            obs_counter(f"faults.{name}").inc(count)
-
-    def _hit(self, stream: str, rate: float) -> bool:
-        """One Bernoulli draw from ``stream``; zero rates never draw."""
-        return rate > 0.0 and self._stream(stream).random() < rate
 
     # ------------------------------------------------------------------
     # State serialization (campaign checkpoints)

@@ -27,14 +27,16 @@ per-operation fault rates:
   *latches*: every later operation of the same kind on the same path
   fails too, modelling a dead sector rather than a glitch.
 
-The injector mirrors :class:`~repro.faults.injector.FaultInjector`:
-every fault type draws from its own named RNG stream seeded from
-``"{seed}:{name}"``, zero rates never touch their stream, and
-:meth:`IoFaultInjector.from_plan` returns None for inactive plans --
-so with no active plan the shim functions below are a single ``is
-None`` test in front of the exact syscalls the code made before this
-module existed.  Inactive plans are *inert*: byte-identical artifacts,
-zero extra syscalls.
+The plan shares :class:`~repro.faults.plan.RatePlan` with
+:class:`~repro.faults.plan.FaultPlan`, and the injector shares
+:class:`~repro.faults.plan.SeededInjector` with
+:class:`~repro.faults.injector.FaultInjector`: every fault type draws
+from its own named RNG stream seeded from ``"{seed}:{name}"``, zero
+rates never touch their stream, and :meth:`IoFaultInjector.from_plan`
+returns None for inactive plans -- so with no active plan the shim
+functions below are a single ``is None`` test in front of the exact
+syscalls the code made before this module existed.  Inactive plans are
+*inert*: byte-identical artifacts, zero extra syscalls.
 
 The shim is process-global (``install_io_faults`` / ``io_faults``)
 rather than threaded as a parameter, because the write paths it covers
@@ -45,22 +47,18 @@ drill wants.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
-import json
-import math
 import os
-import random
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, IO, Iterator, Mapping, Optional, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, TypeVar, Union
 
-from ..errors import FaultConfigError, FaultPlanError
-from ..obs import obs_counter, obs_enabled, obs_event
+from ..obs import obs_counter, obs_event
+from .plan import RatePlan, SeededInjector
 
-#: Field names that hold probabilities (everything except the seed).
+#: The fault rates: every probability field except ``persistence``.
 IO_RATE_FIELDS = (
     "enospc_write_rate",
     "eio_read_rate",
@@ -94,7 +92,7 @@ _T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
-class IoFaultPlan:
+class IoFaultPlan(RatePlan):
     """A seedable description of every storage fault the shim injects.
 
     Args:
@@ -112,9 +110,13 @@ class IoFaultPlan:
             data is flipped.
         persistence: Probability a fired ENOSPC/EIO fault latches its
             (operation, path) pair broken for the injector's lifetime.
+            Not a rate: it neither activates nor scales a plan.
     """
 
-    seed: int = 0
+    SCHEMA = IO_FAULT_SCHEMA
+    KIND = "io-fault"
+    RATES = IO_RATE_FIELDS
+
     enospc_write_rate: float = 0.0
     eio_read_rate: float = 0.0
     eio_fsync_rate: float = 0.0
@@ -123,155 +125,21 @@ class IoFaultPlan:
     bitrot_read_rate: float = 0.0
     persistence: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise FaultConfigError(f"seed must be an int, got {self.seed!r}")
-        for name in IO_RATE_FIELDS + ("persistence",):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise FaultPlanError(f"{name} must be a number, got {value!r}")
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise FaultPlanError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
 
-    # ------------------------------------------------------------------
-    # Derived plans
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def none(cls) -> "IoFaultPlan":
-        """The inactive plan (every rate zero)."""
-        return cls()
-
-    @property
-    def active(self) -> bool:
-        """True when any fault rate is nonzero.
-
-        ``persistence`` alone cannot activate a plan: with every rate
-        at zero no fault ever fires, so there is nothing to latch.
-        """
-        return any(getattr(self, name) > 0.0 for name in IO_RATE_FIELDS)
-
-    def scaled(self, intensity: float) -> "IoFaultPlan":
-        """This plan with every rate multiplied by ``intensity``.
-
-        Rates clamp at 1.0; ``persistence`` is left alone (it shapes
-        *how* faults fail, not how often).  NaN/inf intensities are
-        rejected for the same reason as in
-        :meth:`repro.faults.plan.FaultPlan.scaled`.
-        """
-        if not isinstance(intensity, (int, float)) or isinstance(intensity, bool):
-            raise FaultPlanError(f"intensity must be a number, got {intensity!r}")
-        if math.isnan(intensity) or math.isinf(intensity):
-            raise FaultPlanError(f"intensity must be finite, got {intensity}")
-        if intensity < 0.0:
-            raise FaultPlanError(f"intensity cannot be negative: {intensity}")
-        rates = {
-            name: min(1.0, getattr(self, name) * intensity)
-            for name in IO_RATE_FIELDS
-        }
-        return dataclasses.replace(self, **rates)
-
-    # ------------------------------------------------------------------
-    # Serialization
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict (includes the schema tag)."""
-        payload: Dict[str, Any] = {"schema": IO_FAULT_SCHEMA, "seed": self.seed}
-        for name in IO_RATE_FIELDS:
-            payload[name] = getattr(self, name)
-        payload["persistence"] = self.persistence
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "IoFaultPlan":
-        """Build a plan from a dict, rejecting unknown keys loudly."""
-        if not isinstance(payload, Mapping):
-            raise FaultConfigError(
-                f"io-fault plan must be an object, got {type(payload).__name__}"
-            )
-        known = {"schema", "seed", "persistence", *IO_RATE_FIELDS}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown io-fault field(s) {unknown}; known: {sorted(known)}"
-            )
-        schema = payload.get("schema", IO_FAULT_SCHEMA)
-        if schema != IO_FAULT_SCHEMA:
-            raise FaultConfigError(
-                f"unsupported io-fault schema {schema!r} "
-                f"(expected {IO_FAULT_SCHEMA!r})"
-            )
-        kwargs = {k: v for k, v in payload.items() if k != "schema"}
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path: Union[str, Path]) -> "IoFaultPlan":
-        """Load a plan from a JSON file (the CLI ``chaos --plan`` format)."""
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise FaultConfigError(f"cannot read io-fault plan {path}: {exc}")
-        except ValueError as exc:
-            raise FaultConfigError(f"io-fault plan {path} is not valid JSON: {exc}")
-        return cls.from_dict(payload)
-
-    def to_json_file(self, path: Union[str, Path]) -> None:
-        """Write the plan as JSON (round-trips with :meth:`from_json_file`)."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-
-class IoFaultInjector:
+class IoFaultInjector(SeededInjector):
     """Replays the storage faults an :class:`IoFaultPlan` describes.
 
-    Build one per drill (its RNG streams and latched-broken paths are
-    stateful); :meth:`from_plan` returns None for absent or inactive
-    plans so the shim keeps a fast no-fault path.
-
-    Every injected fault is double-booked: into the injector's local
-    ``counts`` (the chaos manifest's ``io.*`` accounting) and into the
-    ``io.*`` observability counters when obs is on.
+    Build one per drill: its RNG streams and latched-broken paths are
+    stateful.  Its ``counts`` are the chaos manifest's ``io.*``
+    accounting.
     """
 
+    COUNTER_PREFIX = "io"
+
     def __init__(self, plan: IoFaultPlan):
-        self.plan = plan
-        self.counts: Dict[str, int] = {}
-        self._streams: Dict[str, random.Random] = {}
+        super().__init__(plan)
         #: (operation, path) -> errno for latched-broken pairs.
         self._broken: Dict[Tuple[str, str], int] = {}
-
-    @classmethod
-    def from_plan(cls, plan: Optional[IoFaultPlan]) -> Optional["IoFaultInjector"]:
-        """An injector for ``plan``, or None when there is nothing to inject."""
-        if plan is None or not plan.active:
-            return None
-        return cls(plan)
-
-    # ------------------------------------------------------------------
-    # Bookkeeping
-    # ------------------------------------------------------------------
-
-    def _stream(self, name: str) -> random.Random:
-        stream = self._streams.get(name)
-        if stream is None:
-            stream = random.Random(f"{self.plan.seed}:{name}")
-            self._streams[name] = stream
-        return stream
-
-    def record(self, name: str, count: int = 1) -> None:
-        """Book ``count`` occurrences of fault ``name`` (local + obs)."""
-        if count <= 0:
-            return
-        self.counts[name] = self.counts.get(name, 0) + count
-        if obs_enabled():
-            obs_counter(f"io.{name}").inc(count)
-
-    def _hit(self, stream: str, rate: float) -> bool:
-        """One Bernoulli draw from ``stream``; zero rates never draw."""
-        return rate > 0.0 and self._stream(stream).random() < rate
 
     def _path_key(self, path: Optional[Union[str, Path]]) -> str:
         return str(path) if path is not None else "?"

@@ -35,13 +35,12 @@ drawn on a seeded schedule with :meth:`WorkerFaultPlan.seeded`.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import FaultConfigError
+from .plan import PlanFile, strict_fields
 
 #: Schema tag written into serialized worker-fault plans.
 WORKER_FAULT_SCHEMA = "repro/worker-fault-plan/v1"
@@ -114,34 +113,15 @@ class WorkerFault:
         return self.times == UNBOUNDED or attempt < self.times
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "building": self.building,
-            "epoch": self.epoch,
-            "action": self.action,
-            "times": self.times,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "WorkerFault":
-        if not isinstance(payload, Mapping):
-            raise FaultConfigError(
-                f"worker fault must be an object, got {type(payload).__name__}"
-            )
-        known = {"building", "epoch", "action", "times"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown worker-fault field(s) {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        try:
-            return cls(**dict(payload))
-        except TypeError as exc:
-            raise FaultConfigError(f"malformed worker fault: {exc}")
+        return cls(**strict_fields(cls, payload, "worker-fault"))
 
 
 @dataclass(frozen=True)
-class WorkerFaultPlan:
+class WorkerFaultPlan(PlanFile):
     """A deterministic schedule of worker failures for a fleet run."""
 
     faults: Tuple[WorkerFault, ...] = field(default_factory=tuple)
@@ -224,46 +204,9 @@ class WorkerFaultPlan:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "WorkerFaultPlan":
-        if not isinstance(payload, Mapping):
-            raise FaultConfigError(
-                f"worker-fault plan must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        known = {"schema", "faults"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise FaultConfigError(
-                f"unknown worker-fault-plan field(s) {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        schema = payload.get("schema", WORKER_FAULT_SCHEMA)
-        if schema != WORKER_FAULT_SCHEMA:
-            raise FaultConfigError(
-                f"unsupported worker-fault-plan schema {schema!r} "
-                f"(expected {WORKER_FAULT_SCHEMA!r})"
-            )
-        entries = payload.get("faults", [])
+        entries = strict_fields(
+            cls, payload, "worker-fault-plan", WORKER_FAULT_SCHEMA
+        ).get("faults", [])
         if not isinstance(entries, (list, tuple)):
             raise FaultConfigError("worker-fault-plan faults must be a list")
         return cls(tuple(WorkerFault.from_dict(e) for e in entries))
-
-    @classmethod
-    def from_json_file(cls, path: Union[str, Path]) -> "WorkerFaultPlan":
-        """Load a plan from JSON (``fleet run --worker-faults``)."""
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except OSError as exc:
-            raise FaultConfigError(
-                f"cannot read worker-fault plan {path}: {exc}"
-            )
-        except ValueError as exc:
-            raise FaultConfigError(
-                f"worker-fault plan {path} is not valid JSON: {exc}"
-            )
-        return cls.from_dict(payload)
-
-    def to_json_file(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        )

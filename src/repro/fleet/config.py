@@ -29,6 +29,7 @@ from typing import Any, Dict, Mapping, Tuple
 
 from ..campaign import CampaignConfig
 from ..errors import FleetError, StoreError
+from ..faults.plan import strict_fields
 from ..store import validate_component
 
 #: Schema tag for serialized fleet configs.
@@ -192,29 +193,9 @@ class FleetConfig:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "FleetConfig":
         """Rebuild a config from :meth:`to_dict` output, strictly."""
-        if not isinstance(payload, Mapping):
-            raise FleetError(
-                f"fleet config must be an object, "
-                f"got {type(payload).__name__}"
-            )
-        schema = payload.get("schema", FLEET_CONFIG_SCHEMA)
-        if schema != FLEET_CONFIG_SCHEMA:
-            raise FleetError(
-                f"unsupported fleet-config schema {schema!r} "
-                f"(expected {FLEET_CONFIG_SCHEMA!r})"
-            )
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(payload) - known - {"schema"})
-        if unknown:
-            raise FleetError(
-                f"unknown fleet-config field(s) {unknown}; "
-                f"known: {sorted(known)}"
-            )
-        kwargs = {k: v for k, v in payload.items() if k != "schema"}
-        if "campaign" in kwargs:
-            campaign = kwargs["campaign"]
-            if isinstance(campaign, Mapping):
-                kwargs["campaign"] = CampaignConfig.from_dict(campaign)
-        if "buildings" in kwargs and isinstance(kwargs["buildings"], list):
-            kwargs["buildings"] = tuple(kwargs["buildings"])
+        kwargs = strict_fields(
+            cls, payload, "fleet-config", FLEET_CONFIG_SCHEMA, FleetError
+        )
+        if isinstance(kwargs.get("campaign"), Mapping):
+            kwargs["campaign"] = CampaignConfig.from_dict(kwargs["campaign"])
         return cls(**kwargs)

@@ -52,6 +52,10 @@ class TestCampaignConfig:
             ("hours_per_epoch", 0),
             ("checkpoint_interval", 0),
             ("wall_length", -1.0),
+            ("wall_length", float("nan")),
+            ("wall_length", float("inf")),
+            ("tx_voltage", float("nan")),
+            ("tx_voltage", float("inf")),
             ("fault_intensity", float("nan")),
             ("storm_fault_intensity", -2.0),
         ],

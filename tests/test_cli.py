@@ -279,16 +279,6 @@ class TestFaultsFlag:
                 ]
             )
 
-    def test_experiments_run_missing_plan_exits(self, tmp_path):
-        with pytest.raises(SystemExit, match="faults"):
-            main(
-                [
-                    "experiments", "run", "--only", "fault_sweep",
-                    "--out", str(tmp_path / "out"),
-                    "--faults", str(tmp_path / "nope.json"),
-                ]
-            )
-
     def test_experiments_run_retries_flag_parses(self, tmp_path):
         parser = build_parser()
         args = parser.parse_args(
@@ -308,14 +298,34 @@ class TestBadValuesExit2:
             ("fleet run", ["fleet", "run", "--epochs", "0"]),
             ("fleet run", ["fleet", "run", "--nodes", "0"]),
             ("experiments run", ["experiments", "run", "--only", "nosuch"]),
+            ("campaign run", ["campaign", "run", "--wall-length", "nan"]),
+            ("survey --faults", ["survey", "--faults", "BAD"]),
+            (
+                "experiments run --faults",
+                ["experiments", "run", "--only", "fault_sweep",
+                 "--faults", "MISSING"],
+            ),
+            ("chaos run --plan", ["chaos", "run", "--plan", "BAD"]),
+            ("chaos run", ["chaos", "run", "--enospc-write-rate", "2"]),
+            ("fleet run --worker-faults", ["fleet", "run", "--worker-faults", "BAD"]),
         ],
-        ids=["campaign-epochs", "fleet-epochs", "fleet-nodes", "experiment-name"],
+        ids=[
+            "campaign-epochs", "fleet-epochs", "fleet-nodes", "experiment-name",
+            "campaign-wall-length", "survey-faults", "experiments-faults",
+            "chaos-plan", "chaos-rate", "fleet-worker-faults",
+        ],
     )
     def test_one_stderr_line_and_exit_2(self, verb, argv, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"no_such_field": 1}')
+        paths = {"BAD": str(bad), "MISSING": str(tmp_path / "nope.json")}
+        argv = [paths.get(arg, arg) for arg in argv]
         if argv[0] == "fleet":
             argv = argv + ["--fleet-dir", str(tmp_path / "fleet")]
         if argv[0] == "experiments":
             argv = argv + ["--out", str(tmp_path / "results")]
+        if argv[0] == "chaos":
+            argv = argv + ["--dir", str(tmp_path / "drill")]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2

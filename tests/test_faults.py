@@ -7,20 +7,31 @@ channel must all come back as partial *results* (with the obs counters
 telling the story), never as uncaught ProtocolErrors.
 """
 
+import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.acoustics import StructureGeometry
+from repro.campaign import CampaignConfig
 from repro.errors import FaultConfigError, FaultPlanError
 from repro.faults import (
     FAULT_PLAN_SCHEMA,
+    IO_FAULT_SCHEMA,
+    RATE_FIELDS,
+    WORKER_FAULT_SCHEMA,
+    ChaosConfig,
     FaultInjector,
     FaultPlan,
-    RATE_FIELDS,
+    IoFaultPlan,
+    WorkerFault,
+    WorkerFaultPlan,
     ber_from_snr_db,
     plan_from_link_budget,
 )
+from repro.fleet import FleetConfig
 from repro.link import PlacedNode, PowerUpLink, WallSession
 from repro.materials import get_concrete
 from repro.node import EcoCapsule, Environment
@@ -80,6 +91,8 @@ class TestFaultPlan:
             FaultPlan(brownout_rate="lots")
         with pytest.raises(FaultConfigError):
             FaultPlan(seed=1.5)
+        with pytest.raises(FaultConfigError):
+            FaultPlan(seed=True)
 
     def test_scaled_multiplies_and_clamps(self):
         plan = FaultPlan(uplink_ber=0.4, reply_loss_rate=0.1)
@@ -457,3 +470,130 @@ class TestFaultSweepExperiment:
 
         kwargs = dict(intensities=[0.0, 1.5], nodes=4, max_rounds=8, seed=11)
         assert fault_sweep.run(**kwargs) == fault_sweep.run(**kwargs)
+
+
+_IO_PLAN = IoFaultPlan(7, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.5)
+_IO_PLAN_DICT = {
+    "schema": "repro/io-faults/v1", "seed": 7, "enospc_write_rate": 0.01,
+    "eio_read_rate": 0.02, "eio_fsync_rate": 0.03, "torn_write_rate": 0.04,
+    "drop_rename_rate": 0.05, "bitrot_read_rate": 0.06, "persistence": 0.5,
+}
+_CAMPAIGN = CampaignConfig(
+    epochs=3, nodes=2, wall_length=6.5, tx_voltage=200.0, hours_per_epoch=12,
+    samples_per_hour=2, seed=11,
+    fault_rates={"uplink_ber": 0.002, "brownout_rate": 0.1},
+    fault_intensity=0.5, storm_period_epochs=4, storm_duration_epochs=1,
+    storm_fault_intensity=2.0, checkpoint_interval=2, checkpoint_keep=3,
+    epoch_timeout_s=30.0,
+)
+_CAMPAIGN_DICT = {
+    "schema": "repro/campaign-config/v1", "epochs": 3, "nodes": 2,
+    "wall_length": 6.5, "tx_voltage": 200.0, "hours_per_epoch": 12,
+    "samples_per_hour": 2, "seed": 11,
+    "fault_rates": {"brownout_rate": 0.1, "uplink_ber": 0.002},
+    "fault_intensity": 0.5, "storm_period_epochs": 4,
+    "storm_duration_epochs": 1, "storm_fault_intensity": 2.0,
+    "checkpoint_interval": 2, "checkpoint_keep": 3, "epoch_timeout_s": 30.0,
+}
+
+
+class TestPersistedFormats:
+    """Every schema-tagged config and plan keeps its exact dict: these
+    dicts reach checkpoint digests, fleet.json, chaos.json, the
+    fault_sweep result and users' plan files."""
+
+    @pytest.mark.parametrize(
+        "obj,expected",
+        [
+            (
+                FaultPlan(5, 0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.07),
+                {
+                    "schema": "repro/fault-plan/v1", "seed": 5,
+                    "downlink_ber": 0.01, "uplink_ber": 0.02,
+                    "reply_loss_rate": 0.03, "brownout_rate": 0.04,
+                    "reader_dropout_rate": 0.05, "slot_jitter_rate": 0.06,
+                    "stuck_sensor_rate": 0.07,
+                },
+            ),
+            (_IO_PLAN, _IO_PLAN_DICT),
+            (
+                WorkerFault("b002", 1, "kill", times=2),
+                {"building": "b002", "epoch": 1, "action": "kill", "times": 2},
+            ),
+            (
+                WorkerFaultPlan((
+                    WorkerFault("b002", 1, "kill", times=2),
+                    WorkerFault("b003", 0, "poison"),
+                )),
+                {
+                    "schema": "repro/worker-fault-plan/v1",
+                    "faults": [
+                        {"building": "b002", "epoch": 1, "action": "kill",
+                         "times": 2},
+                        {"building": "b003", "epoch": 0, "action": "poison",
+                         "times": -1},
+                    ],
+                },
+            ),
+            (_CAMPAIGN, _CAMPAIGN_DICT),
+            (
+                FleetConfig(
+                    buildings=("b2", "b1"), campaign=_CAMPAIGN, seed=7,
+                    workers=2, max_restarts=5, heartbeat_timeout_s=10.0,
+                    backoff_base_s=0.1, backoff_max_s=1.0,
+                    poll_interval_s=0.02,
+                ),
+                {
+                    "schema": "repro/fleet-config/v1",
+                    "buildings": ["b1", "b2"], "campaign": _CAMPAIGN_DICT,
+                    "seed": 7, "workers": 2, "max_restarts": 5,
+                    "heartbeat_timeout_s": 10.0, "backoff_base_s": 0.1,
+                    "backoff_max_s": 1.0, "poll_interval_s": 0.02,
+                },
+            ),
+            (
+                ChaosConfig(
+                    scenario="store", seed=5, epochs=2, nodes=3,
+                    hours_per_epoch=6, buildings=2, batches=4,
+                    rows_per_batch=16, max_attempts=3, plan=_IO_PLAN,
+                ),
+                {
+                    "scenario": "store", "seed": 5, "epochs": 2, "nodes": 3,
+                    "hours_per_epoch": 6, "buildings": 2, "batches": 4,
+                    "rows_per_batch": 16, "max_attempts": 3,
+                    "plan": _IO_PLAN_DICT,
+                },
+            ),
+        ],
+        ids=[
+            "FaultPlan", "IoFaultPlan", "WorkerFault", "WorkerFaultPlan",
+            "CampaignConfig", "FleetConfig", "ChaosConfig",
+        ],
+    )
+    def test_to_dict_is_pinned_and_round_trips(self, obj, expected):
+        payload = obj.to_dict()
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert type(obj).from_dict(payload) == obj
+
+
+class TestDocumentedPlans:
+    OWNERS = {
+        FAULT_PLAN_SCHEMA: FaultPlan,
+        IO_FAULT_SCHEMA: IoFaultPlan,
+        WORKER_FAULT_SCHEMA: WorkerFaultPlan,
+    }
+
+    def test_every_fault_plan_example_in_the_docs_loads(self):
+        docs = Path(__file__).resolve().parents[1] / "docs"
+        examples = [
+            json.loads(block)
+            for doc in sorted(docs.glob("*.md"))
+            for block in re.findall(r"```json\n(.*?)```", doc.read_text(), re.S)
+            if re.search(r'"schema":\s*"[^"]*fault', block)
+        ]
+        assert len(examples) >= 3
+        for payload in examples:
+            owner = self.OWNERS.get(payload["schema"])
+            assert owner is not None, f"no plan class owns {payload['schema']!r}"
+            owner.from_dict(payload)

@@ -121,6 +121,9 @@ class TestFleetConfig:
         payload["shards"] = 4
         with pytest.raises(FleetError, match="unknown fleet-config"):
             FleetConfig.from_dict(payload)
+        del payload["shards"], payload["buildings"]
+        with pytest.raises(FleetError, match="missing fleet-config"):
+            FleetConfig.from_dict(payload)
 
 
 class TestWorkerFault:
@@ -196,3 +199,5 @@ class TestWorkerFaultPlan:
             WorkerFaultPlan.from_dict({"faults": [], "extra": 1})
         with pytest.raises(FaultConfigError, match="schema"):
             WorkerFaultPlan.from_dict({"schema": "v0", "faults": []})
+        with pytest.raises(FaultConfigError, match="missing"):
+            WorkerFault.from_dict({"building": "b1"})
