@@ -19,7 +19,8 @@ counters (visible in ``experiments stats`` when --obs is on).
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import repeat, starmap
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import FaultConfigError
 from .plan import FaultPlan, SeededInjector
@@ -90,26 +91,33 @@ class FaultInjector(SeededInjector):
     # Channel faults
     # ------------------------------------------------------------------
 
-    def _corrupt(self, bits: Sequence[int], ber: float, label: str) -> List[int]:
-        if ber <= 0.0:
-            return list(bits)
-        stream = self._stream(label)
-        out = list(bits)
-        flipped = 0
-        for index in range(len(out)):
-            if stream.random() < ber:
-                out[index] ^= 1
-                flipped += 1
-        self.record(f"{label}_bits_flipped", flipped)
-        return out
+    def _flip_mask(self, width: int, ber: float, label: str) -> int:
+        """The bits of a ``width``-bit frame the channel flips, as an XOR mask.
 
-    def corrupt_downlink(self, bits: Sequence[int]) -> List[int]:
-        """Reader->node command bits after the channel's bit flips."""
-        return self._corrupt(bits, self.plan.downlink_ber, "downlink")
+        Draws once per bit, MSB first, from the ``label`` stream, whether
+        or not a bit flips, so the stream advances by ``width`` per frame
+        at any nonzero ``ber``.  A zero rate or a zero width never draws.
+        """
+        if ber <= 0.0 or not width:
+            return 0
+        # starmap calls the bound method from C, so the per-bit draws
+        # run no bytecode of their own.
+        draws = list(starmap(self._stream(label).random, repeat((), width)))
+        if min(draws) >= ber:
+            return 0
+        mask = 0
+        for draw in draws:
+            mask = (mask << 1) | (draw < ber)
+        self.record(f"{label}_bits_flipped", bin(mask).count("1"))
+        return mask
 
-    def corrupt_uplink(self, bits: Sequence[int]) -> List[int]:
-        """Node->reader reply bits after the channel's bit flips."""
-        return self._corrupt(bits, self.plan.uplink_ber, "uplink")
+    def downlink_mask(self, width: int) -> int:
+        """The flip mask of ``width`` bits of reader->node command frames."""
+        return self._flip_mask(width, self.plan.downlink_ber, "downlink")
+
+    def uplink_mask(self, width: int) -> int:
+        """The flip mask of ``width`` bits of node->reader reply frames."""
+        return self._flip_mask(width, self.plan.uplink_ber, "uplink")
 
     def drop_reply(self) -> bool:
         """True when an uplink reply vanishes in a deep fade."""

@@ -23,7 +23,7 @@ from .packets import (
     Rn16Reply,
     SensorReport,
     SetBlf,
-    parse_command,
+    parse_frame,
 )
 from .tdma import InventoryResult, InventoryRound, SlotOutcome, TdmaInventory
 
@@ -46,7 +46,7 @@ __all__ = [
     "Rn16Reply",
     "SensorReport",
     "SetBlf",
-    "parse_command",
+    "parse_frame",
     "InventoryResult",
     "InventoryRound",
     "SlotOutcome",

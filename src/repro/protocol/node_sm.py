@@ -22,7 +22,7 @@ from .packets import (
     Rn16Reply,
     SensorReport,
     SetBlf,
-    parse_command,
+    parse_frame,
 )
 
 #: Node protocol states.
@@ -74,17 +74,18 @@ class NodeStateMachine:
             return self._on_read_sensor(command)
         raise ProtocolError(f"node cannot handle {type(command).__name__}")
 
-    def handle_bits(self, bits) -> Optional[object]:
-        """Process a raw downlink bit vector, as heard over the air.
+    def handle_frame(self, value: int, width: int) -> Optional[object]:
+        """Process a raw ``width``-bit downlink frame, as heard over the air.
 
-        This is the fault-tolerant entry point the lossy channel uses:
-        a real tag that hears a command failing its CRC (or an opcode
-        mangled into garbage) simply stays silent, so parse errors are
-        swallowed rather than raised.  Clean simulations keep calling
-        :meth:`handle` with typed commands directly.
+        This is the fault-tolerant entry point the lossy channel uses
+        for a command that arrived with bits flipped: a real tag that
+        hears a command failing its CRC (or an opcode mangled into
+        garbage) simply stays silent, so parse errors are swallowed
+        rather than raised.  Commands that arrive intact, and clean
+        simulations, go to :meth:`handle` as typed commands.
         """
         try:
-            command = parse_command(bits)
+            command = parse_frame(value, width)
         except ProtocolError:
             return None
         return self.handle(command)
@@ -144,7 +145,13 @@ class NodeStateMachine:
         if self.state != ACKNOWLEDGED:
             return None
         value = self.read_sensor(command.channel)
-        return SensorReport.from_value(self.node_id, command.channel, value)
+        try:
+            return SensorReport.from_value(self.node_id, command.channel, value)
+        except ProtocolError:
+            # The reading does not fit the report's fixed-point field.
+            # Clipping it would report a wrong value, so the node sends
+            # nothing and the reader's failed-read path takes over.
+            return None
 
     # ------------------------------------------------------------------
     # Introspection helpers

@@ -8,8 +8,11 @@ standard Gen2 Q-algorithm so the slot count tracks the population.
 
 The inventory is fault-aware: give it a
 :class:`~repro.faults.FaultPlan` and every command/reply crosses a
-lossy bit-level channel -- commands are CRC-checked node-side (a node
-silently drops what it cannot parse, as a real tag does), replies are
+lossy channel that flips bits of its frame.  The injector draws one
+flip mask per frame; a frame left intact arrives as the packet object
+that was sent, and only a frame with bits flipped is encoded, XORed
+and parsed again.  Commands are CRC-checked node-side (a node silently
+drops what it cannot parse, as a real tag does), replies are
 CRC-checked reader-side, and the reader answers corruption with
 bounded retries (``max_retries``, counted in the ``tdma.retries``
 metric).  Whatever faults remain uncorrected surface as *degraded
@@ -130,7 +133,7 @@ class TdmaInventory:
             occupy distinct sidebands (Sec. 3.4 guard-band scheme).
         seed: RNG seed for reproducibility.
         faults: Optional fault plan; commands and replies then cross a
-            lossy bit-level channel (see the module docstring).
+            lossy channel that flips frame bits (see the module docstring).
         max_retries: Reader retransmissions per command before giving
             up on a node for the slot (only exercised under faults).
     """
@@ -180,12 +183,21 @@ class TdmaInventory:
     # Air interface (fault-aware when an injector is installed)
     # ------------------------------------------------------------------
 
-    def _deliver(self, node: NodeStateMachine, command) -> Optional[object]:
-        """Send one command to one node across the (possibly lossy) channel."""
-        if self._injector is None:
-            return node.handle(command)
-        bits = self._injector.corrupt_downlink(command.to_bits())
-        return node.handle_bits(bits)
+    def _deliver(
+        self, node: NodeStateMachine, command, mask: Optional[int] = None
+    ) -> Optional[object]:
+        """Send one command to one node across the (possibly lossy) channel.
+
+        ``mask`` is the command's flip mask when the caller already drew
+        it (see :meth:`_poll`).  An intact command is the object the
+        reader holds, which is what parsing its frame would give back;
+        only a command with flipped bits is encoded and parsed node-side.
+        """
+        if mask is None and self._injector is not None:
+            mask = self._injector.downlink_mask(command.WIDTH)
+        if mask:
+            return node.handle_frame(command.to_int() ^ mask, command.WIDTH)
+        return node.handle(command)
 
     def _receive(self, reply):
         """What the reader hears of ``reply``: it, a corruption, or nothing.
@@ -198,18 +210,32 @@ class TdmaInventory:
             return reply
         if self._injector.drop_reply():
             return None
-        bits = self._injector.corrupt_uplink(reply.to_bits())
+        mask = self._injector.uplink_mask(reply.WIDTH)
+        if not mask:
+            return reply
         try:
-            return type(reply).from_bits(bits)
+            return type(reply).from_int(reply.to_int() ^ mask)
         except ProtocolError:
             self._injector.record("uplink_rejected")
             return None
 
     def _poll(self, roster: Sequence[NodeStateMachine], command) -> Dict[int, Rn16Reply]:
-        """Broadcast Query/QueryRep and gather the RN16s the reader hears."""
+        """Broadcast Query/QueryRep and gather the RN16s the reader hears.
+
+        Every node hears its own copy of the frame.  The copies' flip
+        masks are cut from one mask over the roster's copies end to end,
+        which takes the same draws, node after node, as a mask per copy.
+        """
         replies: Dict[int, Rn16Reply] = {}
+        width = command.WIDTH
+        copy_mask = (1 << width) - 1
+        shift = width * len(roster)
+        masks = 0
+        if self._injector is not None:
+            masks = self._injector.downlink_mask(shift)
         for node in roster:
-            reply = self._deliver(node, command)
+            shift -= width
+            reply = self._deliver(node, command, (masks >> shift) & copy_mask)
             if isinstance(reply, Rn16Reply):
                 heard = self._receive(reply)
                 if isinstance(heard, Rn16Reply):

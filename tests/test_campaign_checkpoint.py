@@ -160,7 +160,7 @@ class TestInjectorStateRoundTrip:
     def test_streams_and_latches_survive_export(self):
         plan = FaultPlan(seed=3, uplink_ber=0.2, stuck_sensor_rate=0.5)
         injector = FaultInjector(plan)
-        injector.corrupt_uplink([1] * 64)  # advance the uplink stream
+        injector.uplink_mask(64)  # advance the uplink stream
         from repro.protocol.packets import SensorReport
 
         first = SensorReport(node_id=1, channel="strain", raw=100)
@@ -170,9 +170,7 @@ class TestInjectorStateRoundTrip:
         clone = FaultInjector(plan)
         clone.restore_state(exported)
         # The restored stream continues exactly where the original is.
-        assert clone.corrupt_uplink([1] * 64) == injector.corrupt_uplink(
-            [1] * 64
-        )
+        assert clone.uplink_mask(64) == injector.uplink_mask(64)
         assert clone._stuck == injector._stuck
 
     def test_restore_rejects_malformed_payloads(self):

@@ -10,7 +10,7 @@ from repro.protocol import (
     Query,
     ReadSensor,
     SensorReport,
-    parse_command,
+    parse_frame,
 )
 
 
@@ -18,26 +18,23 @@ class TestCorruptedPackets:
     def test_flipped_bit_in_every_position_is_caught_or_changes_meaning(self):
         """No corrupted SensorReport may decode to a wrong value silently
         when the flip touches the protected body."""
-        report = SensorReport.from_value(7, "temperature", 26.5)
-        clean_bits = report.to_bits()
-        for index in range(len(clean_bits)):
-            corrupted = clean_bits.copy()
-            corrupted[index] ^= 1
+        frame = SensorReport.from_value(7, "temperature", 26.5).to_int()
+        for index in range(SensorReport.WIDTH):
             with pytest.raises(CrcError):
-                SensorReport.from_bits(corrupted)
+                SensorReport.from_int(frame ^ (1 << index))
 
     def test_truncated_command_rejected(self):
-        bits = Query(q=3).to_bits()
+        frame = Query(q=3).to_int()
         with pytest.raises(ProtocolError):
-            parse_command(bits[:8])
+            parse_frame(frame >> (Query.WIDTH - 8), 8)
 
     def test_garbage_command_rejected(self):
         rng = np.random.default_rng(0)
         rejected = 0
         for _ in range(50):
-            bits = list(rng.integers(0, 2, size=15))
+            frame = int(rng.integers(0, 1 << 15))
             try:
-                parse_command(bits)
+                parse_frame(frame, 15)
             except (ProtocolError, CrcError):
                 rejected += 1
         # Random 15-bit strings almost never pass both the command-code

@@ -16,7 +16,7 @@ import pytest
 
 from repro.acoustics import StructureGeometry
 from repro.campaign import CampaignConfig
-from repro.errors import FaultConfigError, FaultPlanError
+from repro.errors import CrcError, FaultConfigError, FaultPlanError, ProtocolError
 from repro.faults import (
     FAULT_PLAN_SCHEMA,
     IO_FAULT_SCHEMA,
@@ -31,12 +31,13 @@ from repro.faults import (
     ber_from_snr_db,
     plan_from_link_budget,
 )
+from repro.faults.plan import SeededInjector
 from repro.fleet import FleetConfig
 from repro.link import PlacedNode, PowerUpLink, WallSession
 from repro.materials import get_concrete
 from repro.node import EcoCapsule, Environment
 from repro.obs import observed
-from repro.protocol import NodeStateMachine, TdmaInventory
+from repro.protocol import NodeStateMachine, SensorReport, TdmaInventory, crc16
 
 
 def make_sm_nodes(count, seed=0):
@@ -220,26 +221,24 @@ class TestFaultInjector:
     def test_streams_are_seed_deterministic(self):
         plan = FaultPlan(seed=7, uplink_ber=0.3, reply_loss_rate=0.5)
         a, b = FaultInjector(plan), FaultInjector(plan)
-        bits = [0, 1] * 40
-        assert a.corrupt_uplink(bits) == b.corrupt_uplink(bits)
+        assert a.uplink_mask(80) == b.uplink_mask(80)
         assert [a.drop_reply() for _ in range(50)] == [
             b.drop_reply() for _ in range(50)
         ]
 
     def test_streams_are_independent(self):
         """Enabling one fault must not perturb another fault's draws."""
-        bits = [0, 1] * 40
         alone = FaultInjector(FaultPlan(seed=7, uplink_ber=0.3))
         combined = FaultInjector(
             FaultPlan(seed=7, uplink_ber=0.3, brownout_rate=0.5)
         )
         for _ in range(20):
             combined.brownout()  # interleave draws from another stream
-        assert alone.corrupt_uplink(bits) == combined.corrupt_uplink(bits)
+        assert alone.uplink_mask(80) == combined.uplink_mask(80)
 
     def test_certain_ber_flips_every_bit(self):
         injector = FaultInjector(FaultPlan(downlink_ber=1.0))
-        assert injector.corrupt_downlink([0, 1, 0, 1]) == [1, 0, 1, 0]
+        assert injector.downlink_mask(4) == 0b1111
         assert injector.counts["downlink_bits_flipped"] == 4
 
     def test_zero_rate_never_draws(self):
@@ -361,6 +360,135 @@ class TestTdmaUnderFaults:
                     scope.registry.counter("tdma.retries").value
                     == result.retries
                 )
+
+    def test_crc_valid_reply_with_unassigned_channel_is_rejected(
+        self, monkeypatch
+    ):
+        # CRC-16 is affine over a fixed width: XORing a body delta
+        # together with crc16(delta) ^ crc16(0) keeps any frame
+        # CRC-valid.  This mask turns channel code c into c ^ 0b100,
+        # one of the unassigned codes 4-7.
+        delta = 0b100 << 16
+        mask = (delta << 16) | (crc16(delta, 27) ^ crc16(0, 27))
+        report = SensorReport.from_value(1, "temperature", 20.0)
+        with pytest.raises(ProtocolError) as caught:
+            SensorReport.from_int(report.to_int() ^ mask)
+        assert not isinstance(caught.value, CrcError)
+
+        inventory = TdmaInventory(
+            nodes=make_sm_nodes(3, seed=30),
+            seed=7,
+            faults=FaultPlan(seed=1, uplink_ber=1e-9),
+        )
+        monkeypatch.setattr(
+            inventory._injector, "uplink_mask",
+            lambda width: mask if width == SensorReport.WIDTH else 0,
+        )
+        result = inventory.inventory_all(max_rounds=2)
+        assert result.reports == {}
+        assert result.unheard_nodes == [1, 2, 3]
+        exhausted = result.fault_counts["read_retries_exhausted"]
+        # Every read: the first reply and max_retries more, all rejected.
+        assert result.fault_counts["uplink_rejected"] == 3 * exhausted > 0
+
+
+def count_draws(monkeypatch):
+    """Count each named stream's draws, by wrapping the stream lookup."""
+    draws = {}
+    real_stream = SeededInjector._stream
+
+    class CountingStream:
+        def __init__(self, name, stream):
+            self.name, self.stream = name, stream
+
+        def random(self):
+            draws[self.name] = draws.get(self.name, 0) + 1
+            return self.stream.random()
+
+        def randrange(self, n):
+            draws[self.name] = draws.get(self.name, 0) + 1
+            return self.stream.randrange(n)
+
+    monkeypatch.setattr(
+        SeededInjector, "_stream",
+        lambda self, name: CountingStream(name, real_stream(self, name)),
+    )
+    return draws
+
+
+class TestDrawContract:
+    """The bit-error channel draws once per transmitted bit, MSB first.
+
+    One stream value per bit of every frame, whether or not a bit
+    flips and however small the error rate, on the link's own stream.
+    The counts, fault tallies and reports below were recorded from the
+    bit-list channel, which corrupted a frame's bits one draw at a time.
+    In each case one link flips bits and the other runs at a BER so
+    small that nothing flips: a draw skipped there changes no report
+    and no result hash, only the counts.
+    """
+
+    OTHER_FAULTS = dict(
+        reply_loss_rate=0.05, brownout_rate=0.05, slot_jitter_rate=0.05,
+        stuck_sensor_rate=0.3,
+    )
+    CASES = {
+        "downlink-flips": (
+            dict(downlink_ber=0.02, uplink_ber=1e-9),
+            {"brownout": 72, "brownout_slot": 5, "downlink": 3821,
+             "reply_loss": 75, "slot_jitter": 42, "stuck": 10,
+             "uplink": 1654},
+            {"brownouts": 5, "downlink_bits_flipped": 74,
+             "jittered_slots": 1, "replies_dropped": 2, "stuck_reads": 4},
+            {1: ["temperature", "strain"], 2: ["temperature", "strain"],
+             3: ["temperature", "strain"], 4: ["temperature", "strain"],
+             6: ["temperature", "strain"]},
+            (12, 42, 18, [5]),
+        ),
+        "uplink-flips": (
+            dict(downlink_ber=1e-9, uplink_ber=0.02),
+            {"brownout": 30, "brownout_slot": 2, "downlink": 2698,
+             "reply_loss": 69, "slot_jitter": 24, "stuck": 12,
+             "uplink": 2071},
+            {"brownouts": 2, "read_retries_exhausted": 5,
+             "replies_dropped": 2, "stuck_reads": 4,
+             "uplink_bits_flipped": 46, "uplink_rejected": 24},
+            {1: ["temperature", "strain"], 2: ["strain"],
+             3: ["temperature"], 4: ["temperature", "strain"],
+             5: ["temperature", "strain"], 6: ["temperature", "strain"]},
+            (5, 24, 24, []),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_draws_per_stream_match_the_bit_list_channel(
+        self, monkeypatch, case
+    ):
+        rates, draws, faults, channels, shape = self.CASES[case]
+        counted = count_draws(monkeypatch)
+        inventory = TdmaInventory(
+            nodes=make_sm_nodes(6, seed=50),
+            initial_q=2,
+            seed=9,
+            channels=("temperature", "strain"),
+            faults=FaultPlan(seed=11, **rates, **self.OTHER_FAULTS),
+        )
+        result = inventory.inventory_all(max_rounds=12)
+        assert counted == draws
+        assert result.fault_counts == faults
+        assert {
+            node_id: [r.channel for r in reports]
+            for node_id, reports in result.items()
+        } == channels
+        for node_id, reports in result.items():
+            # Every node reads 20 + (node_id - 1), on every channel.
+            assert {r.raw for r in reports} == {
+                SensorReport.from_value(node_id, "strain", 19.0 + node_id).raw
+            }
+        assert (
+            result.rounds_used, result.slots_used, result.retries,
+            result.unheard_nodes,
+        ) == shape
 
 
 class TestSessionUnderFaults:

@@ -12,7 +12,14 @@ from repro.link import PowerUpLink, UplinkPassbandSimulator
 from repro.materials import PLA, get_concrete
 from repro.node import EcoCapsule, Environment
 from repro.phy import BackscatterModulator
-from repro.protocol import Ack, Query, ReadSensor, SensorReport, TdmaInventory
+from repro.protocol import (
+    Ack,
+    Query,
+    ReadSensor,
+    SensorReport,
+    TdmaInventory,
+    int_from_bits,
+)
 from repro.reader import ReaderReceiver, ReaderTransmitter
 from repro.shm import BridgeMonitor, Footbridge
 
@@ -113,7 +120,7 @@ class TestWaveformLevelUplink:
         waveform = simulator.received_waveform(bits)
         receiver = ReaderReceiver(sample_rate=1e6, modulator=modulator)
         decoded = receiver.decode(waveform, len(bits), carrier=230e3)
-        recovered = SensorReport.from_bits(decoded)
+        recovered = SensorReport.from_int(int_from_bits(decoded))
         assert recovered.node_id == 9
         assert recovered.channel == "strain"
         assert recovered.value == pytest.approx(123.0, abs=1.0 / 32.0)
@@ -122,7 +129,7 @@ class TestWaveformLevelUplink:
         """PIE/FSK command synthesized, enveloped and decoded node-side."""
         from repro.circuits import EnvelopeDetector, LevelShifter, edge_intervals
         from repro.phy import DownlinkModulator, PieTiming, decode_edge_durations
-        from repro.protocol import parse_command
+        from repro.protocol import parse_frame
 
         sample_rate = 4e6
         timing = PieTiming(tari=250e-6, low=250e-6)
@@ -152,7 +159,7 @@ class TestWaveformLevelUplink:
         binary = LevelShifter().binarize(envelope)
         durations = edge_intervals(binary, sample_rate)
         bits = decode_edge_durations(durations, int(binary[0]), timing)
-        assert parse_command(bits) == command
+        assert parse_frame(int_from_bits(bits), len(bits)) == command
 
 
 class TestPilotStudyPipeline:

@@ -27,7 +27,6 @@ from repro.phy import (
 from repro.protocol import (
     append_crc16,
     bits_from_int,
-    crc16,
     int_from_bits,
     verify_crc16,
 )
@@ -36,6 +35,10 @@ from repro.shm import grade, pedestrian_area_occupancy
 NC = get_concrete("NC").medium
 
 bits_strategy = st.lists(st.integers(0, 1), min_size=1, max_size=128)
+#: (value, width) frames of 1 to 128 bits.
+frame_strategy = st.integers(1, 128).flatmap(
+    lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+)
 
 
 class TestBoundaryInvariants:
@@ -145,21 +148,22 @@ class TestFm0Invariants:
 
 
 class TestCrcInvariants:
-    @given(bits_strategy)
+    @given(frame_strategy)
     @settings(max_examples=80, deadline=None)
-    def test_round_trip(self, bits):
-        assert verify_crc16(append_crc16(bits)) == bits
+    def test_round_trip(self, frame):
+        value, width = frame
+        assert verify_crc16(append_crc16(value, width), width + 16) == value
 
-    @given(bits_strategy, st.integers(min_value=0, max_value=10_000))
+    @given(frame_strategy, st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=80, deadline=None)
-    def test_single_bit_flip_always_detected(self, bits, position):
+    def test_single_bit_flip_always_detected(self, frame, position):
         from repro.errors import CrcError
 
-        message = append_crc16(bits)
-        index = position % len(message)
-        message[index] ^= 1
+        value, width = frame
+        message = append_crc16(value, width)
+        index = position % (width + 16)
         with pytest.raises(CrcError):
-            verify_crc16(message)
+            verify_crc16(message ^ (1 << index), width + 16)
 
     @given(st.integers(min_value=0, max_value=0xFFFF))
     @settings(max_examples=60, deadline=None)

@@ -19,59 +19,74 @@ from hypothesis import strategies as st
 
 from repro.errors import CrcError
 from repro.phy import Fm0Decoder, bipolar, fm0_encode_baseband as encode_baseband
-from repro.protocol import append_crc16, crc5, verify_crc16
+from repro.protocol import append_crc16, crc5, crc16, verify_crc16
 
-payload_bits = st.lists(st.integers(0, 1), min_size=1, max_size=64)
+#: (value, width) payloads of 1 to 64 bits.
+payloads = st.integers(1, 64).flatmap(
+    lambda width: st.tuples(st.integers(0, (1 << width) - 1), st.just(width))
+)
 
 
 def burst_strategy(max_len):
-    """(offset_fraction, burst_bits) with the end bits set, len <= max_len."""
+    """(offset_fraction, burst) with the burst's end bits set, len <= max_len.
+
+    The burst is a ``(pattern, length)`` pair: an int whose top and
+    bottom bits (of ``length``) are both 1.
+    """
     return st.tuples(
         st.floats(0.0, 1.0, allow_nan=False),
-        st.lists(st.integers(0, 1), min_size=1, max_size=max_len).map(
-            lambda bits: [1] + bits[1:-1] + [1] if len(bits) > 1 else [1]
+        st.integers(1, max_len).flatmap(
+            lambda length: st.tuples(
+                st.integers(0, (1 << length) - 1).map(
+                    lambda inner, length=length: inner | 1 | (1 << (length - 1))
+                ),
+                st.just(length),
+            )
         ),
     )
 
 
-def apply_burst(codeword, offset_fraction, burst):
-    """XOR ``burst`` into the codeword at a position scaled to fit."""
-    span = len(codeword) - len(burst)
+def burst_mask(width, offset_fraction, burst):
+    """``burst`` placed in a ``width``-bit codeword at a scaled position."""
+    pattern, length = burst
+    span = width - length
     if span < 0:
         return None
-    start = int(round(offset_fraction * span))
-    corrupted = list(codeword)
-    for i, bit in enumerate(burst):
-        corrupted[start + i] ^= bit
-    return corrupted
+    start = int(round(offset_fraction * span))  # bits from the MSB end
+    return pattern << (span - start)
 
 
 class TestCrcBurstDetection:
-    @given(payload=payload_bits, burst=burst_strategy(16))
+    @given(payload=payloads, burst=burst_strategy(16))
     @settings(max_examples=200, deadline=None)
     def test_crc16_detects_every_burst_up_to_degree(self, payload, burst):
-        codeword = append_crc16(payload)
-        corrupted = apply_burst(codeword, *burst)
-        if corrupted is None or corrupted == codeword:
+        value, width = payload
+        mask = burst_mask(width + 16, *burst)
+        if mask is None:
             return
         with pytest.raises(CrcError):
-            verify_crc16(corrupted)
+            verify_crc16(append_crc16(value, width) ^ mask, width + 16)
 
-    @given(payload=payload_bits, burst=burst_strategy(5))
+    @given(payload=payloads, burst=burst_strategy(5))
     @settings(max_examples=200, deadline=None)
     def test_crc5_detects_every_burst_up_to_degree(self, payload, burst):
-        codeword = payload + crc5(payload)
-        corrupted = apply_burst(codeword, *burst)
-        if corrupted is None or corrupted == codeword:
+        value, width = payload
+        mask = burst_mask(width + 5, *burst)
+        if mask is None:
             return
-        body, check = corrupted[: len(payload)], corrupted[len(payload) :]
-        assert crc5(body) != check
+        corrupted = ((value << 5) | crc5(value, width)) ^ mask
+        assert crc5(corrupted >> 5, width) != corrupted & 0b11111
 
-    @given(payload=payload_bits)
+    @given(payload=payloads)
     @settings(max_examples=100, deadline=None)
     def test_clean_codewords_always_verify(self, payload):
-        assert verify_crc16(append_crc16(payload)) == payload
-        assert crc5(payload) == crc5(list(payload))
+        value, width = payload
+        codeword = append_crc16(value, width)
+        assert verify_crc16(codeword, width + 16) == value
+        # Gen2's residue check: the CRC register run over a whole clean
+        # codeword ends at 0x1D0F for CRC-16 and at 0 for CRC-5.
+        assert crc16(codeword, width + 16) ^ 0xFFFF == 0x1D0F
+        assert crc5((value << 5) | crc5(value, width), width + 5) == 0
 
 
 class TestFm0RoundTrip:

@@ -36,53 +36,50 @@ class TestBitHelpers:
 
 class TestCrc5:
     def test_length(self):
-        assert len(crc5([0, 1, 0, 1])) == 5
+        for value, width in ((0b0101, 4), (0x3FF, 10), (0, 1)):
+            assert 0 <= crc5(value, width) < 1 << 5
 
     def test_deterministic(self):
-        bits = [1, 0, 1, 1, 0, 0, 1]
-        assert crc5(bits) == crc5(bits)
+        assert crc5(0b1011001, 7) == crc5(0b1011001, 7)
 
     def test_sensitive_to_single_flip(self):
-        bits = [1, 0, 1, 1, 0, 0, 1, 0, 1, 0]
-        flipped = bits.copy()
-        flipped[3] ^= 1
-        assert crc5(bits) != crc5(flipped)
+        body = 0b1011001010
+        assert crc5(body, 10) != crc5(body ^ (1 << 6), 10)
 
     def test_rejects_non_binary(self):
         with pytest.raises(ProtocolError):
-            crc5([0, 3])
+            crc5(0b100, 2)  # three bits do not fit a 2-bit frame
+        with pytest.raises(ProtocolError):
+            crc5(-1, 4)
 
 
 class TestCrc16:
     def test_length(self):
-        assert len(crc16([1, 0, 1])) == 16
+        for value, width in ((0b101, 3), (0xFFFFFFFF, 32)):
+            assert 0 <= crc16(value, width) < 1 << 16
 
     def test_round_trip(self):
-        payload = [1, 0, 1, 1, 0, 0, 1, 0]
-        assert verify_crc16(append_crc16(payload)) == payload
+        payload = 0b10110010
+        assert verify_crc16(append_crc16(payload, 8), 24) == payload
 
     def test_detects_corruption(self):
-        message = append_crc16([1, 0, 1, 1, 0, 0, 1, 0])
-        message[2] ^= 1
+        message = append_crc16(0b10110010, 8)
         with pytest.raises(CrcError):
-            verify_crc16(message)
+            verify_crc16(message ^ (1 << (24 - 1 - 2)), 24)
 
     def test_detects_crc_corruption(self):
-        message = append_crc16([1, 0, 1, 1])
-        message[-1] ^= 1
+        message = append_crc16(0b1011, 4)
         with pytest.raises(CrcError):
-            verify_crc16(message)
+            verify_crc16(message ^ 1, 20)
 
     def test_rejects_short_message(self):
         with pytest.raises(ProtocolError):
-            verify_crc16([1] * 16)
+            verify_crc16(0xFFFF, 16)
 
     def test_detects_burst_errors(self):
-        payload = [0, 1] * 16
-        message = append_crc16(payload)
-        for start in range(0, len(payload) - 4):
-            corrupted = message.copy()
-            for i in range(start, start + 4):
-                corrupted[i] ^= 1
+        payload = int("01" * 16, 2)
+        message = append_crc16(payload, 32)
+        for start in range(0, 32 - 4):
+            burst = 0b1111 << (48 - 4 - start)
             with pytest.raises(CrcError):
-                verify_crc16(corrupted)
+                verify_crc16(message ^ burst, 48)

@@ -16,7 +16,9 @@ from repro.protocol import (
     Rn16Reply,
     SensorReport,
     SetBlf,
+    append_crc16,
 )
+from repro.protocol.packets import READ_SENSOR
 
 
 def make_node(node_id=1, seed=0):
@@ -77,15 +79,16 @@ class TestAcknowledge:
         assert node.state == READY
 
 
-class TestAcknowledgedCommands:
-    def make_acknowledged(self):
-        node = make_node()
-        reply = drive_to_reply(node)
-        node.handle(Ack(rn16=reply.rn16))
-        return node
+def make_acknowledged(node=None):
+    """``node`` (by default :func:`make_node`) singulated and acknowledged."""
+    node = node or make_node()
+    node.handle(Ack(rn16=drive_to_reply(node).rn16))
+    return node
 
+
+class TestAcknowledgedCommands:
     def test_set_blf(self):
-        node = self.make_acknowledged()
+        node = make_acknowledged()
         node.handle(SetBlf(blf_khz=18))
         assert node.blf_khz == 18
 
@@ -95,7 +98,7 @@ class TestAcknowledgedCommands:
         assert node.blf_khz == 10  # default untouched
 
     def test_read_sensor_returns_report(self):
-        node = self.make_acknowledged()
+        node = make_acknowledged()
         report = node.handle(ReadSensor(channel="temperature"))
         assert isinstance(report, SensorReport)
         assert report.node_id == node.node_id
@@ -106,9 +109,42 @@ class TestAcknowledgedCommands:
         assert node.handle(ReadSensor(channel="temperature")) is None
 
     def test_next_round_releases_the_node(self):
-        node = self.make_acknowledged()
+        node = make_acknowledged()
         node.handle(QueryRep())
         assert node.state == READY
+
+    def test_unreportable_reading_answers_nothing(self):
+        # 1500 ue of strain is a valid gauge reading the report's
+        # fixed-point field cannot carry (+/-1024).
+        node = make_acknowledged(NodeStateMachine(
+            node_id=1, read_sensor=lambda channel: 1500.0, seed=0
+        ))
+        assert node.handle(ReadSensor(channel="strain")) is None
+        assert node.is_acknowledged
+
+
+class TestFrames:
+    """``handle_frame``: a downlink frame as heard, bit flips and all."""
+
+    def test_intact_frame_is_handled_like_the_command(self):
+        node = make_acknowledged()
+        command = ReadSensor(channel="temperature")
+        report = node.handle_frame(command.to_int(), command.WIDTH)
+        assert report == node.handle(command)
+
+    @pytest.mark.parametrize("index", range(ReadSensor.WIDTH))
+    def test_flipped_frame_is_silent(self, index):
+        node = make_acknowledged()
+        frame = ReadSensor(channel="temperature").to_int() ^ (1 << index)
+        assert node.handle_frame(frame, ReadSensor.WIDTH) is None
+        assert node.is_acknowledged
+
+    @pytest.mark.parametrize("code", [4, 5, 6, 7])
+    def test_unassigned_channel_code_is_silent(self, code):
+        node = make_acknowledged()
+        frame = append_crc16((READ_SENSOR << 3) | code, 7)
+        assert node.handle_frame(frame, ReadSensor.WIDTH) is None
+        assert node.is_acknowledged
 
 
 class TestCollisionBackoff:

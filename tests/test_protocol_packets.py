@@ -11,20 +11,21 @@ from repro.protocol import (
     Rn16Reply,
     SensorReport,
     SetBlf,
-    parse_command,
+    append_crc16,
+    parse_frame,
 )
+from repro.protocol.packets import READ_SENSOR
 
 
 class TestQuery:
     def test_round_trip(self):
         query = Query(q=4, session=2)
-        assert Query.from_bits(query.to_bits()) == query
+        assert Query.from_int(query.to_int()) == query
 
     def test_crc5_protects(self):
-        bits = Query(q=4).to_bits()
-        bits[5] ^= 1
+        frame = Query(q=4).to_int() ^ (1 << (Query.WIDTH - 1 - 5))
         with pytest.raises(CrcError):
-            Query.from_bits(bits)
+            Query.from_int(frame)
 
     def test_q_range(self):
         with pytest.raises(ProtocolError):
@@ -34,22 +35,25 @@ class TestQuery:
 
     def test_wrong_length(self):
         with pytest.raises(ProtocolError):
-            Query.from_bits([0] * 10)
+            parse_frame(Query(q=4).to_int() >> 5, 10)
+        with pytest.raises(ProtocolError):
+            Query.from_int(Query(q=4).to_int() | 1 << Query.WIDTH)
 
 
 class TestQueryRep:
     def test_round_trip(self):
         rep = QueryRep(session=1)
-        assert QueryRep.from_bits(rep.to_bits()) == rep
+        assert QueryRep.from_int(rep.to_int()) == rep
 
     def test_six_bits(self):
+        assert QueryRep.WIDTH == 6
         assert len(QueryRep().to_bits()) == 6
 
 
 class TestAck:
     def test_round_trip(self):
         ack = Ack(rn16=0xBEEF)
-        assert Ack.from_bits(ack.to_bits()) == ack
+        assert Ack.from_int(ack.to_int()) == ack
 
     def test_rn16_range(self):
         with pytest.raises(ProtocolError):
@@ -59,13 +63,12 @@ class TestAck:
 class TestSetBlf:
     def test_round_trip(self):
         cmd = SetBlf(blf_khz=14)
-        assert SetBlf.from_bits(cmd.to_bits()) == cmd
+        assert SetBlf.from_int(cmd.to_int()) == cmd
 
     def test_crc16_protects(self):
-        bits = SetBlf(blf_khz=14).to_bits()
-        bits[6] ^= 1
+        frame = SetBlf(blf_khz=14).to_int() ^ (1 << (SetBlf.WIDTH - 1 - 6))
         with pytest.raises(CrcError):
-            SetBlf.from_bits(bits)
+            SetBlf.from_int(frame)
 
     def test_blf_range(self):
         with pytest.raises(ProtocolError):
@@ -78,17 +81,26 @@ class TestReadSensor:
     def test_round_trip_all_channels(self):
         for channel in ("temperature", "humidity", "strain", "acceleration"):
             cmd = ReadSensor(channel=channel)
-            assert ReadSensor.from_bits(cmd.to_bits()) == cmd
+            assert ReadSensor.from_int(cmd.to_int()) == cmd
 
     def test_unknown_channel(self):
         with pytest.raises(ProtocolError):
             ReadSensor(channel="pressure")
 
+    @pytest.mark.parametrize("code", [4, 5, 6, 7])
+    def test_unassigned_channel_code_is_a_protocol_error(self, code):
+        # A CRC-valid frame naming an unassigned channel code.
+        frame = append_crc16((READ_SENSOR << 3) | code, 7)
+        with pytest.raises(ProtocolError):
+            ReadSensor.from_int(frame)
+        with pytest.raises(ProtocolError):
+            parse_frame(frame, ReadSensor.WIDTH)
+
 
 class TestRn16Reply:
     def test_round_trip(self):
         reply = Rn16Reply(rn16=0x1234)
-        assert Rn16Reply.from_bits(reply.to_bits()) == reply
+        assert Rn16Reply.from_int(reply.to_int()) == reply
 
     def test_sixteen_bits(self):
         assert len(Rn16Reply(rn16=1).to_bits()) == 16
@@ -97,13 +109,13 @@ class TestRn16Reply:
 class TestSensorReport:
     def test_round_trip(self):
         report = SensorReport.from_value(7, "temperature", 26.5)
-        decoded = SensorReport.from_bits(report.to_bits())
+        decoded = SensorReport.from_int(report.to_int())
         assert decoded == report
         assert decoded.value == pytest.approx(26.5, abs=1.0 / 32.0)
 
     def test_negative_values(self):
         report = SensorReport.from_value(1, "strain", -312.0)
-        assert SensorReport.from_bits(report.to_bits()).value == pytest.approx(
+        assert SensorReport.from_int(report.to_int()).value == pytest.approx(
             -312.0, abs=1.0 / 32.0
         )
 
@@ -116,10 +128,15 @@ class TestSensorReport:
             SensorReport.from_value(1, "strain", 5e4)
 
     def test_crc_protects(self):
-        bits = SensorReport.from_value(7, "temperature", 26.5).to_bits()
-        bits[10] ^= 1
+        frame = SensorReport.from_value(7, "temperature", 26.5).to_int()
         with pytest.raises(CrcError):
-            SensorReport.from_bits(bits)
+            SensorReport.from_int(frame ^ (1 << (SensorReport.WIDTH - 1 - 10)))
+
+    @pytest.mark.parametrize("code", [4, 5, 6, 7])
+    def test_unassigned_channel_code_is_a_protocol_error(self, code):
+        frame = append_crc16((7 << 19) | (code << 16) | 0x8000, 27)
+        with pytest.raises(ProtocolError):
+            SensorReport.from_int(frame)
 
     def test_node_id_range(self):
         with pytest.raises(ProtocolError):
@@ -136,12 +153,12 @@ class TestParseCommand:
             ReadSensor(channel="strain"),
         ]
         for cmd in commands:
-            assert parse_command(cmd.to_bits()) == cmd
+            assert parse_frame(cmd.to_int(), cmd.WIDTH) == cmd
 
     def test_unknown_code(self):
         with pytest.raises(ProtocolError):
-            parse_command([1, 1, 1, 1] + [0] * 12)
+            parse_frame(0b1111 << 12, 16)
 
     def test_too_short(self):
         with pytest.raises(ProtocolError):
-            parse_command([1, 0])
+            parse_frame(0b10, 2)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ProtocolError
+from repro.faults import FaultPlan
 from repro.protocol import NodeStateMachine, TdmaInventory
 
 
@@ -113,6 +114,51 @@ class TestInventoryAll:
         assert result.fault_counts == {}
         assert result.rounds_used >= 1
         assert result.slots_used >= len(nodes)
+
+
+class TestUnreportableReadings:
+    """A reading outside the report's fixed-point field fails that read."""
+
+    @staticmethod
+    def strained_nodes():
+        # The strain gauge spans +/-5000 ue; the report carries +/-1024.
+        return [
+            NodeStateMachine(
+                node_id=i + 1,
+                read_sensor=lambda channel, i=i: (
+                    1500.0 if channel == "strain" else 20.0 + i
+                ),
+                seed=i,
+            )
+            for i in range(3)
+        ]
+
+    def test_other_channels_are_still_read(self):
+        inventory = TdmaInventory(
+            nodes=self.strained_nodes(), seed=1,
+            channels=("temperature", "strain"),
+        )
+        result = inventory.inventory_all()
+        assert not result.degraded
+        assert {
+            node_id: [r.channel for r in reports]
+            for node_id, reports in result.items()
+        } == {1: ["temperature"], 2: ["temperature"], 3: ["temperature"]}
+
+    @pytest.mark.parametrize(
+        "faults", [None, FaultPlan(seed=3, reply_loss_rate=1e-9)],
+        ids=["clean", "faulted"],
+    )
+    def test_node_with_no_readable_channel_is_unheard(self, faults):
+        inventory = TdmaInventory(
+            nodes=self.strained_nodes(), seed=1, channels=("strain",),
+            faults=faults,
+        )
+        result = inventory.inventory_all(max_rounds=3)
+        assert result.reports == {}
+        assert result.unheard_nodes == [1, 2, 3]
+        if faults is not None:
+            assert result.fault_counts["read_retries_exhausted"] > 0
 
 
 class TestQAdaptation:
