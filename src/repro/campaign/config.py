@@ -19,12 +19,18 @@ response-channel variance and the fault intensity.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..errors import CampaignError
-from ..faults.plan import FaultPlan, strict_fields
+from ..faults.plan import (
+    NON_NEGATIVE,
+    POSITIVE,
+    FaultPlan,
+    check_options,
+    option,
+    strict_fields,
+)
 
 #: Schema tag for serialized campaign configs.
 CAMPAIGN_CONFIG_SCHEMA = "repro/campaign-config/v1"
@@ -78,44 +84,34 @@ class CampaignConfig:
             (<= 0 disables the watchdog).
     """
 
-    epochs: int = 74
-    nodes: int = 8
-    wall_length: float = 8.0
-    tx_voltage: float = 250.0
-    hours_per_epoch: int = 168
-    samples_per_hour: int = 1
-    seed: int = 2021
+    epochs: int = option(
+        74, POSITIVE, "weekly visits to simulate (74 = 17 months)"
+    )
+    nodes: int = option(8, POSITIVE)
+    wall_length: float = option(8.0, POSITIVE)
+    tx_voltage: float = option(250.0, POSITIVE)
+    hours_per_epoch: int = option(168, POSITIVE)
+    samples_per_hour: int = option(1, POSITIVE)
+    seed: int = option(2021)
     fault_rates: Optional[Mapping[str, float]] = field(
         default_factory=lambda: dict(DEFAULT_CAMPAIGN_FAULTS)
     )
-    fault_intensity: float = 1.0
-    storm_period_epochs: int = 26
-    storm_duration_epochs: int = 2
-    storm_fault_intensity: float = 3.0
-    checkpoint_interval: int = 1
-    checkpoint_keep: int = 5
-    epoch_timeout_s: float = 120.0
+    fault_intensity: float = option(1.0, NON_NEGATIVE)
+    storm_period_epochs: int = option(
+        26, NON_NEGATIVE, "epochs between storm windows"
+    )
+    storm_duration_epochs: int = option(2, NON_NEGATIVE)
+    storm_fault_intensity: float = option(
+        3.0, NON_NEGATIVE, "fault multiplier during storm epochs"
+    )
+    checkpoint_interval: int = option(1, POSITIVE)
+    checkpoint_keep: int = option(5, POSITIVE)
+    epoch_timeout_s: float = option(
+        120.0, help="watchdog bound per epoch (<=0 disables)"
+    )
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "nodes", "hours_per_epoch", "samples_per_hour",
-                     "checkpoint_interval", "checkpoint_keep"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise CampaignError(f"{name} must be a positive int, got {value!r}")
-        for name in ("wall_length", "tx_voltage"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise CampaignError(
-                    f"{name} must be finite and positive, got {value}"
-                )
-        for name in ("fault_intensity", "storm_fault_intensity"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise CampaignError(
-                    f"{name} must be finite and non-negative, got {value}"
-                )
-        if self.storm_period_epochs < 0 or self.storm_duration_epochs < 0:
-            raise CampaignError("storm schedule fields cannot be negative")
+        check_options(self, CampaignError)
         if self.fault_rates is not None:
             # Validate eagerly (and normalize to a plain dict) so a bad
             # rate fails at config time, not mid-campaign at epoch 40.

@@ -248,8 +248,8 @@ class Campaign:
         store_building: Building component for exported series (and the
             ``_obs`` wall for the recorder).  Fleet workers set this to
             their shard's building name so many campaigns can share one
-            store root without colliding partitions.
-        store_wall: Wall component for exported series.
+            store root without colliding partitions.  Exported series
+            go to the :data:`STORE_WALL` wall.
     """
 
     def __init__(
@@ -260,13 +260,11 @@ class Campaign:
         store_dir: Optional[Union[str, Path]] = None,
         record_obs: bool = False,
         store_building: str = STORE_BUILDING,
-        store_wall: str = STORE_WALL,
     ):
         self.config = config
         self.state_dir = Path(state_dir) if state_dir is not None else None
         self.epoch_hook = epoch_hook
         self.store_building = store_building
-        self.store_wall = store_wall
         self.store: Optional[CheckpointStore] = None
         self.log: Optional[EpochLog] = None
         self.telemetry: Optional[TelemetryStore] = None
@@ -309,7 +307,6 @@ class Campaign:
         store_dir: Optional[Union[str, Path]] = None,
         record_obs: bool = False,
         store_building: str = STORE_BUILDING,
-        store_wall: str = STORE_WALL,
     ) -> Tuple["Campaign", CampaignState]:
         """Reload a campaign from its newest good checkpoint.
 
@@ -334,7 +331,7 @@ class Campaign:
         campaign = cls(
             config, state_dir=state_dir, epoch_hook=epoch_hook,
             store_dir=store_dir, record_obs=record_obs,
-            store_building=store_building, store_wall=store_wall,
+            store_building=store_building,
         )
         campaign._sync_log(state)
         if campaign.telemetry is not None:
@@ -484,7 +481,7 @@ class Campaign:
             return
         started = time.perf_counter()
         visit_hour = float(samples.epoch * self.config.hours_per_epoch)
-        building, wall = self.store_building, self.store_wall
+        building, wall = self.store_building, STORE_WALL
         try:
             with self.telemetry.writer() as writer:
                 ingest_series(
@@ -893,13 +890,12 @@ def run_campaign(
     store_dir: Optional[Union[str, Path]] = None,
     record_obs: bool = False,
     store_building: str = STORE_BUILDING,
-    store_wall: str = STORE_WALL,
 ) -> CampaignOutcome:
     """Start a fresh campaign (``campaign run``)."""
     return Campaign(
         config, state_dir=state_dir, epoch_hook=epoch_hook,
         store_dir=store_dir, record_obs=record_obs,
-        store_building=store_building, store_wall=store_wall,
+        store_building=store_building,
     ).run()
 
 
@@ -909,14 +905,12 @@ def resume_campaign(
     store_dir: Optional[Union[str, Path]] = None,
     record_obs: bool = False,
     store_building: str = STORE_BUILDING,
-    store_wall: str = STORE_WALL,
 ) -> CampaignOutcome:
     """Continue a campaign from its last good checkpoint
     (``campaign resume``)."""
     campaign, state = Campaign.resume(
         state_dir, epoch_hook=epoch_hook, store_dir=store_dir,
-        record_obs=record_obs,
-        store_building=store_building, store_wall=store_wall,
+        record_obs=record_obs, store_building=store_building,
     )
     return campaign.run(state)
 

@@ -55,17 +55,25 @@ wrong)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import random
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from .acoustics import StructureGeometry, WavePrism, paper_structures
+from .campaign import DEFAULT_CAMPAIGN_FAULTS, CampaignConfig
+from .errors import FaultConfigError, ReproError
 from .faults import FaultPlan, IoFaultPlan, WorkerFaultPlan
+from .faults.chaos import ChaosConfig
+from .faults.plan import options
+from .fleet import FleetConfig
 from .link import PlacedNode, PowerUpLink, WallSession, plan_stations
 from .materials import PLA, get_concrete
 from .node import EcoCapsule, Environment, resin_shell, steel_shell
+from .runtime import DEFAULT_TIMEOUT_S
 
 
 def _cmd_prism(args: argparse.Namespace) -> int:
@@ -236,8 +244,6 @@ def _load_plan(cls, path: str, label: str):
     shape or schema, an out-of-range rate -- exits 2 with one
     ``<label>: ...`` line, ``label`` naming the verb and its flag.
     """
-    from .errors import FaultConfigError
-
     if not path:
         return None
     try:
@@ -383,8 +389,6 @@ def _load_obs_artifact(run_dir: Path, filename: str):
 
 
 def _cmd_experiments_stats(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from .obs import render_snapshot_text
     from .runtime import load_manifest
     from .errors import ManifestError
@@ -394,7 +398,7 @@ def _cmd_experiments_stats(args: argparse.Namespace) -> int:
     if payload is None:
         return 1
     if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
     print(f"metrics for run {payload.get('run_id', run_dir.name)}:")
     print(render_snapshot_text(payload), end="")
@@ -423,7 +427,6 @@ def _cmd_experiments_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments_trace(args: argparse.Namespace) -> int:
-    import json as json_module
     import shutil
 
     from .obs import validate_chrome_trace
@@ -451,14 +454,14 @@ def _cmd_experiments_trace(args: argparse.Namespace) -> int:
             "in chrome://tracing or https://ui.perfetto.dev"
         )
         if args.json:
-            print(json_module.dumps(trace, indent=2, sort_keys=True))
+            _print_json(trace)
     return 0
 
 
 def _campaign_hook(args: argparse.Namespace):
     """The (hidden) per-epoch delay the kill-and-resume tests use to stage
     mid-epoch kills."""
-    sleep_s = getattr(args, "epoch_sleep_s", 0.0)
+    sleep_s = args.epoch_sleep_s
     if sleep_s <= 0.0:
         return None
     import time
@@ -523,47 +526,38 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                 f"epoch {store.latest_epoch()}); use `campaign resume`, or "
                 "point --state-dir at a fresh directory"
             )
-    config = _campaign_config(args, "campaign run", seed=args.seed)
+    config = _campaign(args)
     outcome = _with_obs(
         args, "campaign", lambda: run_campaign(
             config, state_dir=args.state_dir or None,
-            epoch_hook=_campaign_hook(args),
-            store_dir=args.store or None,
-            record_obs=bool(args.obs and args.store),
+            epoch_hook=_campaign_hook(args), **_export(args),
         )
     )
     return _print_campaign_outcome(args, outcome)
 
 
-def _campaign_config(args: argparse.Namespace, verb: str, **fields):
-    """The CampaignConfig the shared campaign flags describe.
+def _config(args: argparse.Namespace, cls, **fields):
+    """Config ``cls`` from its option flags in ``args`` plus ``fields``.
 
     A value the config rejects exits 2 with one ``<verb>: ...`` line.
     """
-    from .campaign import DEFAULT_CAMPAIGN_FAULTS, CampaignConfig
-    from .errors import CampaignError
-
-    faults = None if args.no_faults else dict(DEFAULT_CAMPAIGN_FAULTS)
+    flags = {name: getattr(args, name) for name in args.config_flags[cls]}
     try:
-        return CampaignConfig(
-            epochs=args.epochs,
-            nodes=args.nodes,
-            wall_length=args.wall_length,
-            tx_voltage=args.tx_voltage,
-            hours_per_epoch=args.hours_per_epoch,
-            samples_per_hour=args.samples_per_hour,
-            fault_rates=faults,
-            fault_intensity=args.fault_intensity,
-            storm_period_epochs=args.storm_period,
-            storm_duration_epochs=args.storm_duration,
-            storm_fault_intensity=args.storm_intensity,
-            checkpoint_interval=args.checkpoint_interval,
-            checkpoint_keep=args.checkpoint_keep,
-            epoch_timeout_s=args.epoch_timeout_s,
-            **fields,
-        )
-    except CampaignError as exc:
-        raise _usage_exit(f"{verb}: {exc}")
+        return cls(**flags, **fields)
+    except ReproError as exc:
+        raise _usage_exit(f"{_verb(args)}: {exc}")
+
+
+def _campaign(args: argparse.Namespace) -> CampaignConfig:
+    """The campaign of `campaign run` and `fleet run`: options, --no-faults."""
+    faults = None if args.no_faults else dict(DEFAULT_CAMPAIGN_FAULTS)
+    return _config(args, CampaignConfig, fault_rates=faults)
+
+
+def _export(args: argparse.Namespace):
+    """The ``store_dir`` and ``record_obs`` that --store and --obs ask for."""
+    return {"store_dir": args.store or None,
+            "record_obs": bool(args.obs and args.store)}
 
 
 def _with_obs(args: argparse.Namespace, label: str, runner):
@@ -613,8 +607,7 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
         outcome = _with_obs(
             args, "campaign", lambda: resume_campaign(
                 args.state_dir, epoch_hook=_campaign_hook(args),
-                store_dir=args.store or None,
-                record_obs=bool(args.obs and args.store),
+                **_export(args),
             )
         )
     except CampaignError as exc:
@@ -623,14 +616,12 @@ def _cmd_campaign_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_status(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from .campaign import campaign_status
 
     _require_campaign_dir(args.state_dir, "status")
     status = campaign_status(args.state_dir)
     if args.json:
-        print(json_module.dumps(status, indent=2, sort_keys=True))
+        _print_json(status)
         return 0
     print(f"campaign state in {status['state_dir']}:")
     if status["latest_checkpoint_epoch"] is None:
@@ -696,31 +687,21 @@ def _print_fleet_outcome(args: argparse.Namespace, outcome) -> int:
 
 def _cmd_fleet_run(args: argparse.Namespace) -> int:
     from .errors import FleetError
-    from .fleet import FleetConfig, building_names, run_fleet
+    from .fleet import building_names, run_fleet
 
-    template = _campaign_config(args, "fleet run")
+    template = _campaign(args)
     worker_faults = _load_plan(
         WorkerFaultPlan, args.worker_faults, "fleet run --worker-faults"
     )
     try:
-        config = FleetConfig(
-            buildings=building_names(args.buildings),
-            campaign=template,
-            seed=args.seed,
-            workers=args.workers,
-            max_restarts=args.max_restarts,
-            heartbeat_timeout_s=args.heartbeat_timeout_s,
-            backoff_base_s=args.backoff_base_s,
-            backoff_max_s=args.backoff_max_s,
+        config = _config(
+            args, FleetConfig,
+            buildings=building_names(args.buildings), campaign=template,
         )
         outcome = _with_obs(
             args, "fleet", lambda: run_fleet(
-                config,
-                args.fleet_dir,
-                store_dir=args.store or None,
-                worker_faults=worker_faults,
-                epoch_sleep_s=args.epoch_sleep_s,
-                record_obs=bool(args.obs and args.store),
+                config, args.fleet_dir, worker_faults=worker_faults,
+                epoch_sleep_s=args.epoch_sleep_s, **_export(args),
             )
         )
     except FleetError as exc:
@@ -735,10 +716,8 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
     try:
         outcome = _with_obs(
             args, "fleet", lambda: resume_fleet(
-                args.fleet_dir,
-                store_dir=args.store or None,
-                epoch_sleep_s=args.epoch_sleep_s,
-                record_obs=bool(args.obs and args.store),
+                args.fleet_dir, epoch_sleep_s=args.epoch_sleep_s,
+                **_export(args),
             )
         )
     except FleetError as exc:
@@ -747,8 +726,6 @@ def _cmd_fleet_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet_status(args: argparse.Namespace) -> int:
-    import json as json_module
-
     from .errors import FleetError
     from .fleet import fleet_status
 
@@ -757,7 +734,7 @@ def _cmd_fleet_status(args: argparse.Namespace) -> int:
     except FleetError as exc:
         raise _usage_exit(f"fleet status: {exc}")
     if args.json:
-        print(json_module.dumps(status, indent=2, sort_keys=True))
+        _print_json(status)
         return 0
     summary = status["summary"]
     print(
@@ -811,17 +788,13 @@ def _open_store(args: argparse.Namespace, create: bool = False):
 
 
 def _cmd_store_ingest(args: argparse.Namespace) -> int:
-    from .errors import StoreError
     from .store import ingest_campaign_result
 
     store = _open_store(args, create=True)
-    try:
-        with store.writer() as writer:
-            rows = ingest_campaign_result(
-                writer, args.result, building=args.building, wall=args.wall
-            )
-    except StoreError as exc:
-        raise SystemExit(f"store ingest: {exc}")
+    with store.writer() as writer:
+        rows = ingest_campaign_result(
+            writer, args.result, building=args.building, wall=args.wall
+        )
     print(f"ingested {rows} sample(s) from {args.result} into {args.store}")
     return 0
 
@@ -840,28 +813,22 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .errors import StoreError
     from .store import QueryEngine
 
     engine = QueryEngine(_open_store(args))
-    try:
-        payload = engine.aggregate(
-            metric=args.metric,
-            agg=args.agg,
-            building=args.building,
-            wall=args.wall,
-            node_id=args.node,
-            t0=args.t0,
-            t1=args.t1,
-            resolution=args.resolution,
-            group_by=args.group_by,
-        )
-    except StoreError as exc:
-        raise SystemExit(f"store query: {exc}")
+    payload = engine.aggregate(
+        metric=args.metric,
+        agg=args.agg,
+        building=args.building,
+        wall=args.wall,
+        node_id=args.node,
+        t0=args.t0,
+        t1=args.t1,
+        resolution=args.resolution,
+        group_by=args.group_by,
+    )
     if args.json:
-        print(json_module.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
         return 0
     header = (
         f"{payload['agg']}({payload['metric']}) over {payload['series']} "
@@ -879,23 +846,17 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_health(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .errors import ReproError
     from .store import QueryEngine
 
     engine = QueryEngine(_open_store(args))
-    try:
-        report = engine.degradation_report(
-            args.building,
-            t0=args.t0,
-            t1=args.t1,
-            stale_hours=args.stale_hours,
-        )
-    except ReproError as exc:
-        raise SystemExit(f"store health: {exc}")
+    report = engine.degradation_report(
+        args.building,
+        t0=args.t0,
+        t1=args.t1,
+        stale_hours=args.stale_hours,
+    )
     if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
         return 0
     print(f"building {report['name']}: grade {report['grade']}")
     for wall in report["walls"]:
@@ -920,11 +881,9 @@ def _cmd_store_health(args: argparse.Namespace) -> int:
 
 
 def _cmd_store_stats(args: argparse.Namespace) -> int:
-    import json as json_module
-
     stats = _open_store(args).stats()
     if args.json:
-        print(json_module.dumps(stats, indent=2, sort_keys=True))
+        _print_json(stats)
         return 0
     totals = stats["totals"]
     print(f"store {stats['root']}: {stats['series_count']} series")
@@ -953,7 +912,10 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
 
     from .errors import StoreError
     from .serve import AsyncGateway, run_gateway
+    from .serve.cache import DEFAULT_CACHE_ENTRIES
 
+    if args.cache_entries is None:
+        args.cache_entries = DEFAULT_CACHE_ENTRIES
     store = _open_store(args)
     try:
         gateway = AsyncGateway(
@@ -1011,26 +973,17 @@ def _cmd_store_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_report(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .errors import ObsError
     from .obs.report import build_report, render_report_markdown
 
-    try:
-        report = build_report(_open_store(args))
-    except ObsError as exc:
-        raise SystemExit(f"obs report: {exc}")
+    report = build_report(_open_store(args))
     if args.json:
-        print(json_module.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
     else:
         print(render_report_markdown(report), end="")
     return 0
 
 
 def _cmd_obs_trend(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from .errors import ObsError
     from .obs.trend import (
         BENCH_METRICS,
         evaluate,
@@ -1045,20 +998,14 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
         raise _usage_exit(
             f"obs trend: {args.bench_dir} holds none of {', '.join(tracked)}"
         )
-    try:
-        readings = load_bench(args.bench_dir)
-        history = load_history(args.history)
-        verdicts = evaluate(readings, history, tolerance=args.tolerance)
-        if args.record:
-            record_history(args.history, readings)
-    except ObsError as exc:
-        raise SystemExit(f"obs trend: {exc}")
+    readings = load_bench(args.bench_dir)
+    history = load_history(args.history)
+    verdicts = evaluate(readings, history, tolerance=args.tolerance)
+    if args.record:
+        record_history(args.history, readings)
     regressed = [v for v in verdicts if v["verdict"] == "regress"]
     if args.json:
-        print(json_module.dumps(
-            {"verdicts": verdicts, "regressed": len(regressed)},
-            indent=2, sort_keys=True,
-        ))
+        _print_json({"verdicts": verdicts, "regressed": len(regressed)})
     else:
         print(f"bench trends vs {args.history} "
               f"(tolerance {args.tolerance:.0%}):")
@@ -1076,11 +1023,11 @@ _CHAOS_EXIT_CODES = {"pass": 0, "degraded": 0, "loud": 4, "fail": 1}
 
 
 def _chaos_plan(args: argparse.Namespace):
-    """The ``--plan`` file (or the inactive plan), flags overriding fields."""
-    import dataclasses
+    """The ``--plan`` file (or the inactive plan), flags overriding fields.
 
+    A value the plan rejects exits 2 with one ``chaos run: ...`` line.
+    """
     plan = _load_plan(IoFaultPlan, args.plan, "chaos run --plan")
-    plan = plan or IoFaultPlan()
     overrides = {
         name: getattr(args, name)
         for name in IoFaultPlan.probabilities()
@@ -1088,14 +1035,15 @@ def _chaos_plan(args: argparse.Namespace):
     }
     if args.fault_seed is not None:
         overrides["seed"] = args.fault_seed
-    return dataclasses.replace(plan, **overrides) if overrides else plan
+    try:
+        return dataclasses.replace(plan or IoFaultPlan(), **overrides)
+    except FaultConfigError as exc:
+        raise _usage_exit(f"chaos run: {exc}")
 
 
 def _print_chaos_verdict(args: argparse.Namespace, verdict) -> int:
-    import json as json_module
-
     if args.json:
-        print(json_module.dumps(verdict, indent=2, sort_keys=True))
+        _print_json(verdict)
     else:
         print(f"chaos {verdict['scenario']}: {verdict['status'].upper()}")
         for reason in verdict.get("reasons", []):
@@ -1112,65 +1060,70 @@ def _print_chaos_verdict(args: argparse.Namespace, verdict) -> int:
 
 
 def _cmd_chaos_run(args: argparse.Namespace) -> int:
-    from .errors import ChaosError, FaultConfigError
-    from .faults.chaos import ChaosConfig, run_drill
+    from .faults.chaos import run_drill
 
-    try:
-        config = ChaosConfig(
-            scenario=args.scenario,
-            seed=args.seed,
-            epochs=args.epochs,
-            nodes=args.nodes,
-            hours_per_epoch=args.hours_per_epoch,
-            buildings=args.buildings,
-            batches=args.batches,
-            rows_per_batch=args.rows_per_batch,
-            max_attempts=args.max_attempts,
-            plan=_chaos_plan(args),
-        )
-    except (ChaosError, FaultConfigError) as exc:
-        raise _usage_exit(f"chaos run: {exc}")
+    config = _config(args, ChaosConfig, plan=_chaos_plan(args))
     try:
         verdict = run_drill(args.dir, config)
-    except (ChaosError, FaultConfigError, OSError) as exc:
+    except OSError as exc:
         raise SystemExit(f"chaos run: {exc}")
     return _print_chaos_verdict(args, verdict)
 
 
 def _cmd_chaos_verify(args: argparse.Namespace) -> int:
-    from .errors import ChaosError
     from .faults.chaos import verify_drill
 
-    try:
-        verdict = verify_drill(args.dir)
-    except ChaosError as exc:
-        raise SystemExit(f"chaos verify: {exc}")
-    return _print_chaos_verdict(args, verdict)
+    return _print_chaos_verdict(args, verify_drill(args.dir))
 
 
-def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
-    """The per-building campaign flags `campaign run` and `fleet run` share."""
-    parser.add_argument("--epochs", type=int, default=74,
-                        help="weekly visits to simulate (74 = 17 months)")
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--wall-length", type=float, default=8.0)
-    parser.add_argument("--tx-voltage", type=float, default=250.0)
-    parser.add_argument("--hours-per-epoch", type=int, default=168)
-    parser.add_argument("--samples-per-hour", type=int, default=1)
+def _print_json(payload: Any) -> None:
+    """What every ``--json`` flag prints: indented, keys sorted."""
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _add_options(parser: argparse.ArgumentParser, *configs) -> None:
+    """One flag per :func:`~repro.faults.plan.option` field of ``configs``.
+
+    The flag takes its name, type, default, help and choices from the
+    field.  A name an earlier config takes shadows the later configs'
+    field of that name: ``fleet run --seed`` is the fleet seed, and the
+    fleet's campaign template keeps its default seed.  The parser
+    records which config each flag belongs to for :func:`_config`.
+    """
+    config_flags = {}
+    taken = set()
+    for cls in configs:
+        config_flags[cls] = []
+        for f, spec in options(cls):
+            if not spec.flag or f.name in taken:
+                continue
+            taken.add(f.name)
+            config_flags[cls].append(f.name)
+            kind = type(f.default)
+            parser.add_argument(
+                f"--{f.name.replace('_', '-')}", type=kind, default=f.default,
+                help=spec.help, choices=spec.bound if kind is str else None,
+            )
+    parser.set_defaults(config_flags=config_flags)
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser, *configs) -> None:
+    """The flags of ``configs`` then of the campaign, and --no-faults."""
+    _add_options(parser, *configs, CampaignConfig)
     parser.add_argument("--no-faults", action="store_true",
                         help="disable fault injection entirely")
-    parser.add_argument("--fault-intensity", type=float, default=1.0)
-    parser.add_argument("--storm-period", type=int, default=26,
-                        help="epochs between storm windows")
-    parser.add_argument("--storm-duration", type=int, default=2)
-    parser.add_argument("--storm-intensity", type=float, default=3.0,
-                        help="fault multiplier during storm epochs")
-    parser.add_argument("--checkpoint-interval", type=int, default=1)
-    parser.add_argument("--checkpoint-keep", type=int, default=5)
-    parser.add_argument("--epoch-timeout-s", type=float, default=120.0,
-                        help="watchdog bound per epoch (<=0 disables)")
+
+
+def _add_export_flags(
+    parser: argparse.ArgumentParser, store_help: str, obs_help=None
+) -> None:
+    """--store, --obs and the hidden --epoch-sleep-s of the campaign and
+    fleet run and resume verbs."""
+    parser.add_argument("--store", default="", metavar="DIR", help=store_help)
+    parser.add_argument("--obs", action="store_true", help=obs_help)
+    # The per-epoch delay the kill-and-resume tests time their kills by.
     parser.add_argument("--epoch-sleep-s", type=float, default=0.0,
-                        help=argparse.SUPPRESS)  # CI kill-timing seam
+                        help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1244,7 +1197,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the reduced (still seeded) CI parameters",
     )
     exp_run.add_argument(
-        "--timeout", type=float, default=300.0,
+        "--timeout", type=float, default=DEFAULT_TIMEOUT_S,
         help="per-experiment timeout in seconds",
     )
     exp_run.add_argument(
@@ -1313,13 +1266,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir", default="",
         help="directory for checkpoints/log/result (empty = in-memory)",
     )
-    camp_run.add_argument("--seed", type=int, default=2021)
     _add_campaign_flags(camp_run)
-    camp_run.add_argument("--obs", action="store_true",
-                          help="collect campaign.* metrics and print them")
-    camp_run.add_argument(
-        "--store", default="", metavar="DIR",
-        help="export every epoch's telemetry into this store directory",
+    _add_export_flags(
+        camp_run, "export every epoch's telemetry into this store directory",
+        "collect campaign.* metrics and print them",
     )
     camp_run.set_defaults(func=_cmd_campaign_run)
 
@@ -1327,14 +1277,10 @@ def build_parser() -> argparse.ArgumentParser:
         "resume", help="continue a killed campaign from its last checkpoint"
     )
     camp_resume.add_argument("--state-dir", required=True)
-    camp_resume.add_argument("--obs", action="store_true")
-    camp_resume.add_argument(
-        "--store", default="", metavar="DIR",
-        help="telemetry store to continue exporting into (replayed "
+    _add_export_flags(
+        camp_resume, "telemetry store to continue exporting into (replayed "
         "epochs' earlier exports are truncated first)",
     )
-    camp_resume.add_argument("--epoch-sleep-s", type=float, default=0.0,
-                             help=argparse.SUPPRESS)
     camp_resume.set_defaults(func=_cmd_campaign_resume)
 
     camp_status = camp_sub.add_parser(
@@ -1362,31 +1308,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fl_run.add_argument("--buildings", type=int, default=4,
                         help="number of buildings (named b001..bNNN)")
-    fl_run.add_argument("--workers", type=int, default=4,
-                        help="max concurrent shard workers")
-    fl_run.add_argument("--seed", type=int, default=2021,
-                        help="fleet seed; per-building seeds derive from it")
-    fl_run.add_argument("--max-restarts", type=int, default=3,
-                        help="consecutive failures before quarantine")
-    fl_run.add_argument("--heartbeat-timeout-s", type=float, default=30.0,
-                        help="kill a worker whose heartbeat is older "
-                        "(<=0 disables the liveness watchdog)")
-    fl_run.add_argument("--backoff-base-s", type=float, default=0.25)
-    fl_run.add_argument("--backoff-max-s", type=float, default=5.0)
     fl_run.add_argument(
         "--worker-faults", default="", metavar="PLAN.JSON",
         help="inject worker-level kill/hang/poison faults "
         "(see docs/FLEET.md)",
     )
-    # Campaign template (per-building; seeds are derived, not set here).
-    _add_campaign_flags(fl_run)
-    fl_run.add_argument(
-        "--store", default="", metavar="DIR",
-        help="shared telemetry store; each building gets its own "
-        "locked partition",
+    _add_campaign_flags(fl_run, FleetConfig)
+    _add_export_flags(
+        fl_run, "shared telemetry store; each building gets its own "
+        "locked partition", "collect fleet.* metrics and print them",
     )
-    fl_run.add_argument("--obs", action="store_true",
-                        help="collect fleet.* metrics and print them")
     fl_run.set_defaults(func=_cmd_fleet_run)
 
     fl_resume = fleet_sub.add_parser(
@@ -1394,13 +1325,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="continue a killed fleet from its manifest and checkpoints",
     )
     fl_resume.add_argument("--fleet-dir", required=True)
-    fl_resume.add_argument(
-        "--store", default="", metavar="DIR",
-        help="override the store recorded in the manifest",
+    _add_export_flags(
+        fl_resume, "override the store recorded in the manifest"
     )
-    fl_resume.add_argument("--obs", action="store_true")
-    fl_resume.add_argument("--epoch-sleep-s", type=float, default=0.0,
-                           help=argparse.SUPPRESS)
     fl_resume.set_defaults(func=_cmd_fleet_resume)
 
     fl_status = fleet_sub.add_parser(
@@ -1495,8 +1422,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queued-or-executing requests before shedding with "
         "503 + Retry-After",
     )
+    # The default, DEFAULT_CACHE_ENTRIES, is filled in by the verb, so
+    # that only `store serve` imports the serving tier.
     st_serve.add_argument(
-        "--cache-entries", type=int, default=512, metavar="N",
+        "--cache-entries", type=int, metavar="N",
         help="LRU capacity of the hot-rollup block cache",
     )
     st_serve.add_argument(
@@ -1558,22 +1487,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch_run.add_argument("--dir", required=True, metavar="DIR",
                         help="drill directory (manifest + clean + drill)")
-    ch_run.add_argument(
-        "--scenario", default="campaign",
-        choices=("campaign", "fleet", "store"),
-    )
-    ch_run.add_argument("--seed", type=int, default=2021,
-                        help="workload seed (campaign/fleet/store data)")
-    ch_run.add_argument("--epochs", type=int, default=4)
-    ch_run.add_argument("--nodes", type=int, default=4)
-    ch_run.add_argument("--hours-per-epoch", type=int, default=24)
-    ch_run.add_argument("--buildings", type=int, default=3)
-    ch_run.add_argument("--batches", type=int, default=6)
-    ch_run.add_argument("--rows-per-batch", type=int, default=64)
-    ch_run.add_argument(
-        "--max-attempts", type=int, default=5,
-        help="faulted attempts per work unit before giving up loudly",
-    )
+    _add_options(ch_run, ChaosConfig)
     ch_run.add_argument(
         "--plan", default="", metavar="FILE",
         help="repro/io-faults/v1 JSON fault plan (flags override fields)",
@@ -1599,10 +1513,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _verb(args: argparse.Namespace) -> str:
+    """The verb ``args`` runs, as its error lines name it: ``fleet run``."""
+    sub = getattr(args, f"{args.command}_command", None)
+    return f"{args.command} {sub}" if sub else args.command
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        # A library error the verb does not handle: one stderr line and
+        # exit 1 (what ``SystemExit`` does with a message), no traceback.
+        raise SystemExit(f"{_verb(args)}: {exc}")
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ from ..obs import obs_event
 from ..runtime.serialize import canonical_json, read_json, write_json_atomic
 from ..store import TelemetryStore, ingest_series
 from .io import IoFaultInjector, IoFaultPlan, io_faults
-from .plan import strict_fields
+from .plan import POSITIVE, check_options, option, strict_fields
 
 #: Schema tag for the drill manifest (``chaos.json``).
 CHAOS_SCHEMA = "repro/chaos-drill/v1"
@@ -120,31 +120,21 @@ class ChaosConfig:
             plan seed, so retries see different fault draws.
     """
 
-    scenario: str = "campaign"
-    seed: int = 2021
-    epochs: int = 4
-    nodes: int = 4
-    hours_per_epoch: int = 24
-    buildings: int = 3
-    batches: int = 6
-    rows_per_batch: int = 64
-    max_attempts: int = 5
+    scenario: str = option("campaign", SCENARIOS)
+    seed: int = option(2021, help="workload seed (campaign/fleet/store data)")
+    epochs: int = option(4, POSITIVE)
+    nodes: int = option(4, POSITIVE)
+    hours_per_epoch: int = option(24, POSITIVE)
+    buildings: int = option(3, POSITIVE)
+    batches: int = option(6, POSITIVE)
+    rows_per_batch: int = option(64, POSITIVE)
+    max_attempts: int = option(
+        5, POSITIVE, "faulted attempts per work unit before giving up loudly"
+    )
     plan: IoFaultPlan = field(default_factory=IoFaultPlan)
 
     def __post_init__(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ChaosError(
-                f"unknown scenario {self.scenario!r}; options: {SCENARIOS}"
-            )
-        for name in (
-            "epochs", "nodes", "hours_per_epoch", "buildings",
-            "batches", "rows_per_batch", "max_attempts",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ChaosError(f"{name} must be a positive int, got {value!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ChaosError(f"seed must be an int, got {self.seed!r}")
+        check_options(self, ChaosError)
         if not isinstance(self.plan, IoFaultPlan):
             raise ChaosError(
                 f"plan must be an IoFaultPlan, got {type(self.plan).__name__}"

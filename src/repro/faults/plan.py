@@ -30,7 +30,9 @@ stay byte-identical.
 
 Each job the fault plans share is implemented once below, in
 :func:`strict_fields`, :class:`PlanFile`, :class:`RatePlan` and
-:class:`SeededInjector`.
+:class:`SeededInjector`.  The campaign, fleet and chaos configs share
+two more: :func:`strict_fields` parses them, and :func:`option` with
+:func:`check_options` declares and checks their settable fields.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type, Union
+from typing import (
+    Any, ClassVar, Dict, Mapping, NamedTuple, Optional, Tuple, Type, Union,
+)
 
 from ..errors import FaultConfigError, FaultPlanError
 from ..obs import obs_counter, obs_enabled
@@ -100,6 +104,80 @@ def strict_fields(
     if missing:
         raise error(f"missing {what} field(s) {missing}")
     return kwargs
+
+
+#: The bounds a numeric :func:`option` can carry, by the test its
+#: value must pass.
+POSITIVE = "positive"
+NON_NEGATIVE = "non-negative"
+_BOUNDS = {
+    POSITIVE: lambda value: value > 0,
+    NON_NEGATIVE: lambda value: value >= 0,
+}
+
+
+class Option(NamedTuple):
+    """What :func:`option` records on a config field besides its default."""
+
+    bound: Union[None, str, Tuple[str, ...]]
+    help: Optional[str]
+    flag: bool
+
+
+def option(
+    default: Union[int, float, str],
+    bound: Union[None, str, Tuple[str, ...]] = None,
+    help: Optional[str] = None,
+    *,
+    flag: bool = True,
+) -> Any:
+    """A config field that is one settable option, declared once.
+
+    The default's type is the option's type: ``int``, ``float`` or
+    ``str``.  A number's ``bound`` is :data:`POSITIVE`,
+    :data:`NON_NEGATIVE` or None; a str's is the tuple of its allowed
+    values.  The CLI derives the option's flag from the field -- name,
+    type, default, ``help`` and choices -- unless ``flag`` is False.
+    :func:`check_options` checks the value.
+    """
+    return dataclasses.field(
+        default=default, metadata={"option": Option(bound, help, flag)}
+    )
+
+
+def options(cls: type) -> Tuple[Tuple[dataclasses.Field, Option], ...]:
+    """Each :func:`option` field of dataclass ``cls`` with its spec, in order."""
+    return tuple(
+        (f, f.metadata["option"])
+        for f in dataclasses.fields(cls)
+        if "option" in f.metadata
+    )
+
+
+def check_options(config: Any, error: Type[Exception]) -> None:
+    """Check every :func:`option` field of ``config``, raising ``error``.
+
+    An int option takes an ``int`` and a float option a finite ``int``
+    or ``float``, neither a ``bool``; then the value must meet the
+    bound.  A str option takes one of its allowed values.  A value that
+    passes is stored as it came, so serialized configs do not change.
+    """
+    for f, spec in options(type(config)):
+        value = getattr(config, f.name)
+        kind = type(f.default)
+        if kind is str:
+            if value not in spec.bound:
+                raise error(f"unknown {f.name} {value!r}; options: {spec.bound}")
+            continue
+        if kind is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise error(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise error(f"{f.name} must be finite, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise error(f"{f.name} must be an int, got {value!r}")
+        if spec.bound is not None and not _BOUNDS[spec.bound](value):
+            raise error(f"{f.name} must be {spec.bound}, got {value!r}")
 
 
 class PlanFile:

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
 from ..campaign import CampaignConfig
 from ..errors import FleetError, StoreError
-from ..faults.plan import strict_fields
+from ..faults.plan import POSITIVE, check_options, option, strict_fields
 from ..store import validate_component
 
 #: Schema tag for serialized fleet configs.
@@ -95,18 +94,25 @@ class FleetConfig:
             beat at epoch boundaries.
         backoff_base_s / backoff_max_s: Bounded exponential restart
             backoff (see :func:`backoff_delay`).
-        poll_interval_s: Supervisor loop cadence.
+        poll_interval_s: Supervisor loop cadence (no CLI flag).
     """
 
     buildings: Tuple[str, ...]
     campaign: CampaignConfig = field(default_factory=CampaignConfig)
-    seed: int = 2021
-    workers: int = 4
-    max_restarts: int = 3
-    heartbeat_timeout_s: float = 30.0
-    backoff_base_s: float = 0.25
-    backoff_max_s: float = 5.0
-    poll_interval_s: float = 0.05
+    seed: int = option(
+        2021, help="fleet seed; per-building seeds derive from it"
+    )
+    workers: int = option(4, POSITIVE, "max concurrent shard workers")
+    max_restarts: int = option(
+        3, POSITIVE, "consecutive failures before quarantine"
+    )
+    heartbeat_timeout_s: float = option(
+        30.0, help="kill a worker whose heartbeat is older "
+        "(<=0 disables the liveness watchdog)"
+    )
+    backoff_base_s: float = option(0.25, POSITIVE)
+    backoff_max_s: float = option(5.0, POSITIVE)
+    poll_interval_s: float = option(0.05, POSITIVE, flag=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.buildings, str) or not isinstance(
@@ -137,25 +143,7 @@ class FleetConfig:
             raise FleetError(
                 f"campaign must be a CampaignConfig, got {self.campaign!r}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise FleetError(f"seed must be an int, got {self.seed!r}")
-        for name in ("workers", "max_restarts"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise FleetError(
-                    f"{name} must be a positive int, got {value!r}"
-                )
-        for name in ("backoff_base_s", "backoff_max_s", "poll_interval_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise FleetError(
-                    f"{name} must be a positive finite number, got {value!r}"
-                )
-        if not math.isfinite(self.heartbeat_timeout_s):
-            raise FleetError(
-                f"heartbeat_timeout_s must be finite, "
-                f"got {self.heartbeat_timeout_s!r}"
-            )
+        check_options(self, FleetError)
 
     # ------------------------------------------------------------------
     # Shard derivation

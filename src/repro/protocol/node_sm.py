@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from ..circuits.sensors import SensorError
 from ..errors import ProtocolError
 from .packets import (
     Ack,
@@ -144,12 +145,13 @@ class NodeStateMachine:
     def _on_read_sensor(self, command: ReadSensor) -> Optional[SensorReport]:
         if self.state != ACKNOWLEDGED:
             return None
-        value = self.read_sensor(command.channel)
         try:
+            value = self.read_sensor(command.channel)
             return SensorReport.from_value(self.node_id, command.channel, value)
-        except ProtocolError:
-            # The reading does not fit the report's fixed-point field.
-            # Clipping it would report a wrong value, so the node sends
+        except (SensorError, ProtocolError):
+            # The sensor refuses a value outside its range, or the
+            # reading does not fit the report's fixed-point field.
+            # Clipping would report a wrong value, so the node sends
             # nothing and the reader's failed-read path takes over.
             return None
 

@@ -390,9 +390,3 @@ class TdmaInventory:
             retries=self._retries - retries_before,
             fault_counts=self.fault_counts,
         )
-
-    def _node_by_id(self, node_id: int) -> NodeStateMachine:
-        try:
-            return self._nodes_by_id[node_id]
-        except KeyError:
-            raise ProtocolError(f"unknown node id {node_id}") from None

@@ -58,6 +58,13 @@ class TestCampaignConfig:
             ("tx_voltage", float("inf")),
             ("fault_intensity", float("nan")),
             ("storm_fault_intensity", -2.0),
+            ("epochs", True),
+            ("storm_period_epochs", 2.5),
+            ("storm_period_epochs", "2"),
+            ("storm_duration_epochs", -1),
+            ("seed", "x"),
+            ("epoch_timeout_s", float("nan")),
+            ("wall_length", "8"),
         ],
     )
     def test_rejects_bad_values(self, field, value):

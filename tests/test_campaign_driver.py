@@ -309,7 +309,8 @@ class TestWatchdog:
 class TestCli:
     ARGS = [
         "--epochs", "4", "--nodes", "3", "--hours-per-epoch", "24",
-        "--seed", "11", "--storm-period", "2", "--storm-duration", "1",
+        "--seed", "11",
+        "--storm-period-epochs", "2", "--storm-duration-epochs", "1",
     ]
 
     def test_run_status_and_refusal_to_clobber(
@@ -350,7 +351,7 @@ class TestKillDashNine:
                 "--state-dir", str(state_dir),
                 "--epochs", str(self.EPOCHS), "--nodes", "3",
                 "--hours-per-epoch", "24", "--seed", "11",
-                "--storm-period", "2", "--storm-duration", "1",
+                "--storm-period-epochs", "2", "--storm-duration-epochs", "1",
                 "--epoch-sleep-s", "0.4",
             ],
             env={**os.environ, "PYTHONPATH": "src"},

@@ -1,8 +1,31 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import dataclasses
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+import repro.cli
+from repro.campaign import CampaignConfig
 from repro.cli import build_parser, main
+from repro.faults.chaos import ChaosConfig
+from repro.faults.plan import options
+from repro.fleet import (
+    FLEET_MANIFEST_FILENAME,
+    FLEET_MANIFEST_SCHEMA,
+    FleetConfig,
+    building_names,
+)
+from repro.store import TelemetryStore, ingest_series
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestParser:
@@ -332,3 +355,203 @@ class TestBadValuesExit2:
         err = capsys.readouterr().err
         assert err.startswith(f"{verb}: ")
         assert err.count("\n") == 1
+
+
+def _verb_parser(*verb):
+    """The subparser of ``verb``, e.g. ``("fleet", "run")``."""
+    parser = build_parser()
+    for name in verb:
+        sub = next(
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parser = sub.choices[name]
+    return parser
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+class _Built(Exception):
+    """Carries the configs a verb built, raised where it would run them."""
+
+
+def _built(monkeypatch, argv):
+    """Each config ``main(argv)`` builds, by class, caught before it runs."""
+    def capture(*args, **kwargs):
+        raise _Built([a for a in args if dataclasses.is_dataclass(a)])
+
+    monkeypatch.setattr("repro.campaign.run_campaign", capture)
+    monkeypatch.setattr("repro.fleet.run_fleet", capture)
+    monkeypatch.setattr("repro.faults.chaos.run_drill", capture)
+    with pytest.raises(_Built) as excinfo:
+        main(argv)
+    (config,) = excinfo.value.args[0]
+    built = {type(config): config}
+    if isinstance(config, FleetConfig):
+        built[CampaignConfig] = config.campaign
+    return built
+
+
+class TestOneDeclarationPerOption:
+    """Each option field of the campaign, fleet and chaos configs is the
+    one declaration of its flag: name, type, default, help, choices."""
+
+    #: The verbs whose flags derive from configs, with their configs in
+    #: the order they claim flag names, and the arguments they require.
+    VERBS = {
+        ("campaign", "run"): ((CampaignConfig,), []),
+        ("fleet", "run"): ((FleetConfig, CampaignConfig), ["--fleet-dir"]),
+        ("chaos", "run"): ((ChaosConfig,), ["--dir"]),
+    }
+    #: The option fields with no flag: the supervisor's loop cadence,
+    #: and the fleet's campaign template seed, since ``fleet run --seed``
+    #: is the fleet seed.
+    WITHOUT_FLAG = {
+        ("fleet", "run", FleetConfig, "poll_interval_s"),
+        ("fleet", "run", CampaignConfig, "seed"),
+    }
+
+    def flagged(self, verb):
+        configs, _ = self.VERBS[verb]
+        return [
+            (cls, f, spec)
+            for cls in configs
+            for f, spec in options(cls)
+            if (*verb, cls, f.name) not in self.WITHOUT_FLAG
+        ]
+
+    def argv(self, verb, tmp_path):
+        _, required = self.VERBS[verb]
+        return [*verb, *(a for flag in required for a in (flag, str(tmp_path)))]
+
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_every_option_has_exactly_one_flag(self, verb):
+        configs, _ = self.VERBS[verb]
+        actions = {
+            s: a for a in _verb_parser(*verb)._actions for s in a.option_strings
+        }
+        option_flags = {
+            _flag(f.name) for cls in configs for f, _ in options(cls)
+        }
+        flagged = self.flagged(verb)
+        flags = [_flag(f.name) for _, f, _ in flagged]
+        assert len(flags) == len(set(flags))
+        assert option_flags & set(actions) == set(flags)
+        for _, f, spec in flagged:
+            action = actions[_flag(f.name)]
+            assert action.default == f.default
+            assert action.type is type(f.default)
+            assert action.help == spec.help
+            if isinstance(f.default, str):
+                assert tuple(action.choices) == spec.bound
+
+    def test_no_flags_build_the_default_configs(self, monkeypatch, tmp_path):
+        defaults = {
+            ("campaign", "run"): {CampaignConfig: CampaignConfig()},
+            ("fleet", "run"): {
+                FleetConfig: FleetConfig(buildings=building_names(4)),
+                CampaignConfig: CampaignConfig(),
+            },
+            ("chaos", "run"): {ChaosConfig: ChaosConfig()},
+        }
+        for verb, configs in defaults.items():
+            assert _built(monkeypatch, self.argv(verb, tmp_path)) == configs
+
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_each_flag_sets_its_own_field(self, verb, monkeypatch, tmp_path):
+        argv, expected = self.argv(verb, tmp_path), {}
+        for cls, f, spec in self.flagged(verb):
+            value = spec.bound[-1] if isinstance(f.default, str) else f.default + 1
+            argv += [_flag(f.name), str(value)]
+            expected[cls, f.name] = value
+        built = _built(monkeypatch, argv)
+        for (cls, name), value in expected.items():
+            assert getattr(built[cls], name) == value
+        if verb == ("fleet", "run"):
+            assert built[CampaignConfig].seed == CampaignConfig().seed
+
+
+class TestLibraryErrorsAreOneLine:
+    def test_rejected_fleet_manifest_value_exits_2(self, tmp_path, capsys):
+        config = FleetConfig(buildings=("b001",)).to_dict()
+        config["heartbeat_timeout_s"] = "30"
+        (tmp_path / FLEET_MANIFEST_FILENAME).write_text(json.dumps(
+            {"schema": FLEET_MANIFEST_SCHEMA, "config": config}
+        ))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "status", "--fleet-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            "fleet status: heartbeat_timeout_s must be a number, got '30'\n"
+        )
+
+    def test_unhandled_library_error_exits_1(self, tmp_path):
+        # A raw block that fails its CRC: `store compact` meets a
+        # SegmentError it has no handler for.
+        store = TelemetryStore(tmp_path, create=True)
+        with store.writer() as writer:
+            ingest_series(writer, "b1", "w1", "strain", np.arange(4.0), np.ones(4))
+        raw = next(tmp_path.rglob("raw.seg"))
+        data = bytearray(raw.read_bytes())
+        data[-6] ^= 0x01
+        raw.write_bytes(bytes(data))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "store", "compact",
+             "--store", str(tmp_path)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("store compact: ")
+        assert "CRC32" in done.stderr
+        assert done.stderr.count("\n") == 1
+
+
+def _fenced(text):
+    inside = False
+    for line in text.splitlines():
+        if line.lstrip().startswith("```"):
+            inside = not inside
+        elif inside:
+            yield line
+
+
+def documented_commands():
+    """Each ``python -m repro.cli`` command in the fenced blocks of the
+    docs and in the CLI docstring, as (where, argv)."""
+    docs = [
+        REPO / "README.md", *sorted((REPO / "docs").glob("*.md")),
+        REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+    ]
+    sources = [(path.name, _fenced(path.read_text())) for path in docs]
+    sources.append(("repro.cli", repro.cli.__doc__.splitlines()))
+    commands = []
+    for where, lines in sources:
+        pending = ""
+        for line in lines:
+            line = pending + line.rstrip()
+            pending = line[:-1] if line.endswith("\\") else ""
+            _, found, rest = line.partition("python -m repro.cli")
+            if pending or not found or "..." in rest:
+                continue
+            argv = shlex.split(rest, comments=True)
+            commands.append((where, argv[:-1] if argv[-1:] == ["&"] else argv))
+    return commands
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self, capsys):
+        commands = documented_commands()
+        # 97 today; the floor catches an extractor that finds none.
+        assert len(commands) > 90
+        parser = build_parser()
+        rejected = []
+        for where, argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:
+                if exc.code != 0:  # `--help` exits 0
+                    rejected.append(f"{where}: {shlex.join(argv)}")
+        assert rejected == []

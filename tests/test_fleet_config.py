@@ -105,6 +105,10 @@ class TestFleetConfig:
             FleetConfig(buildings=("b1",), backoff_base_s=0.0)
         with pytest.raises(FleetError, match="heartbeat_timeout_s"):
             FleetConfig(buildings=("b1",), heartbeat_timeout_s=float("nan"))
+        with pytest.raises(FleetError, match="workers"):
+            FleetConfig(buildings=("b1",), workers=True)
+        with pytest.raises(FleetError, match="backoff_base_s"):
+            FleetConfig(buildings=("b1",), backoff_base_s="0.25")
 
     def test_round_trip(self):
         config = FleetConfig(

@@ -160,7 +160,7 @@ class TestHashInvariance:
                 "--fleet-dir", str(fleet_dir),
                 "--buildings", "3", "--workers", "3",
                 "--epochs", "2", "--nodes", "2", "--hours-per-epoch", "6",
-                "--storm-period", "2", "--storm-duration", "1",
+                "--storm-period-epochs", "2", "--storm-duration-epochs", "1",
                 "--epoch-timeout-s", "30",
                 "--backoff-base-s", "0.01", "--backoff-max-s", "0.05",
                 "--epoch-sleep-s", "0.4",
@@ -387,7 +387,7 @@ class TestFleetCli:
             "fleet", "run", "--fleet-dir", str(tmp_path / "fleet"),
             "--buildings", "3", "--workers", "3",
             "--epochs", "2", "--nodes", "2", "--hours-per-epoch", "6",
-            "--storm-period", "2", "--storm-duration", "1",
+            "--storm-period-epochs", "2", "--storm-duration-epochs", "1",
             "--epoch-timeout-s", "30",
             "--max-restarts", "2",
             "--backoff-base-s", "0.01", "--backoff-max-s", "0.05",

@@ -66,6 +66,29 @@ class TestWallSession:
         assert result.elapsed > 0.0
         assert result.reads_per_second > 0.0
 
+    def test_sensor_out_of_its_range_loses_only_that_read(self):
+        # Node 2 sits at 500 C, outside its temperature sensor's range,
+        # which refuses the read; every other reading is delivered.
+        nodes = make_nodes([0.5, 1.0, 1.5])
+        nodes[1] = PlacedNode(
+            capsule=EcoCapsule(
+                node_id=2, environment=Environment(temperature=500.0), seed=1
+            ),
+            distance=1.0,
+        )
+        result = WallSession(
+            budget=make_budget(), nodes=nodes, tx_voltage=250.0, seed=3
+        ).run()
+        channels = {
+            node_id: sorted(r.channel for r in reports)
+            for node_id, reports in result.reports.items()
+        }
+        assert channels == {
+            1: ["humidity", "strain", "temperature"],
+            2: ["humidity", "strain"],
+            3: ["humidity", "strain", "temperature"],
+        }
+
     def test_out_of_range_nodes_stay_dark(self):
         budget = make_budget()
         reach = budget.max_range(50.0)

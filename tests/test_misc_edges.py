@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import AcousticsError, DesignError, PowerError, ProtocolError
+from repro.errors import AcousticsError, DesignError, PowerError
 
 
 class TestReaderAutoCarrier:
@@ -121,15 +121,6 @@ class TestProtocolEdges:
         node.handle(Ack(rn16=reply.rn16))
         node.handle(QueryRep())
         assert node.state == "ready"
-
-    def test_inventory_rejects_unknown_node_lookup(self):
-        from repro.protocol import NodeStateMachine, TdmaInventory
-
-        inventory = TdmaInventory(
-            nodes=[NodeStateMachine(node_id=1, read_sensor=lambda c: 0.0)]
-        )
-        with pytest.raises(ProtocolError):
-            inventory._node_by_id(99)
 
 
 class TestFrequencyResponseEdges:

@@ -221,7 +221,8 @@ class TestCampaignHeartbeat:
             "campaign", "run", "--state-dir", str(tmp_path / "state"),
             "--store", store, "--obs", "--epochs", "4", "--nodes", "3",
             "--hours-per-epoch", "24", "--samples-per-hour", "2",
-            "--seed", "5", "--storm-period", "3", "--storm-duration", "1",
+            "--seed", "5",
+            "--storm-period-epochs", "3", "--storm-duration-epochs", "1",
             "--checkpoint-interval", "2", "--epoch-timeout-s", "0",
         ]) == 0
         written = json.loads((tmp_path / "state" / "result.json").read_text())
