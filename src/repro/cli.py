@@ -807,7 +807,8 @@ def _cmd_store_compact(args: argparse.Namespace) -> int:
     )
     print(
         f"compacted {summary['series']} series: {summary['raw_rows']} raw "
-        f"row(s) -> {rollups}"
+        f"row(s) ({summary['folded_rows']} folded from commit logs) -> "
+        f"{rollups}"
     )
     return 0
 
@@ -891,6 +892,11 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
         print(
             f"  {res:7s} {info['rows']:>10d} row(s) in {info['blocks']} "
             f"block(s), {info['bytes']} bytes"
+        )
+    for building, log in stats["logs"].items():
+        print(
+            f"  {building} commit log: {log['records']} unfolded record(s), "
+            f"{log['rows']} row(s), {log['bytes']} bytes"
         )
     if stats["quarantined"]:
         print(f"  QUARANTINED segments: {', '.join(stats['quarantined'])}")

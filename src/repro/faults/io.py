@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, IO, Iterator, Optional, Tuple, TypeVar, Union
 
 from ..obs import obs_counter, obs_event
-from .plan import RatePlan, SeededInjector
+from .plan import PROBABILITY, RatePlan, SeededInjector, option
 
 #: The fault rates: every probability field except ``persistence``.
 IO_RATE_FIELDS = (
@@ -117,13 +117,13 @@ class IoFaultPlan(RatePlan):
     KIND = "io-fault"
     RATES = IO_RATE_FIELDS
 
-    enospc_write_rate: float = 0.0
-    eio_read_rate: float = 0.0
-    eio_fsync_rate: float = 0.0
-    torn_write_rate: float = 0.0
-    drop_rename_rate: float = 0.0
-    bitrot_read_rate: float = 0.0
-    persistence: float = 0.0
+    enospc_write_rate: float = option(0.0, PROBABILITY)
+    eio_read_rate: float = option(0.0, PROBABILITY)
+    eio_fsync_rate: float = option(0.0, PROBABILITY)
+    torn_write_rate: float = option(0.0, PROBABILITY)
+    drop_rename_rate: float = option(0.0, PROBABILITY)
+    bitrot_read_rate: float = option(0.0, PROBABILITY)
+    persistence: float = option(0.0, PROBABILITY)
 
 
 class IoFaultInjector(SeededInjector):

@@ -110,9 +110,11 @@ def strict_fields(
 #: value must pass.
 POSITIVE = "positive"
 NON_NEGATIVE = "non-negative"
+PROBABILITY = "a probability in [0, 1]"
 _BOUNDS = {
     POSITIVE: lambda value: value > 0,
     NON_NEGATIVE: lambda value: value >= 0,
+    PROBABILITY: lambda value: 0 <= value <= 1,
 }
 
 
@@ -135,10 +137,10 @@ def option(
 
     The default's type is the option's type: ``int``, ``float`` or
     ``str``.  A number's ``bound`` is :data:`POSITIVE`,
-    :data:`NON_NEGATIVE` or None; a str's is the tuple of its allowed
-    values.  The CLI derives the option's flag from the field -- name,
-    type, default, ``help`` and choices -- unless ``flag`` is False.
-    :func:`check_options` checks the value.
+    :data:`NON_NEGATIVE`, :data:`PROBABILITY` or None; a str's is the
+    tuple of its allowed values.  The CLI derives the option's flag
+    from the field -- name, type, default, ``help`` and choices --
+    unless ``flag`` is False.  :func:`check_options` checks the value.
     """
     return dataclasses.field(
         default=default, metadata={"option": Option(bound, help, flag)}
@@ -213,28 +215,20 @@ class RatePlan(PlanFile):
     probability outside ``RATES`` shapes *how* a fault fails, not how
     often, so it neither activates nor scales a plan.
 
-    A non-int seed raises :class:`~repro.errors.FaultConfigError`; a
-    probability that is not a number in [0, 1] raises
-    :class:`~repro.errors.FaultPlanError`.
+    Every field is an :func:`option`: the seed an int, each probability
+    a :data:`PROBABILITY`.  A value that fails :func:`check_options`
+    raises :class:`~repro.errors.FaultPlanError` (a
+    :class:`~repro.errors.FaultConfigError`).
     """
 
     SCHEMA: ClassVar[str]
     KIND: ClassVar[str]
     RATES: ClassVar[Tuple[str, ...]]
 
-    seed: int = 0
+    seed: int = option(0)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise FaultConfigError(f"seed must be an int, got {self.seed!r}")
-        for name in self.probabilities():
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise FaultPlanError(f"{name} must be a number, got {value!r}")
-            if math.isnan(value) or not 0.0 <= value <= 1.0:
-                raise FaultPlanError(
-                    f"{name} must be a probability in [0, 1], got {value}"
-                )
+        check_options(self, FaultPlanError)
 
     @classmethod
     def probabilities(cls) -> Tuple[str, ...]:
@@ -371,13 +365,13 @@ class FaultPlan(RatePlan):
     KIND = "fault-plan"
     RATES = RATE_FIELDS
 
-    downlink_ber: float = 0.0
-    uplink_ber: float = 0.0
-    reply_loss_rate: float = 0.0
-    brownout_rate: float = 0.0
-    reader_dropout_rate: float = 0.0
-    slot_jitter_rate: float = 0.0
-    stuck_sensor_rate: float = 0.0
+    downlink_ber: float = option(0.0, PROBABILITY)
+    uplink_ber: float = option(0.0, PROBABILITY)
+    reply_loss_rate: float = option(0.0, PROBABILITY)
+    brownout_rate: float = option(0.0, PROBABILITY)
+    reader_dropout_rate: float = option(0.0, PROBABILITY)
+    slot_jitter_rate: float = option(0.0, PROBABILITY)
+    stuck_sensor_rate: float = option(0.0, PROBABILITY)
 
 
 def ber_from_snr_db(snr_db: float) -> float:

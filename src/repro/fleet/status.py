@@ -24,15 +24,13 @@ from typing import Any, Dict, Optional, Union
 
 from ..campaign.checkpoint import CheckpointStore
 from ..campaign.driver import CHECKPOINT_DIRNAME, RESULT_FILENAME
-from ..errors import FleetError
-from ..runtime.serialize import read_json
 from ..store import pid_alive
 from .config import FleetConfig
 from .supervisor import (
     FLEET_MANIFEST_FILENAME,
-    FLEET_MANIFEST_SCHEMA,
     FLEET_RESULT_FILENAME,
     SHARDS_DIRNAME,
+    read_fleet_manifest,
 )
 from .worker import HEARTBEAT_FILENAME, heartbeat_age_s
 
@@ -47,25 +45,6 @@ QUARANTINED = "quarantined"
 HEALTHY_STATES = (COMPLETED, RUNNING, PENDING)
 
 
-def _read_manifest(fleet_dir: Path) -> Dict[str, Any]:
-    path = fleet_dir / FLEET_MANIFEST_FILENAME
-    if not path.exists():
-        raise FleetError(f"no fleet at {fleet_dir} (missing {path.name})")
-    try:
-        manifest = read_json(path)
-    except Exception as exc:
-        raise FleetError(f"unreadable fleet manifest {path}: {exc}")
-    if (
-        not isinstance(manifest, dict)
-        or manifest.get("schema") != FLEET_MANIFEST_SCHEMA
-    ):
-        raise FleetError(
-            f"{path} is not a fleet manifest "
-            f"(expected schema {FLEET_MANIFEST_SCHEMA!r})"
-        )
-    return manifest
-
-
 def _heartbeat_pid(shard_dir: Path) -> Optional[int]:
     try:
         payload = json.loads((shard_dir / HEARTBEAT_FILENAME).read_text())
@@ -77,7 +56,9 @@ def _heartbeat_pid(shard_dir: Path) -> Optional[int]:
 def fleet_status(fleet_dir: Union[str, Path]) -> Dict[str, Any]:
     """A JSON-ready health snapshot of a fleet directory."""
     fleet_dir = Path(fleet_dir)
-    manifest = _read_manifest(fleet_dir)
+    manifest = read_fleet_manifest(
+        fleet_dir, f"no fleet at {fleet_dir} (missing {FLEET_MANIFEST_FILENAME})"
+    )
     config = FleetConfig.from_dict(manifest["config"])
     heartbeat_budget = config.heartbeat_timeout_s
 

@@ -77,6 +77,32 @@ DONE = "done"
 QUARANTINED = "quarantined"
 
 
+def read_fleet_manifest(fleet_dir: Path, missing: str) -> Dict[str, Any]:
+    """``fleet_dir``'s manifest, checked; :class:`FleetError` otherwise.
+
+    ``missing`` is the error when there is no manifest.  The manifest
+    must carry the fleet schema and a ``config`` object.
+    """
+    path = fleet_dir / FLEET_MANIFEST_FILENAME
+    if not path.exists():
+        raise FleetError(missing)
+    try:
+        manifest = read_json(path)
+    except Exception as exc:
+        raise FleetError(f"unreadable fleet manifest {path}: {exc}")
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("schema") != FLEET_MANIFEST_SCHEMA
+    ):
+        raise FleetError(
+            f"{path} is not a fleet manifest "
+            f"(expected schema {FLEET_MANIFEST_SCHEMA!r})"
+        )
+    if not isinstance(manifest.get("config"), dict):
+        raise FleetError(f"{path} has no config object")
+    return manifest
+
+
 @dataclass
 class ShardSupervision:
     """One shard's supervision state (persisted minus the process)."""
@@ -188,23 +214,9 @@ class FleetSupervisor:
         the attempt number continue where they left off.
         """
         fleet_dir = Path(fleet_dir)
-        manifest_path = fleet_dir / FLEET_MANIFEST_FILENAME
-        if not manifest_path.exists():
-            raise FleetError(
-                f"nothing to resume: no fleet manifest under {fleet_dir}"
-            )
-        try:
-            manifest = read_json(manifest_path)
-        except Exception as exc:
-            raise FleetError(f"unreadable fleet manifest {manifest_path}: {exc}")
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("schema") != FLEET_MANIFEST_SCHEMA
-        ):
-            raise FleetError(
-                f"{manifest_path} is not a fleet manifest "
-                f"(expected schema {FLEET_MANIFEST_SCHEMA!r})"
-            )
+        manifest = read_fleet_manifest(
+            fleet_dir, f"nothing to resume: no fleet manifest under {fleet_dir}"
+        )
         config = FleetConfig.from_dict(manifest["config"])
         if store_dir is None and manifest.get("store"):
             store_dir = manifest["store"]

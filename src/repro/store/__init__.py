@@ -7,11 +7,11 @@ query engine.  The HTTP API over a store lives in :mod:`repro.serve`,
 which this package does not import.
 
 Durability follows the campaign subsystem's rules: a sample is either
-acknowledged by a segment's manifest or journal line (fsynced before
-either was written), or it does not exist; torn tails truncate
-loss-bounded; corruption is
-quarantined and raised as :class:`~repro.errors.SegmentError` -- never
-silently wrong data.
+acknowledged by a record in its building's commit log or by a segment
+manifest (each fsynced before it acknowledges anything), or it does
+not exist; torn tails truncate loss-bounded; corruption is quarantined
+and raised as :class:`~repro.errors.SegmentError` -- never silently
+wrong data.
 """
 
 from .compact import ROLLUP_WIDTHS, compact_store, rollup

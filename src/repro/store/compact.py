@@ -9,7 +9,10 @@ Compaction is *background-free and deterministic*: it is an explicit
 verb (``store compact`` / :meth:`TelemetryStore.compact`), a pure
 function of the raw data, and rewrites each rollup file atomically in
 full -- so compacting twice, or compacting a store rebuilt from the
-same ingest sequence, produces byte-identical rollup segments.  Rollup
+same ingest sequence, produces byte-identical rollup segments.  It
+folds each building's commit log first, under the building's
+partition lock, so the raw segments it reads hold every acknowledged
+row, and it holds that lock for the building's whole pass.  Rollup
 buckets are aligned to the epoch of the time base (``floor(t /
 width)``), not to the first sample, so later appends never shift
 existing bucket boundaries.
@@ -23,7 +26,7 @@ import numpy as np
 
 from ..errors import StoreError
 from ..obs import obs_counter, obs_event, obs_span
-from .keys import SeriesKey
+from .keys import SeriesKey, by_building
 from .segment import DAILY, HOURLY, RAW
 
 #: Rollup bucket widths, in the store's time unit (hours).
@@ -63,37 +66,45 @@ def rollup(
 def compact_store(
     store: Any, keys: Optional[Iterable[SeriesKey]] = None
 ) -> Dict[str, Any]:
-    """Regenerate every rollup segment from raw; returns a summary.
+    """Fold each building's commit log, then regenerate every rollup.
 
-    The summary is JSON-ready: per-resolution rollup row totals plus
-    the number of series compacted -- what the CLI verb prints.
+    Each building is one pass under its partition lock: the fold first
+    (so raw reads see every acknowledged row in ``raw.seg``), then the
+    rollups of its series.  The summary is JSON-ready: the series
+    compacted, the raw rows read, the rows the folds moved out of the
+    logs and per-resolution rollup row totals -- what the CLI verb
+    prints.
     """
     selected = list(store.keys() if keys is None else keys)
     summary: Dict[str, Any] = {
         "series": len(selected),
         "raw_rows": 0,
+        "folded_rows": 0,
         "rollup_rows": {HOURLY: 0, DAILY: 0},
     }
     with obs_span("store.compact", series=len(selected)):
-        for key in selected:
-            segment = store.segment(key)
-            data = segment.read(RAW)
-            summary["raw_rows"] += int(data["t"].size)
-            for resolution, width in ROLLUP_WIDTHS.items():
-                cols = rollup(data["t"], data["value"], width)
-                segment.replace(
-                    resolution, None if cols[0].size == 0 else list(cols)
-                )
-                summary["rollup_rows"][resolution] += int(cols[0].size)
-                obs_counter("store.rollup_rows").inc(int(cols[0].size))
+        for building, group in by_building(selected).items():
+            with store.partition(building):
+                summary["folded_rows"] += store.fold_partition(building)
+                for key in group:
+                    _compact_series(store.segment(key), summary)
     # Rollup bytes changed in place: bump the store generation so the
-    # serving tier's rollup caches drop their now-stale entries (the
-    # duck-typed guard keeps test doubles without markers working).
-    if hasattr(store, "bump_generation"):
-        summary["generation"] = store.bump_generation()
+    # serving tier's rollup caches drop their now-stale entries.
+    summary["generation"] = store.bump_generation()
     obs_counter("store.compactions").inc()
     obs_event(
         "info", "store.compacted",
         series=summary["series"], raw_rows=summary["raw_rows"],
+        folded_rows=summary["folded_rows"],
     )
     return summary
+
+
+def _compact_series(segment: Any, summary: Dict[str, Any]) -> None:
+    data = segment.read(RAW)
+    summary["raw_rows"] += int(data["t"].size)
+    for resolution, width in ROLLUP_WIDTHS.items():
+        cols = rollup(data["t"], data["value"], width)
+        segment.replace(resolution, None if cols[0].size == 0 else list(cols))
+        summary["rollup_rows"][resolution] += int(cols[0].size)
+        obs_counter("store.rollup_rows").inc(int(cols[0].size))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import PurePosixPath
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Tuple
 
 from ..errors import StoreError
 
@@ -136,3 +136,11 @@ class SeriesKey:
             node_id=int(match.group(1)),
             metric=metric,
         )
+
+
+def by_building(keys: Iterable[SeriesKey]) -> Dict[str, List[SeriesKey]]:
+    """``keys`` (deduplicated, sorted) grouped by building, in building order."""
+    grouped: Dict[str, List[SeriesKey]] = {}
+    for key in sorted(set(keys)):
+        grouped.setdefault(key.building, []).append(key)
+    return grouped

@@ -1,35 +1,51 @@
-"""Advisory per-building writer locks for the telemetry store.
+"""Per-building partition locks for the telemetry store.
 
-Two processes appending to the same building partition can interleave
-journal appends and corrupt each other's acknowledged state, so every
-:class:`~repro.store.store.StoreWriter` takes a :class:`PartitionLock`
-on each building it touches before its first flush into it.
+Every operation that mutates a building partition holds that
+building's :class:`PartitionLock` while it does:
 
-The lock is a JSON lockfile at ``segments/<building>/.writer.lock``
-created with ``O_CREAT | O_EXCL`` -- atomic on every filesystem the
-store targets.  It records the owning pid; a lock whose pid is no
-longer alive (its owner crashed or was SIGKILLed before releasing) is
-*stale* and gets reclaimed loudly -- an ``obs`` warning event plus the
-``store.locks_reclaimed`` counter -- rather than wedging the partition
-forever.  A lock held by a live foreign process raises
-:class:`~repro.errors.PartitionLockError`: the fleet supervisor treats
-that as the bug it is (two workers assigned one shard) instead of
-letting the writers race.
+* a :class:`~repro.store.store.StoreWriter`, from its first ingest into
+  the building until its context exits (its flushes append the
+  building's commit log, and may fold it);
+* compaction's pass over the building (the fold, then the rollup
+  rewrites);
+* :meth:`~repro.store.store.TelemetryStore.truncate_from` (a fold when
+  the log holds rows it must cut, then the segment rewrites).
 
-Advisory means exactly that: readers, ``truncate_from`` and the repair
-verbs do not consult the lock -- only concurrent *writers* are the
-hazard this guards against.
+Each releases the lock when it returns.  Readers never take it: the
+commit log and the segment manifests are written so that a read
+racing any of these sees every acknowledged row exactly once.
+
+The lock is ``segments/<building>/.writer.lock``, held with
+``flock(LOCK_EX)`` on an open descriptor, so the kernel releases it
+when its holder dies, however it dies.  The file records the holder's
+pid.  A holder that finds the file still naming another process (its
+owner crashed or was SIGKILLed before removing it) or holding garbage
+from a crashed half-write reclaims it loudly -- an ``obs`` warning
+event plus the ``store.locks_reclaimed`` counter.  Release removes the
+file and then drops the lock; an acquirer that locked a file which
+was removed meanwhile starts over, so two holders never coexist.
+
+:meth:`PartitionLock.acquire` waits for a live holder for up to
+:data:`LOCK_WAIT_S`, so a campaign's per-epoch flush and a ``store
+compact`` take turns, and only then raises
+:class:`~repro.errors.PartitionLockError`.  The fleet supervisor treats
+that as the bug it is (two workers assigned one shard).  A thread
+that asks for a lock it already holds through another lock object
+fails at once instead of waiting on itself.
 """
 
 from __future__ import annotations
 
 import errno
+import fcntl
 import json
 import os
+import threading
+import time
 from pathlib import Path
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
-from ..errors import PartitionLockError, StoreError
+from ..errors import PartitionLockError
 from ..obs import obs_counter, obs_event
 
 #: Lockfile name inside a building's segment directory.  Dot-prefixed
@@ -39,12 +55,28 @@ LOCK_FILENAME = ".writer.lock"
 
 LOCK_SCHEMA = "repro/store-lock/v1"
 
+#: Seconds :meth:`PartitionLock.acquire` waits for a live holder.
+#: Holders keep the lock for one flush (milliseconds), one building's
+#: compaction pass (about 0.3 s on the pilot's store) or one
+#: ``truncate_from``, so a wait this long means a stuck or misassigned
+#: writer, not a busy one.
+LOCK_WAIT_S = 10.0
+
+#: First and longest sleep between two attempts while waiting.
+_POLL_FIRST_S = 0.001
+_POLL_MAX_S = 0.05
+
+#: Locks held here: lockfile path -> (pid, thread ident) of the holder.
+#: The pid keeps a forked child from mistaking its parent's locks for
+#: its own.
+_held_here: Dict[str, Tuple[int, int]] = {}
+
 
 def pid_alive(pid: int) -> bool:
     """True when ``pid`` is a live process we could signal.
 
     ``EPERM`` counts as alive (the process exists under another uid);
-    only ``ESRCH`` -- no such process -- marks a lock stale.
+    only ``ESRCH`` -- no such process -- marks it dead.
     """
     if pid <= 0:
         return False
@@ -56,83 +88,96 @@ def pid_alive(pid: int) -> bool:
 
 
 class PartitionLock:
-    """One advisory lock over one building's segment subtree."""
+    """One lock over one building's segment subtree."""
 
     def __init__(self, segments_dir: Path, building: str):
         self.building = building
         self.path = Path(segments_dir) / building / LOCK_FILENAME
-        self._held = False
+        self._fd: Optional[int] = None
 
     # ------------------------------------------------------------------
 
     def acquire(self) -> "PartitionLock":
-        """Take the lock, reclaiming a stale one; raises
-        :class:`~repro.errors.PartitionLockError` on a live owner."""
-        if self._held:
+        """Take the lock, waiting up to :data:`LOCK_WAIT_S` for a live
+        holder; raises :class:`~repro.errors.PartitionLockError` after."""
+        if self._fd is not None:
             return self
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        body = json.dumps(
-            {"schema": LOCK_SCHEMA, "building": self.building, "pid": os.getpid()}
-        )
-        # Bounded retry: losing an O_EXCL race to another reclaimer is
-        # the only loop-back, and it resolves in one extra pass.
-        for _ in range(8):
+        deadline = None
+        delay = _POLL_FIRST_S
+        while True:
+            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._break_stale():
-                    continue
-                raise PartitionLockError(
-                    self.building, self.path, self._owner_pid()
-                )
-            try:
-                os.write(fd, body.encode("utf-8"))
-            finally:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
                 os.close(fd)
-            self._held = True
-            return self
-        raise StoreError(
-            f"could not acquire partition lock {self.path} "
-            f"(lost the creation race repeatedly)"
-        )
+                if _held_here.get(str(self.path)) == _holder():
+                    # Waiting would wait on ourselves.
+                    raise PartitionLockError(
+                        self.building, self.path, os.getpid()
+                    )
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + LOCK_WAIT_S
+                    obs_counter("store.lock_waits").inc()
+                if now >= deadline:
+                    raise PartitionLockError(
+                        self.building, self.path, self._owner_pid()
+                    )
+                time.sleep(min(delay, deadline - now))
+                delay = min(2.0 * delay, _POLL_MAX_S)
+                continue
+            if self._is_current(fd):
+                break
+            os.close(fd)  # locked a file its holder removed: start over
+        self._claim(fd)
+        self._fd = fd
+        _held_here[str(self.path)] = _holder()
+        return self
 
     def release(self) -> None:
         """Drop the lock; idempotent, tolerates an already-removed file."""
-        if not self._held:
+        fd, self._fd = self._fd, None
+        if fd is None:
             return
-        self._held = False
+        _held_here.pop(str(self.path), None)
         try:
             self.path.unlink()
         except FileNotFoundError:
             pass
+        finally:
+            os.close(fd)
 
     # ------------------------------------------------------------------
 
+    def _is_current(self, fd: int) -> bool:
+        """Whether ``fd`` is still the file at the lock's path."""
+        try:
+            return os.stat(self.path).st_ino == os.fstat(fd).st_ino
+        except FileNotFoundError:
+            return False
+
+    def _claim(self, fd: int) -> None:
+        """Write our pid over whatever a dead holder left (loudly)."""
+        previous = os.pread(fd, 4096, 0)
+        if previous:
+            obs_counter("store.locks_reclaimed").inc()
+            obs_event(
+                "warning", "store.lock_reclaimed",
+                building=self.building, path=str(self.path),
+                stale_pid=_pid_in(previous),
+            )
+        body = json.dumps(
+            {"schema": LOCK_SCHEMA, "building": self.building, "pid": os.getpid()}
+        ).encode("utf-8")
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, body, 0)
+
     def _owner_pid(self) -> Optional[int]:
         try:
-            payload = json.loads(self.path.read_text())
-            return int(payload.get("pid"))
-        except (OSError, ValueError, TypeError):
+            return _pid_in(self.path.read_bytes())
+        except OSError:
             return None
-
-    def _break_stale(self) -> bool:
-        """Remove the existing lockfile when its owner is dead (or the
-        file is unreadable garbage from a crashed half-write).  Returns
-        True when the caller should retry the exclusive create."""
-        pid = self._owner_pid()
-        if pid is not None and pid_alive(pid):
-            return False
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass  # someone else broke it first; retry the create
-        obs_counter("store.locks_reclaimed").inc()
-        obs_event(
-            "warning", "store.lock_reclaimed",
-            building=self.building, path=str(self.path),
-            stale_pid=pid,
-        )
-        return True
 
     # ------------------------------------------------------------------
 
@@ -141,3 +186,15 @@ class PartitionLock:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.release()
+
+
+def _holder() -> Tuple[int, int]:
+    return os.getpid(), threading.get_ident()
+
+
+def _pid_in(body: bytes) -> Optional[int]:
+    """The pid a lockfile's bytes name, or None for garbage."""
+    try:
+        return int(json.loads(body.decode("utf-8")).get("pid"))
+    except (ValueError, TypeError, AttributeError, UnicodeDecodeError):
+        return None

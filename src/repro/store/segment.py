@@ -1,42 +1,41 @@
-"""Append-only columnar segments with per-block CRC32, a manifest and a journal.
+"""Append-only columnar segments with per-block CRC32 and a manifest.
 
 One *segment directory* holds everything the store knows about one
 series: an append-only binary file per resolution (``raw.seg``,
-``hourly.seg``, ``daily.seg``), one canonical-JSON ``manifest.json``
-(schema ``repro/store-segment/v2``) indexing every block -- offset,
-length, row count, time range and CRC32 -- and a ``journal.jsonl`` of
-the blocks appended since the manifest was last written.
+``hourly.seg``, ``daily.seg``) and one canonical-JSON
+``manifest.json`` (schema ``repro/store-segment/v2``) indexing every
+block -- offset, length, row count, time range and CRC32.
 
-Acknowledging a block costs one appended line, not a manifest rewrite.
-The durability idioms mirror the campaign runtime's
+Raw blocks are acknowledged first by the building's commit log
+(:mod:`repro.store.commitlog`), one record per writer flush.  A series'
+index is its manifest plus the log's entries for it that the manifest
+does not yet hold: each manifest records ``log_seq``, the last log
+sequence folded into it, and readers skip the entries up to it.
+:meth:`SegmentDir.fold` -- run under the building's partition lock --
+appends those frames byte-for-byte to ``raw.seg`` and fsyncs it, then
+writes the manifest and reads it back; only after that may the log
+drop them.  The durability idioms mirror the campaign runtime's
 (:mod:`repro.campaign.checkpoint` / :mod:`repro.campaign.log`):
 
-* a block is appended + fsynced to its data file *before* one
-  CRC-framed line describing it (:mod:`repro.runtime.crclog`) is
-  appended + fsynced to the journal, so the journal only ever
-  acknowledges bytes that are already on the platters;
-* only :meth:`SegmentDir.replace` (compaction, ``truncate_from``)
-  rewrites the manifest, through fsync-then-rename: it writes the whole
-  index, journal blocks included, under a new ``snapshot`` id, then
-  empties the journal.  Every journal line carries the snapshot id of
-  the manifest it extends, so lines a crash left behind between that
-  rename and the reset are recognised as already folded and skipped;
-* on append, bytes past the acknowledged length (a torn append, a
-  crash between data-fsync and journal append) and a journal line that
-  never got its newline are truncated away -- loss bounded to the one
-  unacknowledged block;
-* a file *shorter* than acknowledged, a block or journal line whose
-  CRC32 does not match, a journal that skips offsets or runs ahead of
-  its manifest, or an unparseable manifest is real corruption: the
-  segment is quarantined to ``.quarantine/`` (forensic evidence, never
-  deleted) and the access raises a loud
-  :class:`~repro.errors.SegmentError` -- the failure mode is always
-  "recovered" or "loud error", never a silently wrong query result.
+* the manifest is replaced by fsync-then-rename and only ever indexes
+  bytes that are already on the platters;
+* bytes past the acknowledged length (a fold or append whose manifest
+  write never happened) are truncated away by the next mutator --
+  loss bounded to what nothing acknowledged;
+* a file *shorter* than acknowledged, a block whose CRC32 does not
+  match, or an unparseable manifest is real corruption: the segment is
+  quarantined to ``.quarantine/`` (forensic evidence, never deleted)
+  and the access raises a loud :class:`~repro.errors.SegmentError` --
+  the failure mode is always "recovered" or "loud error", never a
+  silently wrong query result.
 
-Version-1 segments (no journal, the manifest rewritten per block) still
-load.  The first append to one rewrites its manifest as v2, which a
-v1-only reader refuses instead of truncating journal-acknowledged
-blocks as torn tails.
+Stores written before the commit log acknowledged blocks with a
+per-segment ``journal.jsonl`` of CRC-framed lines
+(:mod:`repro.runtime.crclog`), each tagged with the ``snapshot`` id of
+the manifest it extends.  Readers still apply those lines, and the
+first fold of the building writes them into the manifest and removes
+the file.  Version-1 manifests (no snapshot) still load; the first
+write rewrites them as v2.
 
 Block frame (all integers little-endian)::
 
@@ -55,7 +54,8 @@ import threading
 import zlib
 from pathlib import Path
 from typing import (
-    Any, Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple, Union,
+    Any, Dict, List, Mapping, NamedTuple, NoReturn, Optional, Sequence, Tuple,
+    Union,
 )
 
 import numpy as np
@@ -77,6 +77,7 @@ from ..runtime.serialize import (
     write_json_atomic,
     write_json_atomic_verified,
 )
+from .commitlog import CommitLog, LogEntry
 
 #: Schema tag stamped into every segment manifest.
 SEGMENT_SCHEMA = "repro/store-segment/v2"
@@ -84,7 +85,7 @@ SEGMENT_SCHEMA = "repro/store-segment/v2"
 #: Manifests written before the journal existed (still readable).
 SEGMENT_SCHEMA_V1 = "repro/store-segment/v1"
 
-#: Schema tag of every journal line.
+#: Schema tag of every line of a pre-commit-log journal.
 JOURNAL_SCHEMA = "repro/store-journal/v1"
 
 #: Resolutions a segment directory may hold, coarsest last.
@@ -241,12 +242,40 @@ def _with_entry(
     return dict(manifest, files=files)
 
 
-class _Index(NamedTuple):
-    """A parsed block index and the exact bytes it was parsed from."""
+def _appended(
+    entry: Dict[str, Any], frames: Sequence[Tuple[Mapping[str, Any], Optional[bytes]]]
+) -> Dict[str, Any]:
+    """``entry`` with one block per ``(meta, frame)`` appended after it.
 
+    A block that carries its ``frame`` bytes is not in the file yet: it
+    is a commit-log entry merged into a reader's index.
+    """
+    blocks = list(entry["blocks"])
+    offset, rows = entry["bytes"], entry["rows"]
+    for meta, frame in frames:
+        block = {f: meta[f] for f in _BLOCK_FIELDS[1:]}
+        block["offset"] = offset
+        if frame is not None:
+            block["frame"] = frame
+        blocks.append(block)
+        offset += meta["length"]
+        rows += meta["n"]
+    return dict(entry, blocks=blocks, bytes=offset, rows=rows)
+
+
+class _Index(NamedTuple):
+    """A series' block index and the exact inputs it was built from.
+
+    ``manifest`` is the manifest on disk (with any pre-commit-log
+    journal applied); ``merged`` adds the log entries it does not hold
+    yet, and is what readers see.
+    """
+
+    entries: Tuple[LogEntry, ...]
     journal: bytes
     manifest_text: Optional[str]
     manifest: Dict[str, Any]
+    merged: Dict[str, Any]
 
 
 class SegmentDir:
@@ -254,20 +283,23 @@ class SegmentDir:
 
     A :class:`~repro.store.store.TelemetryStore` keeps one object per
     series and calls :meth:`begin_use` each time it hands it out.  The
-    first index access of a use reads the journal, then the manifest,
-    and reuses the held index only when both are byte-for-byte the ones
-    it was parsed from; otherwise it parses and validates the bytes just
-    read.  Later accesses in the same use (per thread) see that same
-    index, as a freshly constructed object would.  Writes never edit a
-    published index: they drop it, so the next use parses what they
-    wrote.
+    first index access of a use reads the building's commit log, the
+    journal a pre-commit-log store may have left, then the manifest,
+    and reuses the held index only when all three are the ones it was
+    built from; otherwise it parses and validates what it just read.
+    Later accesses in the same use (per thread) see that same index, as
+    a freshly constructed object would.  Writes never edit a published
+    index: they drop it, so the next use parses what they wrote.
 
     Args:
-        directory: The segment directory (created on first append).
+        directory: The segment directory (created on first write).
         key_dict: The owning series key as a plain dict, stamped into
             the manifest so a directory is self-describing.
         quarantine_root: Where corrupt segments are moved; usually the
             store's ``.quarantine/`` directory.
+        log: The building's commit log; None for a segment outside
+            any store.
+        log_key: This series' name in the log's records.
     """
 
     def __init__(
@@ -275,27 +307,34 @@ class SegmentDir:
         directory: Union[str, Path],
         key_dict: Mapping[str, Any],
         quarantine_root: Union[str, Path],
+        log: Optional[CommitLog] = None,
+        log_key: str = "",
     ):
         self.directory = Path(directory)
         self.manifest_path = self.directory / MANIFEST_FILENAME
         self.journal_path = self.directory / JOURNAL_FILENAME
         self.key_dict = dict(key_dict)
         self.quarantine_root = Path(quarantine_root)
-        #: The held index: the last one parsed from disk, with its bytes.
+        self._log = log
+        self._log_key = log_key
+        #: Nothing writes a journal any more, so once it is gone it
+        #: stays gone: reads stop looking for it.
+        self._journal_gone = False
+        #: The held index: the last one parsed from disk, with its inputs.
         self._manifest: Optional[_Index] = None
-        #: Per thread, ``index``: the full block index (manifest plus
-        #: journal) this thread's current use works on, once loaded.
+        #: Per thread, ``index``: the :class:`_Index` this thread's
+        #: current use works on, once loaded.
         self._use = threading.local()
 
     def begin_use(self) -> None:
         """Start a new use on this thread: the next index access re-reads."""
         self._use.index = None
 
-    def _use_index(self) -> Optional[Dict[str, Any]]:
+    def _use_index(self) -> Optional[_Index]:
         return getattr(self._use, "index", None)
 
     # ------------------------------------------------------------------
-    # Manifest + journal
+    # Manifest + index
     # ------------------------------------------------------------------
 
     def seg_path(self, resolution: str) -> Path:
@@ -354,30 +393,23 @@ class SegmentDir:
         payload.setdefault("snapshot", 0)  # v1: never written as v2
         return payload
 
-    def _read_manifest(self) -> Optional[Dict[str, Any]]:
-        """``manifest.json`` alone, shape-checked; None when there is none."""
-        text = self._manifest_text()
-        return None if text is None else self._parse_manifest(text)
-
     def _journal_bytes(self) -> bytes:
-        """The journal's bytes (empty when there is no journal)."""
+        """The pre-commit-log journal's bytes (empty when there is none)."""
+        if self._journal_gone:
+            return b""
         try:
             return retry_io(
                 lambda: io_read_bytes(self.journal_path),
                 f"segment_journal_read:{self.directory.name}",
             )
         except FileNotFoundError:
+            self._journal_gone = True
             return b""
         except OSError as exc:
             raise SegmentError(f"cannot read {self.journal_path}: {exc}")
 
     def _journal_records(self, raw: bytes) -> List[Dict[str, Any]]:
-        """Every complete journal line's record; a torn tail is ignored.
-
-        Ignoring (not truncating) a torn tail keeps readers from
-        mutating a segment whose writer may be mid-append; the writer
-        cuts it on its next append.
-        """
+        """Every complete journal line's record; a torn tail is ignored."""
         scan = crclog.scan_lines(raw, JOURNAL_SCHEMA)
         if scan.bad is not None:
             self._corrupt(f"journal line at byte {scan.good_bytes}: {scan.bad}")
@@ -387,41 +419,47 @@ class SegmentDir:
                 self._corrupt(problem)
         return scan.records
 
-    def _load_manifest(self) -> Dict[str, Any]:
-        """The full block index: the manifest plus its journal's blocks."""
-        manifest = self._use_index()
-        if manifest is not None:
-            return manifest
+    def _load_index(self) -> _Index:
+        """This use's index, read and parsed on its first access."""
+        index = self._use_index()
+        if index is not None:
+            return index
         held = self._manifest
-        # The journal is read before the manifest: a concurrent replace()
-        # renames its manifest before it empties the journal, so lines
-        # read first are either still current or already folded into
-        # the manifest read second -- never lost in between.
+        # The log is read before the manifest, and the journal before
+        # the manifest too: a fold writes the manifest before it drops
+        # what it folded, so whatever these reads miss, the manifest
+        # read after them holds -- nothing is lost in between.
+        entries = self._log.entries(self._log_key) if self._log else ()
         journal = self._journal_bytes()
-        records = None
-        if held is None or journal != held.journal:
-            records = self._journal_records(journal)
         text = self._manifest_text()
-        if records is None and text == held.manifest_text:
-            index = held  # both byte-identical: skip the parse
+        if (
+            held is not None
+            and held.entries == entries
+            and journal == held.journal
+            and text == held.manifest_text
+        ):
+            index = held  # the same inputs: skip the parse
         else:
-            if records is None:
-                records = self._journal_records(journal)
-            index = _Index(journal, text, self._fold(text, records))
+            manifest = self._apply_journal(
+                text, self._journal_records(journal) if journal else []
+            )
+            index = _Index(
+                entries, journal, text, manifest, self._merge(manifest, entries)
+            )
             self._manifest = index
-        self._use.index = index.manifest
-        return index.manifest
+        self._use.index = index
+        return index
 
-    def _fold(
+    def _apply_journal(
         self, text: Optional[str], records: List[Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The manifest in ``text`` with the journal ``records`` appended."""
+        """The manifest in ``text`` with its journal ``records`` appended."""
         manifest = None if text is None else self._parse_manifest(text)
         if manifest is None:
             manifest, records = self._fresh_manifest(), []
         snapshot = manifest["snapshot"]
         if records and all(r["snapshot"] < snapshot for r in records):
-            records = []  # folded by a replace() whose reset never ran
+            records = []  # already written into this manifest
         files = manifest["files"]
         for record in records:
             if record["snapshot"] != snapshot:
@@ -443,6 +481,18 @@ class SegmentDir:
         return manifest
 
     @staticmethod
+    def _merge(
+        manifest: Dict[str, Any], entries: Sequence[LogEntry]
+    ) -> Dict[str, Any]:
+        """``manifest`` plus the log ``entries`` it does not hold yet."""
+        folded = manifest.get("log_seq", 0)
+        pending = [(e._asdict(), e.frame) for e in entries if e.seq > folded]
+        if not pending:
+            return manifest
+        entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
+        return _with_entry(manifest, RAW, _appended(entry, pending))
+
+    @staticmethod
     def _manifest_problems(payload: Any) -> List[str]:
         if not isinstance(payload, dict):
             return ["manifest is not an object"]
@@ -451,6 +501,9 @@ class SegmentDir:
             return [f"wrong schema {schema!r}"]
         if schema == SEGMENT_SCHEMA and not isinstance(payload.get("snapshot"), int):
             return ["manifest has no snapshot id"]
+        log_seq = payload.get("log_seq", 0)
+        if not isinstance(log_seq, int) or log_seq < 0:
+            return ["manifest has a malformed log_seq"]
         files = payload.get("files")
         if not isinstance(files, dict):
             return ["manifest has no files object"]
@@ -483,40 +536,71 @@ class SegmentDir:
         return []
 
     def _write_manifest(
-        self, manifest: Dict[str, Any], durable: bool = True
-    ) -> None:
-        """Write the full index under a new snapshot id; empty the journal.
+        self, manifest: Dict[str, Any], durable: bool = True, verified: bool = False
+    ) -> Dict[str, Any]:
+        """Write ``manifest`` under a new snapshot id; returns what was written.
 
-        The journal file is created before the rename, so the rename's
-        directory fsync makes its name durable too.  Emptying it after
-        the rename may be lost to a crash: its lines then carry the old
-        snapshot id and are skipped as already folded.
+        ``verified`` reads the file back before returning, for callers
+        that drop what the manifest now holds (a fold drops log
+        records).  A leftover journal is written in too (its lines are
+        in ``manifest``), so it is verified likewise and then removed;
+        if the removal is lost to a crash, its lines carry an older
+        snapshot id and are skipped.
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        journal = self.journal_path
-        if not journal.exists():
-            journal.open("ab").close()
         written = dict(
             manifest, schema=SEGMENT_SCHEMA, snapshot=manifest["snapshot"] + 1
         )
+        prior = self._use_index()
         self._manifest = None  # the next use parses what is written here
-        try:
-            if journal.stat().st_size:
-                # Emptying the journal drops its lines, so the manifest
-                # now holding them is read back before that happens.
-                write_json_atomic_verified(self.manifest_path, written)
-                crclog.truncate_file(journal, 0, durable)
-            else:
-                write_json_atomic(self.manifest_path, written, fsync=durable)
-        except BaseException:
-            self._use.index = None  # disk may disagree; reload next time
-            raise
-        self._use.index = written
+        self._use.index = None  # disk may disagree if this fails
+        journal = self.journal_path.exists()
+        if verified or journal:
+            write_json_atomic_verified(self.manifest_path, written)
+        else:
+            write_json_atomic(self.manifest_path, written, fsync=durable)
+        if journal:
+            self.journal_path.unlink()
+        entries = prior.entries if prior is not None else ()
+        self._use.index = _Index(
+            entries, b"", None, written, self._merge(written, entries)
+        )
+        return written
+
+    def _make_dirs(self) -> None:
+        """Create the segment directory, each new level durably."""
+        missing = []
+        level = self.directory
+        while not level.exists():
+            missing.append(level)
+            level = level.parent
+        for level in reversed(missing):
+            level.mkdir(exist_ok=True)
+            fsync_dir(level.parent)
 
     def file_entry(self, resolution: str) -> Dict[str, Any]:
         """``resolution``'s index entry (shared: read it, never edit it)."""
-        files = self._load_manifest()["files"]
+        files = self._load_index().merged["files"]
         return files.get(resolution) or _empty_file_entry(resolution)
+
+    def log_state(self) -> Tuple[int, Optional[float]]:
+        """``(log_seq, last raw t1)``: what a new raw block must follow."""
+        index = self._load_index()
+        blocks = self.file_entry(RAW)["blocks"]
+        return (
+            index.manifest.get("log_seq", 0),
+            blocks[-1]["t1"] if blocks else None,
+        )
+
+    def _require_folded(self, what: str) -> Dict[str, Any]:
+        """The on-disk manifest, when the log holds nothing unfolded for it."""
+        index = self._load_index()
+        if index.merged is not index.manifest:
+            raise StoreError(
+                f"cannot {what} {self.directory}: its commit-log records "
+                "are not folded yet"
+            )
+        return index.manifest
 
     # ------------------------------------------------------------------
     # Quarantine + recovery
@@ -544,25 +628,15 @@ class SegmentDir:
         )
         return target
 
-    def _cut_torn_tail(
-        self, path: Path, size: int, keep: int, durable: bool = True
-    ) -> None:
-        """Truncate unacknowledged bytes past ``keep`` (counted, logged)."""
-        crclog.truncate_file(path, keep, durable)
-        obs_counter("store.truncations").inc()
-        obs_event(
-            "warning", "store.segment_truncated",
-            segment=str(path), kept_bytes=keep, dropped_bytes=size - keep,
-        )
-
     def _reconcile(
         self, resolution: str, acknowledged: int, durable: bool = True
     ) -> bool:
         """Cut ``resolution``'s file back to its acknowledged length.
 
-        Returns whether a torn tail was truncated.  A file *shorter*
-        than acknowledged is corruption, not a torn append: the segment
-        is quarantined and a :class:`SegmentError` raised.
+        Returns whether a torn tail was truncated (counted, logged).  A
+        file *shorter* than acknowledged is corruption, not a torn
+        append: the segment is quarantined and a :class:`SegmentError`
+        raised.
         """
         path = self.seg_path(resolution)
         size = path.stat().st_size if path.exists() else 0
@@ -572,137 +646,44 @@ class SegmentDir:
                 "acknowledged"
             )
         if size > acknowledged:
-            self._cut_torn_tail(path, size, acknowledged, durable)
+            crclog.truncate_file(path, acknowledged, durable)
+            obs_counter("store.truncations").inc()
+            obs_event(
+                "warning", "store.segment_truncated",
+                segment=str(path), kept_bytes=acknowledged,
+                dropped_bytes=size - acknowledged,
+            )
             return True
         return False
 
     def recover(self) -> int:
-        """Cut the journal and each segment file back to what is acknowledged.
+        """Cut each segment file back to what its manifest acknowledges.
 
         Returns the number of files that had torn (unacknowledged)
-        tails truncated.  Validates every journal line; corruption
-        quarantines the segment and raises :class:`SegmentError`.
+        tails truncated.  Corruption quarantines the segment and raises
+        :class:`SegmentError`.
         """
-        manifest = self._load_manifest()
-        truncated = 0
-        tail = crclog.read_tail(self.journal_path)
-        if tail.rest:
-            self._cut_torn_tail(self.journal_path, tail.size, tail.end)
-            truncated += 1
-        for resolution, entry in manifest["files"].items():
-            truncated += self._reconcile(resolution, entry["bytes"])
+        manifest = self._load_index().manifest
+        truncated = sum(
+            self._reconcile(resolution, entry["bytes"])
+            for resolution, entry in manifest["files"].items()
+        )
         if truncated:
             self._manifest = None  # parsed from bytes just cut
         return truncated
 
     # ------------------------------------------------------------------
-    # Append / replace
+    # Append / fold / replace
     # ------------------------------------------------------------------
 
-    def _tail_view(
-        self,
-    ) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]], crclog.FileTail]:
-        """``(manifest, last current journal record, journal tail)``.
-
-        Reads the manifest and the journal's last line only -- not every
-        line -- so its cost does not grow with the journal.  The record
-        is None when the journal is empty, torn to nothing, or holds
-        lines an interrupted :meth:`replace` already folded; the
-        manifest is None when there is none.  Mutates nothing unless it
-        finds corruption, which it quarantines.
-        """
-        tail = retry_io(
-            lambda: crclog.read_tail(self.journal_path),
-            f"segment_journal_tail:{self.directory.name}",
-        )
-        manifest = self._use_index()
-        if manifest is None:
-            manifest = self._read_manifest()
-        if manifest is None:
-            # Any journal bytes went to quarantine with the segment.
-            return None, None, crclog.FileTail(None, 0, 0, b"")
-        if tail.rest and not crclog.is_torn_tail(tail.rest):
-            self._corrupt("journal: bytes follow the final line")
-        if tail.line is None:
-            return manifest, None, tail
-        try:
-            last = crclog.decode_line(JOURNAL_SCHEMA, tail.line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            self._corrupt(f"journal's last line: {exc}")
-        problem = _journal_line_problem(last)
-        if problem:
-            self._corrupt(problem)
-        if last["snapshot"] > manifest["snapshot"]:
-            self._corrupt("journal runs ahead of its manifest")
-        if last["snapshot"] < manifest["snapshot"]:
-            return manifest, None, tail
-        return manifest, last, tail
-
-    def _last_block(
-        self,
-        resolution: str,
-        manifest: Dict[str, Any],
-        last: Optional[Dict[str, Any]],
-    ) -> Tuple[int, Optional[float]]:
-        """``(acknowledged bytes, last t1)`` of ``resolution``."""
-        if self._use_index() is None and last is not None:
-            if last["res"] == resolution:
-                return last["offset"] + last["length"], last["t1"]
-            manifest = self._load_manifest()  # another resolution's line
-        entry = manifest["files"].get(resolution) or _empty_file_entry(resolution)
-        blocks = entry["blocks"]
-        return entry["bytes"], blocks[-1]["t1"] if blocks else None
-
-    def _append_cursor(
-        self, resolution: str, durable: bool
-    ) -> Tuple[int, int, Optional[float]]:
-        """``(snapshot, acknowledged bytes, last t1)`` for an append.
-
-        Heals on the way: a torn final journal line is cut, lines
-        already folded by an interrupted :meth:`replace` are dropped,
-        and a new (or version-1) segment gets its v2 manifest written.
-        """
-        manifest, last, tail = self._tail_view()
-        if manifest is None:
-            manifest = self._fresh_manifest()
-        if tail.rest:
-            self._cut_torn_tail(self.journal_path, tail.size, tail.end, durable)
-        if tail.line is not None and last is None:
-            crclog.truncate_file(self.journal_path, 0, durable)
-        if manifest["snapshot"] == 0:
-            # A new segment, or a v1 one: keys() finds the segment by
-            # its manifest, and a v1-only reader must refuse journals.
-            self._write_manifest(manifest, durable)
-            manifest = self._use_index()
-        return (manifest["snapshot"], *self._last_block(resolution, manifest, last))
-
-    def append_block(
-        self, resolution: str, arrays: Sequence[np.ndarray], durable: bool = True
-    ) -> Dict[str, Any]:
-        """Append one block and acknowledge it with one journal line.
-
-        ``arrays`` follow the resolution's column order.  Appends must
-        advance time: the new block's ``t0`` may not precede the last
-        acknowledged ``t1``.
-
-        ``durable=False`` skips the data and journal fsyncs.  A
-        *process* crash still heals -- the page cache survives, and
-        any torn tail is cut back by the next append -- but a power cut
-        can lose acknowledged rows (the journal line may reach disk
-        before the data, which the next append then quarantines loudly).
-        Reserved for loss-tolerant series (``_obs`` self-telemetry).
-        """
-        frame, meta = encode_block(columns_for(resolution), arrays)
-        snapshot, acknowledged, last_t1 = self._append_cursor(resolution, durable)
-        if last_t1 is not None and meta["t0"] < last_t1:
-            raise StoreError(
-                f"out-of-order append to {self.directory.name}/{resolution}: "
-                f"block starts at t={meta['t0']} before the segment's "
-                f"last t={last_t1}"
-            )
+    def _append_frames(
+        self, resolution: str, acknowledged: int, frames: Sequence[bytes],
+        durable: bool = True,
+    ) -> None:
+        """Append ``frames`` after the ``acknowledged`` bytes, one write."""
         path = self.seg_path(resolution)
         created = not path.exists()
-        self._reconcile(resolution, acknowledged, durable)
+        data = b"".join(frames)
 
         def heal(_attempt: int, _exc: OSError) -> None:
             # A torn attempt left unacknowledged bytes; cut back to the
@@ -712,7 +693,7 @@ class SegmentDir:
 
         def attempt() -> None:
             with path.open("ab") as handle:
-                io_write(handle, frame)
+                io_write(handle, data)
                 handle.flush()
                 if durable:
                     io_fsync(handle.fileno(), path)
@@ -720,31 +701,79 @@ class SegmentDir:
         retry_io(attempt, f"segment_append:{path.name}", on_retry=heal)
         if created and durable:
             fsync_dir(self.directory)  # the new file's name, before its ack
-        block = {"offset": acknowledged, **meta}
-        crclog.append_line(
-            self.journal_path,
-            crclog.encode_line(
-                JOURNAL_SCHEMA, {"res": resolution, "snapshot": snapshot, **block}
-            ),
-            f"segment_journal:{self.directory.name}",
-            durable=durable,
-        )
-        self._manifest = None
-        manifest = self._use_index()
-        if manifest is not None:
-            entry = self.file_entry(resolution)
-            self._use.index = _with_entry(
-                manifest, resolution,
-                dict(
-                    entry,
-                    blocks=entry["blocks"] + [block],
-                    bytes=entry["bytes"] + meta["length"],
-                    rows=entry["rows"] + meta["n"],
-                ),
+        obs_counter("store.blocks_written").inc(len(frames))
+        obs_counter("store.bytes_written").inc(len(data))
+
+    def append_block(
+        self, resolution: str, arrays: Sequence[np.ndarray], durable: bool = True
+    ) -> Dict[str, Any]:
+        """Append one block straight to the segment and its manifest.
+
+        ``arrays`` follow the resolution's column order.  Appends must
+        advance time: the new block's ``t0`` may not precede the last
+        acknowledged ``t1``.  This is the path for a segment outside a
+        store; inside one, :class:`~repro.store.store.StoreWriter`
+        acknowledges raw blocks through the building's commit log, and
+        a series whose log records are not folded yet refuses this.
+
+        ``durable=False`` skips the data and manifest fsyncs.
+        """
+        frame, meta = encode_block(columns_for(resolution), arrays)
+        manifest = self._require_folded("append a block to")
+        entry = manifest["files"].get(resolution) or _empty_file_entry(resolution)
+        blocks = entry["blocks"]
+        if blocks and meta["t0"] < blocks[-1]["t1"]:
+            raise StoreError(
+                f"out-of-order append to {self.directory.name}/{resolution}: "
+                f"block starts at t={meta['t0']} before the segment's "
+                f"last t={blocks[-1]['t1']}"
             )
-        obs_counter("store.blocks_written").inc()
-        obs_counter("store.bytes_written").inc(meta["length"])
-        return block
+        if manifest["snapshot"] == 0:
+            # A new segment, or a v1 one: keys() finds the segment by
+            # its manifest, which must exist before any data does.
+            manifest = self._write_manifest(manifest, durable)
+        self._reconcile(resolution, entry["bytes"], durable)
+        self._append_frames(resolution, entry["bytes"], [frame], durable)
+        updated = _appended(entry, [(meta, None)])
+        self._write_manifest(_with_entry(manifest, resolution, updated), durable)
+        return updated["blocks"][-1]
+
+    def fold(self, entries: Sequence[LogEntry]) -> int:
+        """Copy this series' unfolded log ``entries`` into ``raw.seg``.
+
+        The caller holds the building's partition lock.  Entries the
+        manifest already holds (its ``log_seq``) are skipped, so a fold
+        that a crash interrupted is finished, never applied twice.  The
+        frames are appended and fsynced, then the manifest is written
+        and read back; only then may the log drop the entries.  A
+        leftover pre-commit-log journal is written into the manifest and
+        removed.  Returns the rows folded.
+        """
+        journal = self.journal_path.exists()
+        if not entries and not journal:
+            return 0
+        self.begin_use()
+        manifest = self._load_index().manifest
+        pending = [e for e in entries if e.seq > manifest.get("log_seq", 0)]
+        if not pending and not journal:
+            return 0
+        if manifest["snapshot"] == 0:
+            # A manifest before any data, so a reader never finds data
+            # without one.
+            self._make_dirs()
+            manifest = self._write_manifest(manifest)
+        rows = 0
+        if pending:
+            entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
+            self._reconcile(RAW, entry["bytes"])
+            self._append_frames(RAW, entry["bytes"], [e.frame for e in pending])
+            updated = _appended(entry, [(e._asdict(), None) for e in pending])
+            rows = updated["rows"] - entry["rows"]
+            manifest = dict(
+                _with_entry(manifest, RAW, updated), log_seq=pending[-1].seq
+            )
+        self._write_manifest(manifest, verified=True)
+        return rows
 
     def replace(
         self, resolution: str, arrays: Optional[Sequence[np.ndarray]]
@@ -753,12 +782,15 @@ class SegmentDir:
 
         ``None`` (or empty first column) clears the file.  The new file
         is written beside the old one and renamed into place, then the
-        manifest is rewritten with every journaled block folded in and
-        the journal emptied.  A crash between the rename and the
+        manifest is rewritten.  A crash between the rename and the
         manifest write leaves the old index over the new file; reads
         check every block's CRC32 against that index, so it is loud.
+        A raw rewrite needs the series' log records folded first.
         """
-        manifest = self._load_manifest()
+        index = self._load_index()
+        manifest = (
+            self._require_folded("rewrite") if resolution == RAW else index.manifest
+        )
         path = self.seg_path(resolution)
         if arrays is None or len(arrays[0]) == 0:
             if path.exists():
@@ -787,12 +819,7 @@ class SegmentDir:
         self._write_manifest(
             _with_entry(
                 manifest, resolution,
-                {
-                    "columns": list(columns_for(resolution)),
-                    "bytes": meta["length"],
-                    "rows": meta["n"],
-                    "blocks": [{"offset": 0, **meta}],
-                },
+                _appended(_empty_file_entry(resolution), [(meta, None)]),
             )
         )
         obs_counter("store.blocks_written").inc()
@@ -820,43 +847,28 @@ class SegmentDir:
         """Read ``[t0, t1]`` (inclusive, None = open) at ``resolution``.
 
         Every block touched is CRC-verified; blocks wholly outside the
-        range are skipped via the manifest index without touching their
-        bytes.  Raises :class:`SegmentError` on any integrity failure.
+        range are skipped via the index without touching their bytes.
+        A block that fails its check while the manifest on disk has
+        moved on (a compaction or ``truncate_from`` rewrote the file
+        under this read) is re-read once from a fresh index.  Raises
+        :class:`SegmentError` on any other integrity failure.
         """
-        entry = self.file_entry(resolution)
         columns = columns_for(resolution)
-        wanted = [
-            b for b in entry["blocks"]
-            if (t1 is None or b["t0"] <= t1) and (t0 is None or b["t1"] >= t0)
-        ]
-        if not wanted:
-            return {name: np.empty(0, dtype=np.float64) for name in columns}
-        path = self.seg_path(resolution)
-
-        def attempt() -> List[Dict[str, np.ndarray]]:
-            found: List[Dict[str, np.ndarray]] = []
-            with path.open("rb") as handle:
-                for block in wanted:
-                    handle.seek(block["offset"])
-                    frame = io_read(handle, block["length"], path)
-                    if len(frame) != block["length"]:
-                        raise SegmentError(
-                            f"{path} torn at offset {block['offset']}"
-                        )
-                    if _crc(frame[8:-4]) != block["crc32"]:
-                        raise SegmentError(
-                            f"{path} block at offset {block['offset']} "
-                            "disagrees with its manifest CRC32"
-                        )
-                    found.append(decode_block(frame, columns))
-            return found
-
-        try:
-            # Transient EIO reads retry with backoff; CRC failures are
-            # SegmentErrors (possible bit rot), never retried -- loud.
-            parts = retry_io(attempt, f"segment_read:{path.name}")
-        except OSError as exc:
-            raise SegmentError(f"cannot read {path}: {exc}")
+        for retry in (False, True):
+            entry = self.file_entry(resolution)
+            wanted = [
+                b for b in entry["blocks"]
+                if (t1 is None or b["t0"] <= t1) and (t0 is None or b["t1"] >= t0)
+            ]
+            if not wanted:
+                return {name: np.empty(0, dtype=np.float64) for name in columns}
+            try:
+                parts = self._read_blocks(resolution, wanted, columns)
+                break
+            except SegmentError:
+                if retry or not self._moved_on():
+                    raise
+                self.begin_use()
         out = {
             name: np.concatenate([p[name] for p in parts])
             for name in columns
@@ -871,6 +883,54 @@ class SegmentDir:
             out = {name: arr[mask] for name, arr in out.items()}
         return out
 
+    def _read_blocks(
+        self, resolution: str, wanted: List[Dict[str, Any]], columns: Sequence[str]
+    ) -> List[Dict[str, np.ndarray]]:
+        """Verify and decode ``wanted``, from the file or the log's frames."""
+        path = self.seg_path(resolution)
+
+        def attempt() -> List[Dict[str, np.ndarray]]:
+            found: List[Dict[str, np.ndarray]] = []
+            handle = None
+            try:
+                for block in wanted:
+                    frame = block.get("frame")
+                    if frame is None:
+                        if handle is None:
+                            handle = path.open("rb")
+                        handle.seek(block["offset"])
+                        frame = io_read(handle, block["length"], path)
+                    if len(frame) != block["length"]:
+                        raise SegmentError(
+                            f"{path} torn at offset {block['offset']}"
+                        )
+                    if _crc(frame[8:-4]) != block["crc32"]:
+                        raise SegmentError(
+                            f"{path} block at offset {block['offset']} "
+                            "disagrees with its manifest CRC32"
+                        )
+                    found.append(decode_block(frame, columns))
+            finally:
+                if handle is not None:
+                    handle.close()
+            return found
+
+        try:
+            # Transient EIO reads retry with backoff; CRC failures are
+            # SegmentErrors (possible bit rot), never retried -- loud.
+            return retry_io(attempt, f"segment_read:{path.name}")
+        except OSError as exc:
+            raise SegmentError(f"cannot read {path}: {exc}")
+
+    def _moved_on(self) -> bool:
+        """Whether the manifest on disk differs from this use's index."""
+        index = self._use_index()
+        try:
+            text = io_read_text(self.manifest_path)
+        except (OSError, ValueError):
+            return True
+        return index is None or text != index.manifest_text
+
     # ------------------------------------------------------------------
     # Truncation (campaign resume path)
     # ------------------------------------------------------------------
@@ -882,14 +942,13 @@ class SegmentDir:
         exported: the replay re-appends them, so the stale suffix is
         cut first.  Rollup files are cleared outright (a bucket
         straddling the cut would otherwise keep stale statistics) and
-        regenerated by the next ``compact()``.
+        regenerated by the next ``compact()``.  Rows still in the commit
+        log must be folded first.
         """
-        manifest, last, _tail = self._tail_view()
-        if manifest is None:
-            return 0
-        _acknowledged, last_t1 = self._last_block(RAW, manifest, last)
-        if last_t1 is None or last_t1 < t:
+        span = self.time_range(RAW)
+        if span is None or span[1] < t:
             return 0  # nothing at or after t; existing rollups stay valid
+        self._require_folded("truncate")
         before = self.file_entry(RAW)["rows"]
         data = self.read(RAW)
         mask = data["t"] < t

@@ -2,20 +2,28 @@
 
 :class:`TelemetryStore` is the subsystem's root object -- open (or
 create) a store directory, obtain a batched :class:`StoreWriter`, and
-every flushed batch becomes one CRC'd columnar block acknowledged by
-one line in the owning segment's journal.  Reads go through
-:meth:`TelemetryStore.read` (or the higher-level query engine in
-:mod:`repro.store.query`); neither ever returns silently wrong data --
-corruption surfaces as a :class:`~repro.errors.SegmentError`.
+every flush becomes one record per building in that building's commit
+log (:mod:`repro.store.commitlog`), written and fsynced once: each
+touched series' batch is one CRC'd columnar block inside it.  A fold
+copies logged blocks into the per-series segments
+(:mod:`repro.store.segment`) under the building's partition lock
+(:mod:`repro.store.lock`); compaction, ``truncate_from`` and a log
+grown past :data:`~repro.store.commitlog.FOLD_BYTES` run one.  Reads go
+through :meth:`TelemetryStore.read` (or the higher-level query engine
+in :mod:`repro.store.query`) and merge the unfolded records in; neither
+ever returns silently wrong data -- corruption surfaces as a
+:class:`~repro.errors.SegmentError`.
 
 Layout::
 
     <root>/store.json                  # repro/store/v1 marker
-    <root>/segments/<building>/<wall>/n<id>/<metric>/
-        manifest.json                  # repro/store-segment/v2
-        journal.jsonl                  # blocks appended since
-        raw.seg  hourly.seg  daily.seg
-    <root>/.quarantine/                # corrupt segments, moved aside
+    <root>/segments/<building>/
+        commit.log                     # records not folded yet
+        .writer.lock                   # the partition lock
+        <wall>/n<id>/<metric>/
+            manifest.json              # repro/store-segment/v2
+            raw.seg  hourly.seg  daily.seg
+    <root>/.quarantine/                # corrupt segments and logs, moved aside
 
 The time base is *hours* as float64 -- the campaign's native clock --
 but nothing in the store interprets it beyond ordering and the rollup
@@ -24,21 +32,27 @@ bucket widths (1 h, 24 h).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
 from pathlib import Path
-from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    IO, Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
-from ..errors import StoreError
+from ..errors import SegmentError, StoreError
 from ..faults.io import reclaim_tmp_files
 from ..obs import obs_counter, obs_event
 from ..runtime.serialize import write_json_atomic
-from .keys import SeriesKey
+from .commitlog import FOLD_BYTES, LOG_FILENAME, CommitLog, LogView
+from .keys import SeriesKey, by_building
 from .lock import PartitionLock
-from .segment import MANIFEST_FILENAME, RAW, RESOLUTIONS, SegmentDir
+from .segment import (
+    MANIFEST_FILENAME, RAW, RAW_COLUMNS, RESOLUTIONS, SegmentDir, encode_block,
+)
 
 #: Schema tag for the store-level marker file.
 STORE_SCHEMA = "repro/store/v1"
@@ -46,6 +60,9 @@ STORE_SCHEMA = "repro/store/v1"
 STORE_MARKER_FILENAME = "store.json"
 SEGMENTS_DIRNAME = "segments"
 QUARANTINE_DIRNAME = ".quarantine"
+
+#: A series' frames in a commit record: ``(key, frame bytes, block meta)``.
+Batch = List[Tuple[SeriesKey, bytes, Dict[str, Any]]]
 
 
 def _subdirs(path: str) -> List[str]:
@@ -59,6 +76,11 @@ def _subdirs(path: str) -> List[str]:
             return sorted(entry.name for entry in entries if entry.is_dir())
     except OSError:
         return []
+
+
+def log_key(key: SeriesKey) -> str:
+    """``key``'s name in its building's commit-log records."""
+    return f"{key.wall}/{key.node_dirname}/{key.metric}"
 
 
 class TelemetryStore:
@@ -78,6 +100,8 @@ class TelemetryStore:
         self._generation_cache: Optional[Tuple[IO[bytes], int, int]] = None
         #: One segment object per series on disk; see :meth:`segment`.
         self._segments: Dict[SeriesKey, SegmentDir] = {}
+        #: One commit log per building; see :meth:`commit_log`.
+        self._logs: Dict[str, CommitLog] = {}
         self._segments_lock = threading.Lock()
         marker = self.root / STORE_MARKER_FILENAME
         if marker.exists():
@@ -189,14 +213,89 @@ class TelemetryStore:
         obs_counter("store.generation_bumps").inc()
         return value
 
+    # ------------------------------------------------------------------
+    # Commit logs and partitions
+    # ------------------------------------------------------------------
+
+    def commit_log(self, building: str) -> CommitLog:
+        """``building``'s commit log: one object per building on disk.
+
+        A building with no directory gets a throwaway object, as an
+        absent series does in :meth:`segment`.
+        """
+        log = self._logs.get(building)
+        if log is None:
+            log = CommitLog(self.segments_dir / building, self.quarantine_dir)
+            if log.path.parent.is_dir():
+                with self._segments_lock:
+                    log = self._logs.setdefault(building, log)
+        return log
+
+    def lock_partition(self, building: str) -> PartitionLock:
+        """Take ``building``'s partition lock and sweep its leaked temps.
+
+        Holding the lock makes the sweep race-free: every mutator of the
+        partition holds it, so any ``*.tmp`` under it was leaked by a
+        dead one.
+        """
+        lock = PartitionLock(self.segments_dir, building).acquire()
+        try:
+            reclaim_tmp_files(
+                self.segments_dir / building, recursive=True, scope="store"
+            )
+        except BaseException:
+            lock.release()
+            raise
+        return lock
+
+    @contextlib.contextmanager
+    def partition(self, building: str) -> Iterator[None]:
+        """Hold ``building``'s partition lock for the ``with`` body."""
+        lock = self.lock_partition(building)
+        try:
+            yield
+        finally:
+            lock.release()
+
+    def fold_partition(self, building: str) -> int:
+        """Fold ``building``'s commit log into its segments; returns rows.
+
+        The caller holds the building's partition lock.  Each series'
+        logged frames are appended to its ``raw.seg`` and its manifest
+        written and read back (:meth:`SegmentDir.fold`); then the log is
+        replaced by an empty one.  Journals left by a store written
+        before the commit log existed are folded the same way.
+        """
+        view = self.commit_log(building).view()
+        rows = 0
+        for key in self._building_keys(building, view):
+            rows += self.segment(key).fold(view.entries(log_key(key)))
+        log = self.commit_log(building)
+        if view.records:
+            log.reset(view.last_seq)
+        elif view.torn:
+            log.cut(view.size, len(view.raw))
+        if view.records:
+            obs_counter("store.folds").inc()
+            obs_counter("store.rows_folded").inc(rows)
+            obs_event(
+                "info", "store.folded", building=building,
+                records=len(view.records), rows=rows,
+            )
+        return rows
+
+    # ------------------------------------------------------------------
+    # Series
+    # ------------------------------------------------------------------
+
     def segment(self, key: SeriesKey) -> SegmentDir:
         """``key``'s segment directory, starting a new use of its index.
 
         The store holds one :class:`SegmentDir` per series on disk, so
         an index parsed by one query is reused by the next one whenever
-        the journal and manifest bytes are unchanged.  A key with no
-        directory gets a throwaway object, so requests for absent
-        series cannot grow the map.
+        the log entries and manifest it was built from are unchanged.
+        A key with no directory gets a throwaway object, so requests for
+        absent series cannot grow the map.
         """
         segment = self._segments.get(key)
         if segment is None:
@@ -204,6 +303,8 @@ class TelemetryStore:
                 self.segments_dir / key.relpath,
                 key.to_dict(),
                 self.quarantine_dir,
+                log=self.commit_log(key.building),
+                log_key=log_key(key),
             )
             if segment.directory.is_dir():
                 with self._segments_lock:
@@ -211,16 +312,20 @@ class TelemetryStore:
         segment.begin_use()
         return segment
 
-    def keys(self) -> List[SeriesKey]:
-        """Every series in the store, sorted.
+    def _building_keys(
+        self, building: str, view: Optional[LogView] = None
+    ) -> List[SeriesKey]:
+        """Every series of ``building``, sorted: segments, then log-only.
 
-        Walks the four directory levels under ``segments/`` on every
-        call: a directory's mtime cannot tell two changes inside one
-        tick apart, so a cached listing could miss a new series.
+        Walks the three directory levels under the building, then adds
+        the series its commit log holds (``view``, or read here when
+        the building has a log with records).
         """
         # (path parts, directory) pairs, one level deeper per pass.
-        level: List[Tuple[Tuple[str, ...], str]] = [((), str(self.segments_dir))]
-        for _depth in range(4):  # building, wall, node, metric
+        level: List[Tuple[Tuple[str, ...], str]] = [
+            ((building,), f"{self.segments_dir}/{building}")
+        ]
+        for _depth in range(3):  # wall, node, metric
             level = [
                 (parts + (name,), f"{directory}/{name}")
                 for parts, directory in level
@@ -237,6 +342,33 @@ class TelemetryStore:
                 obs_event(
                     "warning", "store.unrecognised_segment", path=directory,
                 )
+        if view is None:
+            view = self.commit_log(building).peek()
+        logged = []
+        for name in view.by_key if view is not None else ():
+            try:
+                logged.append(
+                    SeriesKey.from_path_parts((building, *name.split("/")))
+                )
+            except StoreError:
+                obs_event(
+                    "warning", "store.unrecognised_segment",
+                    path=f"{building}/{LOG_FILENAME}:{name}",
+                )
+        if logged:
+            found = sorted(set(found).union(logged))
+        return found
+
+    def keys(self) -> List[SeriesKey]:
+        """Every series in the store, sorted, logged-only ones included.
+
+        Walks the directory levels under ``segments/`` on every call: a
+        directory's mtime cannot tell two changes inside one tick apart,
+        so a cached listing could miss a new series.
+        """
+        found: List[SeriesKey] = []
+        for building in _subdirs(str(self.segments_dir)):
+            found.extend(self._building_keys(building))
         return sorted(found)
 
     # ------------------------------------------------------------------
@@ -251,14 +383,14 @@ class TelemetryStore:
     ) -> "StoreWriter":
         """A batched writer (use as a context manager to auto-flush).
 
-        ``durable=False`` skips per-block fsyncs -- see
-        :meth:`.segment.SegmentDir.append_block`; only loss-tolerant
-        writers (the ``_obs`` telemetry pipeline) should opt in.
+        ``durable=False`` skips the commit log's fsync; only
+        loss-tolerant writers (the ``_obs`` telemetry pipeline) should
+        opt in.
 
-        ``lock=True`` (the default) takes an advisory
-        :class:`~repro.store.lock.PartitionLock` per building on first
-        ingest into it, so two processes cannot append to the same
-        building partition concurrently -- see :mod:`repro.store.lock`.
+        ``lock=True`` (the default) takes each building's
+        :class:`~repro.store.lock.PartitionLock` on first ingest into
+        it and holds it until the writer closes -- see
+        :mod:`repro.store.lock`.
         """
         return StoreWriter(
             self, flush_rows=flush_rows, durable=durable, lock=lock
@@ -274,6 +406,45 @@ class TelemetryStore:
         with self.writer() as writer:
             writer.add(key, timestamps, values)
         return len(timestamps)
+
+    def _check_commit(self, building: str, batch: Batch) -> Tuple[LogView, list]:
+        """``(log view, record series)`` for ``batch``, or raise.
+
+        Each block must not start before its series' last acknowledged
+        ``t1``, whether that block is folded or still in the log.  A log
+        that has no header yet (never written, or moved to quarantine)
+        starts after the last record any of the building's manifests
+        folded, so record numbers never repeat.
+        """
+        view = self.commit_log(building).view()
+        if not view.raw:
+            base = max(
+                (self.segment(key).log_state()[0]
+                 for key in self._building_keys(building, view)),
+                default=0,
+            )
+            view = view._replace(base_seq=base, last_seq=base)
+        series = []
+        for key, frame, meta in batch:
+            name = log_key(key)
+            logged = view.entries(name)
+            if logged:
+                last_t1: Optional[float] = logged[-1].t1
+            else:
+                folded, last_t1 = self.segment(key).log_state()
+                if folded > view.last_seq:
+                    raise SegmentError(
+                        f"commit log of {building!r} ends at record "
+                        f"{view.last_seq} but {key.relpath} already folded "
+                        f"record {folded}"
+                    )
+            if last_t1 is not None and meta["t0"] < last_t1:
+                raise StoreError(
+                    f"out-of-order append to {key.relpath}: block starts at "
+                    f"t={meta['t0']} before the series' last t={last_t1}"
+                )
+            series.append((name, frame, meta))
+        return view, series
 
     def read(
         self,
@@ -293,21 +464,77 @@ class TelemetryStore:
         The campaign resume path: epochs past the checkpoint boundary
         will be replayed and re-exported, so their earlier exports are
         cut first (rollups are cleared and left to the next compact).
+        Only ``keys`` (default: every series) are cut.  Each building is
+        handled under its partition lock.  Trailing commit-log records
+        that hold only those keys' rows at or after ``t`` are cut from
+        the log; if other logged rows of those keys remain at or after
+        ``t``, the log is folded before the segments are cut.  A resume
+        with nothing to cut leaves the log alone.
         """
-        dropped = 0
-        for key in (self.keys() if keys is None else keys):
-            dropped += self.segment(key).truncate_from(t)
-        if dropped:
+        dropped = cleared = 0
+        for building, group in by_building(
+            self.keys() if keys is None else keys
+        ).items():
+            with self.partition(building):
+                dropped += self._cut_log_tail(building, group, t)
+                view = self.commit_log(building).view()
+                if any(
+                    entry.t1 >= t
+                    for key in group for entry in view.entries(log_key(key))
+                ):
+                    self.fold_partition(building)
+                    view = self.commit_log(building).view()
+                for key in group:
+                    logged = view.entries(log_key(key))
+                    if not logged or logged[-1].t1 >= t:
+                        # Otherwise its newest rows, in the log, are all
+                        # before t: there is nothing to cut.
+                        cleared += self.segment(key).truncate_from(t)
+        if cleared:
             # Rollups were cleared in place: stale cached blocks must die.
             self.bump_generation()
+        dropped += cleared
+        if dropped:
             obs_counter("store.rows_truncated").inc(dropped)
             obs_event(
                 "info", "store.truncated_from", t=t, rows_dropped=dropped,
             )
         return dropped
 
+    def _cut_log_tail(self, building: str, group: List[SeriesKey], t: float) -> int:
+        """Cut the trailing records holding only ``group``'s rows at or
+        after ``t``; returns the rows cut.
+
+        Records a manifest already holds (a fold a crash interrupted)
+        are never cut; those rows are cut from the segments instead.
+        """
+        view = self.commit_log(building).view()
+        names = {log_key(key): key for key in group}
+        first = len(view.records)
+        while first and all(
+            name in names and entry.t0 >= t
+            for name, entry in view.records[first - 1].entries
+        ):
+            first -= 1
+        cut = view.records[first:]
+        if not cut:
+            return 0
+        touched = {name for record in cut for name, _entry in record.entries}
+        if any(
+            self.segment(names[name]).log_state()[0] >= cut[0].seq
+            for name in touched
+        ):
+            return 0
+        self.commit_log(building).cut_records(view, first)
+        rows = sum(entry.n for record in cut for _name, entry in record.entries)
+        obs_event(
+            "info", "store.log_cut", building=building,
+            records=len(cut), rows=rows,
+        )
+        return rows
+
     def compact(self) -> Dict[str, Any]:
-        """Deterministic multi-resolution rollups; see :mod:`.compact`."""
+        """Fold, then deterministic multi-resolution rollups; see :mod:`.compact`."""
         from .compact import compact_store
 
         return compact_store(self)
@@ -317,7 +544,12 @@ class TelemetryStore:
     # ------------------------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot of what the store holds."""
+        """A JSON-ready snapshot of what the store holds.
+
+        ``logs`` reports each building's commit log: its complete
+        records, their rows and the file's bytes -- what the next fold
+        will copy into the segments.
+        """
         series = []
         totals = {res: {"rows": 0, "bytes": 0, "blocks": 0} for res in RESOLUTIONS}
         for key in self.keys():
@@ -336,6 +568,14 @@ class TelemetryStore:
             span = segment.time_range(RAW)
             entry["t0"], entry["t1"] = (span if span else (None, None))
             series.append(entry)
+        logs = {}
+        for building in _subdirs(str(self.segments_dir)):
+            view = self.commit_log(building).peek()
+            if view is not None:
+                logs[building] = {
+                    "records": len(view.records), "rows": view.rows,
+                    "bytes": view.size,
+                }
         quarantined = (
             sorted(p.name for p in self.quarantine_dir.iterdir())
             if self.quarantine_dir.is_dir()
@@ -347,6 +587,7 @@ class TelemetryStore:
             "series": series,
             "series_count": len(series),
             "totals": totals,
+            "logs": logs,
             "quarantined": quarantined,
         }
 
@@ -355,16 +596,16 @@ class StoreWriter:
     """Batched, vectorized ingestion into a :class:`TelemetryStore`.
 
     Samples accumulate in per-series numpy buffers; :meth:`flush` turns
-    each touched series' buffer into *one* appended block (sorted key
-    order, so two identical ingest sequences produce identical stores).
-    Crossing ``flush_rows`` buffered rows triggers an automatic flush.
+    each touched series' buffer into *one* block (sorted key order, so
+    two identical ingest sequences produce identical stores) and each
+    touched building's blocks into one commit-log record.  Crossing
+    ``flush_rows`` buffered rows triggers an automatic flush.
 
     Not thread-safe: one writer per ingesting thread.  Against other
-    *processes*, the first ingest into each building takes that
-    building's advisory :class:`~repro.store.lock.PartitionLock`, held
-    until the writer's context exits (stale locks from dead writers are
-    reclaimed loudly; a live foreign writer raises
-    :class:`~repro.errors.PartitionLockError`).
+    writers and mutators, the first ingest into each building takes
+    that building's :class:`~repro.store.lock.PartitionLock`, held
+    until the writer's context exits (a live holder is waited for, up
+    to a bound; then :class:`~repro.errors.PartitionLockError`).
     """
 
     def __init__(
@@ -402,16 +643,8 @@ class StoreWriter:
             held.release()
 
     def _lock_building(self, building: str) -> None:
-        if not self.lock_partitions or building in self._locks:
-            return
-        self._locks[building] = PartitionLock(
-            self.store.segments_dir, building
-        ).acquire()
-        # Holding the lock makes the sweep race-free: any *.tmp under
-        # this building was leaked by a dead writer.
-        reclaim_tmp_files(
-            self.store.segments_dir / building, recursive=True, scope="store"
-        )
+        if self.lock_partitions and building not in self._locks:
+            self._locks[building] = self.store.lock_partition(building)
 
     # ------------------------------------------------------------------
 
@@ -442,9 +675,17 @@ class StoreWriter:
         self.add(key, np.array([t]), np.array([value]))
 
     def flush(self) -> int:
-        """Write every buffered series as one block each; returns rows."""
+        """Commit every buffered series, one record per building; returns rows.
+
+        Every block is encoded and checked before any record is
+        written, so a flush refused for bad data acknowledges nothing.
+        A record is acknowledged once its append returns (fsynced
+        unless ``durable=False``).  A log grown past
+        :data:`~repro.store.commitlog.FOLD_BYTES` is folded here.
+        """
         if not self._buffers:
             return 0
+        batches: Dict[str, Batch] = {}
         flushed = 0
         for key in sorted(self._buffers):
             chunks = self._buffers[key]
@@ -453,10 +694,21 @@ class StoreWriter:
             if t.size > 1 and bool(np.any(np.diff(t) < 0.0)):
                 order = np.argsort(t, kind="stable")
                 t, v = t[order], v[order]
-            self.store.segment(key).append_block(
-                RAW, [t, v], durable=self.durable
-            )
+            frame, meta = encode_block(RAW_COLUMNS, [t, v])
+            batches.setdefault(key.building, []).append((key, frame, meta))
             flushed += t.size
+        checked = [
+            (building, self.store._check_commit(building, batch))
+            for building, batch in batches.items()
+        ]
+        for building, (view, series) in checked:
+            log = self.store.commit_log(building)
+            if log.append(view, series, durable=self.durable).size > FOLD_BYTES:
+                if building in self._locks:
+                    self.store.fold_partition(building)
+                else:
+                    with self.store.partition(building):
+                        self.store.fold_partition(building)
         self._buffers.clear()
         self._buffered_rows = 0
         self.rows_written += flushed

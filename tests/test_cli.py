@@ -487,12 +487,24 @@ class TestLibraryErrorsAreOneLine:
             "fleet status: heartbeat_timeout_s must be a number, got '30'\n"
         )
 
+    @pytest.mark.parametrize("verb", ["status", "resume"])
+    def test_fleet_manifest_without_config_exits_2(self, verb, tmp_path, capsys):
+        path = tmp_path / FLEET_MANIFEST_FILENAME
+        path.write_text(json.dumps({"schema": FLEET_MANIFEST_SCHEMA}))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", verb, "--fleet-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err == (
+            f"fleet {verb}: {path} has no config object\n"
+        )
+
     def test_unhandled_library_error_exits_1(self, tmp_path):
         # A raw block that fails its CRC: `store compact` meets a
         # SegmentError it has no handler for.
         store = TelemetryStore(tmp_path, create=True)
         with store.writer() as writer:
             ingest_series(writer, "b1", "w1", "strain", np.arange(4.0), np.ones(4))
+        store.compact()  # fold the block into raw.seg
         raw = next(tmp_path.rglob("raw.seg"))
         data = bytearray(raw.read_bytes())
         data[-6] ^= 0x01

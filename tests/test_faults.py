@@ -82,7 +82,9 @@ class TestFaultPlan:
         for name in RATE_FIELDS:
             assert FaultPlan(**{name: 0.1}).active, name
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize(
+        "bad", [-0.1, 1.1, float("nan"), float("inf"), True, "0.1"]
+    )
     def test_rejects_out_of_range_rates(self, bad):
         with pytest.raises(FaultConfigError):
             FaultPlan(uplink_ber=bad)

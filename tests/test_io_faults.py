@@ -66,6 +66,13 @@ class TestPlan:
             IoFaultPlan(eio_read_rate=float("nan"))
         with pytest.raises(FaultConfigError):
             IoFaultPlan(seed="7")
+        for bad in (True, float("nan"), float("inf"), -0.1, 1.1, "0.1"):
+            for name in IoFaultPlan.probabilities():
+                with pytest.raises(FaultPlanError):
+                    IoFaultPlan(**{name: bad})
+        for bad in (True, 1.5, "7", None):
+            with pytest.raises(FaultPlanError):
+                IoFaultPlan(seed=bad)
 
     def test_scaled_clamps_and_keeps_persistence(self):
         plan = IoFaultPlan(

@@ -1,14 +1,16 @@
 """Index reuse: a long-lived store parses a segment's index once per change.
 
 A :class:`TelemetryStore` keeps one :class:`SegmentDir` per series and
-reuses its parsed block index only while the journal and manifest bytes
-on disk are the ones it was parsed from.  These tests pin that rule:
-an unchanged segment is parsed once, and every kind of change -- an
-append by another process, a compaction by another store object, an
-in-place rewrite that keeps the journal's size and mtime, a flipped
-manifest byte, and appends racing readers on other threads -- is seen
-by the next read exactly as a fresh store would see it.  The uncached
-``keys()`` directory walk must list exactly what a manifest glob does.
+reuses its parsed block index only while the commit-log entries and
+manifest bytes it was built from are unchanged, and it reuses a parsed
+commit log only while the file still begins with the bytes it was
+parsed from.  These tests pin that rule: an unchanged segment is parsed
+once, and every kind of change -- an append by another process, a
+compaction by another store object, an in-place rewrite that keeps the
+log's size and mtime, a flipped manifest byte, and appends racing
+readers on other threads -- is seen by the next read exactly as a
+fresh store would see it.  The uncached ``keys()`` directory walk must
+list exactly what a manifest glob does.
 """
 
 import json
@@ -25,14 +27,14 @@ import pytest
 import repro
 from repro.errors import SegmentError, StoreError
 from repro.obs import MetricsRegistry
-from repro.runtime import crclog
 from repro.serve import EndpointCore
 from repro.store import OBS_BUILDING, SeriesKey, TelemetryStore
+from repro.store import commitlog
 from repro.store import segment as segment_module
+from repro.store.commitlog import LOG_FILENAME
 from repro.store.segment import (
     HOURLY,
     JOURNAL_FILENAME,
-    JOURNAL_SCHEMA,
     MANIFEST_FILENAME,
     SegmentDir,
 )
@@ -83,20 +85,30 @@ class TestParseOnce:
     def test_every_read_still_rereads_the_journal_and_manifest(
         self, tmp_path, monkeypatch
     ):
-        _seeded(tmp_path / "s")
+        _seeded(tmp_path / "s", compact=True).append(KEY, *_block(3))
         store = TelemetryStore(tmp_path / "s", create=False)
         opened = []
-        for name in ("io_read_bytes", "io_read_text"):
-            real = getattr(segment_module, name)
+        for module, name in (
+            (commitlog, "io_read_bytes"),
+            (segment_module, "io_read_bytes"),
+            (segment_module, "io_read_text"),
+        ):
+            real = getattr(module, name)
             monkeypatch.setattr(
-                segment_module, name,
+                module, name,
                 lambda path, real=real: (
                     opened.append(os.path.basename(path)), real(path)
                 )[1],
             )
         for _ in range(3):
-            store.read(KEY)
-        assert opened == [JOURNAL_FILENAME, MANIFEST_FILENAME] * 3
+            assert store.read(KEY)["t"].size == 4 * BLOCK_ROWS
+        # The log first, then a journal an older store may have left,
+        # then the manifest: a fold drops what it folded only after the
+        # manifest holding it is durable.  Nothing writes journals any
+        # more, so once one is found missing it is not looked for again.
+        assert opened == [LOG_FILENAME, JOURNAL_FILENAME, MANIFEST_FILENAME] + [
+            LOG_FILENAME, MANIFEST_FILENAME
+        ] * 2
 
 
 class TestChangesAreSeen:
@@ -135,24 +147,31 @@ class TestChangesAreSeen:
     def test_same_length_rewrite_with_restored_mtime(self, tmp_path):
         """A size-or-mtime key would keep serving the old index here."""
         store = _seeded(tmp_path / "s")
-        journal = _segment_dir(tmp_path / "s") / JOURNAL_FILENAME
+        log = tmp_path / "s" / "segments" / "b" / LOG_FILENAME
         window = {"t0": float(3 * BLOCK_ROWS - 1)}  # the last row only
         assert store.read(KEY, **window)["t"].size == 1
-        raw = journal.read_bytes()
-        head, last = raw[:-1].rsplit(b"\n", 1)
-        record = crclog.decode_line(JOURNAL_SCHEMA, last.decode("utf-8"))
-        for t1 in np.arange(record["t1"] - 1.0, record["t0"], -1.0):
-            line = crclog.encode_line(JOURNAL_SCHEMA, dict(record, t1=float(t1)))
-            if len(line.encode("utf-8")) == len(last):
+        raw = log.read_bytes()
+        view = commitlog.parse(raw)
+        last = view.records[-1]
+        (name, entry), = last.entries
+        meta = {
+            "length": entry.length, "n": entry.n, "t0": entry.t0,
+            "crc32": entry.crc32,
+        }
+        for t1 in np.arange(entry.t1 - 1.0, entry.t0, -1.0):
+            record = commitlog.encode_record(
+                last.seq, [(name, entry.frame, dict(meta, t1=float(t1)))]
+            )
+            if len(record) == len(raw) - last.start:
                 break
         else:
-            pytest.skip("no same-length journal line for this block")
-        stat = journal.stat()
-        with open(journal, "r+b") as handle:
-            handle.write(head + b"\n" + line.encode("utf-8") + b"\n")
-        os.utime(journal, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        assert journal.stat().st_size == stat.st_size
-        assert journal.stat().st_mtime_ns == stat.st_mtime_ns
+            pytest.skip("no same-length record for this block")
+        stat = log.stat()
+        with open(log, "r+b") as handle:
+            handle.write(raw[:last.start] + record)
+        os.utime(log, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert log.stat().st_size == stat.st_size
+        assert log.stat().st_mtime_ns == stat.st_mtime_ns
         # The rewritten line ends the block before the window starts.
         fresh = TelemetryStore(tmp_path / "s", create=False).read(KEY, **window)
         assert fresh["t"].size == 0
@@ -183,6 +202,7 @@ class TestKeysWalk:
             SeriesKey(OBS_BUILDING, "serve", 0, "serve.requests"),
         ):
             store.append(key, [0.0], [1.0])
+        store.compact()  # every series gets its segment directory
         base = store.segments_dir
         for odd in ("b/w/node7/strain", "b/.hidden/n00001/m", "b/w/n00003/x/y"):
             (base / odd).mkdir(parents=True)

@@ -1,12 +1,16 @@
-"""The segment journal: appends acknowledged by one CRC-framed line.
+"""Acknowledgement: the commit log, and the journal older stores left.
 
-Property tests mirror ``test_store_recovery.py`` on an *uncompacted*
-store, whose blocks are acknowledged only by journal lines: truncate or
+A store written before the commit log existed acknowledged each block
+with one CRC-framed line in its segment's ``journal.jsonl``.  Such a
+store must still read identically: the property tests here mirror
+``test_store_recovery.py`` on an *uncompacted* store of that format,
+whose blocks are acknowledged only by journal lines -- truncate or
 byte-flip the journal anywhere and a read ends intact, loud, or -- for
-a truncation -- on a prefix that stops at a block boundary (a cut at a
-line boundary is indistinguishable from an append whose journal fsync
-never finished).  A crash between a folding manifest rename and the
-journal reset must neither quarantine nor re-apply the folded lines.
+a truncation -- on a prefix that stops at a block boundary.  The first
+fold of the building writes the lines into the manifest and removes the
+journal; a crash between that manifest rename and the removal must
+neither quarantine nor re-apply the lines.  The append-path tests pin
+what a flush costs now: one commit-log record, one fsync.
 """
 
 import json
@@ -24,13 +28,18 @@ from repro.errors import SegmentError, StoreError
 from repro.faults.io import IoFaultInjector, IoFaultPlan
 from repro.runtime import crclog
 from repro.store import SeriesKey, TelemetryStore
+from repro.store import commitlog
+from repro.store.commitlog import LOG_FILENAME
 from repro.store.segment import (
     JOURNAL_FILENAME,
+    JOURNAL_SCHEMA,
     RAW,
     RAW_COLUMNS,
+    RESOLUTIONS,
     SEGMENT_SCHEMA,
     SEGMENT_SCHEMA_V1,
     SegmentDir,
+    columns_for,
     encode_block,
 )
 
@@ -46,18 +55,47 @@ def _block(b):
     return t, t * 10.0 + b
 
 
+def _segment_dir(root):
+    return root / "segments" / "b" / "w" / "n00001" / "strain"
+
+
+def write_journaled_store(root, blocks=BLOCKS):
+    """A store as written before the commit log: a snapshot-1 manifest
+    indexing nothing, the blocks in ``raw.seg``, one journal line each."""
+    TelemetryStore(root)
+    directory = _segment_dir(root)
+    directory.mkdir(parents=True)
+    empty = {"bytes": 0, "rows": 0, "blocks": []}
+    manifest = {
+        "schema": SEGMENT_SCHEMA, "snapshot": 1, "key": KEY.to_dict(),
+        "files": {
+            res: {"columns": list(columns_for(res)), **empty}
+            for res in RESOLUTIONS
+        },
+    }
+    (directory / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
+    offset = 0
+    with open(directory / "raw.seg", "wb") as seg, open(
+        directory / JOURNAL_FILENAME, "w"
+    ) as journal:
+        for b in range(blocks):
+            frame, meta = encode_block(RAW_COLUMNS, list(_block(b)))
+            seg.write(frame)
+            journal.write(crclog.encode_line(
+                JOURNAL_SCHEMA,
+                {"res": RAW, "snapshot": 1, "offset": offset, **meta},
+            ) + "\n")
+            offset += meta["length"]
+
+
 @pytest.fixture(scope="module")
 def pristine(tmp_path_factory):
     root = tmp_path_factory.mktemp("journal") / "tele"
-    store = TelemetryStore(root)
-    for b in range(BLOCKS):
-        store.append(KEY, *_block(b))
-    data = store.read(KEY)
+    write_journaled_store(root)
+    data = TelemetryStore(root, create=False).read(KEY)
     return {"root": root, "t": data["t"].copy(), "value": data["value"].copy()}
-
-
-def _segment_dir(root):
-    return root / "segments" / "b" / "w" / "n00001" / "strain"
 
 
 def _journal(root):
@@ -182,17 +220,17 @@ class TestFoldCrash:
     ):
         scratch, root = _copy(pristine)
         try:
-            real = crclog.truncate_file
+            real = Path.unlink
 
-            def crash_on_reset(path, size, durable=True):
-                if Path(path).name == JOURNAL_FILENAME and size == 0:
+            def crash_on_removal(path, *args, **kwargs):
+                if path.name == JOURNAL_FILENAME:
                     raise _Crash("power lost after the manifest rename")
-                real(path, size, durable)
+                real(path, *args, **kwargs)
 
-            monkeypatch.setattr(crclog, "truncate_file", crash_on_reset)
+            monkeypatch.setattr(Path, "unlink", crash_on_removal)
             with pytest.raises(_Crash):
                 TelemetryStore(root, create=False).compact()
-            monkeypatch.setattr(crclog, "truncate_file", real)
+            monkeypatch.setattr(Path, "unlink", real)
             # The folded lines are still in the journal, one snapshot old.
             assert _journal(root).read_bytes().count(b"\n") == BLOCKS
 
@@ -202,12 +240,13 @@ class TestFoldCrash:
             assert np.array_equal(data["value"], pristine["value"])
             assert not store.quarantine_dir.exists()
 
-            # The next append drops the stale lines instead of stacking
-            # on them, and nothing is applied twice.
+            # The next append and fold drop the stale lines instead of
+            # stacking on them, and nothing is applied twice.
             store.append(KEY, [100.0], [-1.0])
+            store.compact()
             data = TelemetryStore(root, create=False).read(KEY)
             assert np.array_equal(data["t"], np.append(pristine["t"], 100.0))
-            assert _journal(root).read_bytes().count(b"\n") == 1
+            assert not _journal(root).exists()
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 
@@ -233,7 +272,7 @@ class TestFoldCrash:
             TelemetryStore(root, create=False).compact()
             monkeypatch.setattr("repro.faults.io._active", None)
             assert injector.dropped == 1
-            assert _journal(root).stat().st_size == 0
+            assert not _journal(root).exists()
             data = TelemetryStore(root, create=False).read(KEY)
             assert np.array_equal(data["t"], pristine["t"])
         finally:
@@ -244,6 +283,7 @@ class TestAppendPath:
     def test_append_does_not_rewrite_the_manifest(self, tmp_path):
         store = TelemetryStore(tmp_path / "s")
         store.append(KEY, *_block(0))
+        store.compact()
         manifest = _segment_dir(store.root) / "manifest.json"
         before = (manifest.read_bytes(), manifest.stat().st_ino)
         for b in range(1, 5):
@@ -251,54 +291,68 @@ class TestAppendPath:
         assert (manifest.read_bytes(), manifest.stat().st_ino) == before
         assert store.read(KEY)["t"].size == 5 * BLOCK_ROWS
 
-    def test_append_reads_only_the_last_journal_line(self, tmp_path, monkeypatch):
+    def test_append_parses_only_its_own_record(self, tmp_path, monkeypatch):
         store = TelemetryStore(tmp_path / "s")
         for b in range(4):
             store.append(KEY, *_block(b))
-
-        def no_scan(*_args, **_kwargs):
-            raise AssertionError("an append scanned the whole journal")
-
-        monkeypatch.setattr(crclog, "scan_lines", no_scan)
+        decoded = []
+        real = commitlog._decode_body
+        monkeypatch.setattr(
+            commitlog, "_decode_body",
+            lambda body: (decoded.append(1), real(body))[1],
+        )
         store.append(KEY, *_block(4))
         monkeypatch.undo()
+        assert len(decoded) == 1  # the log's first four records: reused
         assert store.read(KEY)["t"].size == 5 * BLOCK_ROWS
 
-    @pytest.mark.parametrize("durable, fsyncs", [(True, 2), (False, 0)])
+    @pytest.mark.parametrize("durable, fsyncs", [(True, 1), (False, 0)])
     def test_steady_state_fsyncs(self, tmp_path, monkeypatch, durable, fsyncs):
-        segment = SegmentDir(tmp_path / "seg", KEY.to_dict(), tmp_path / "q")
-        segment.append_block(RAW, list(_block(0)), durable=durable)
+        store = TelemetryStore(tmp_path / "s")
+        other = SeriesKey("b", "w", 2, "rh")
+        with store.writer(durable=durable) as writer:
+            writer.add(KEY, *_block(0))
+            writer.add(other, *_block(0))
         calls = []
         real = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
-        fresh = SegmentDir(tmp_path / "seg", KEY.to_dict(), tmp_path / "q")
-        fresh.append_block(RAW, list(_block(1)), durable=durable)
-        # Data, then its journal line: no manifest, no directory fsync.
+        fresh = TelemetryStore(tmp_path / "s", create=False)
+        with fresh.writer(durable=durable) as writer:
+            writer.add(KEY, *_block(1))
+            writer.add(other, *_block(1))
+        # One commit record for both series: no segment, manifest or
+        # directory fsync.
         assert len(calls) == fsyncs
 
     def test_reader_leaves_a_torn_tail_for_the_writer(self, tmp_path):
         store = TelemetryStore(tmp_path / "s")
         store.append(KEY, *_block(0))
-        journal = _journal(store.root)
-        torn = journal.read_bytes() + b'{"crc":12,"rec'
-        journal.write_bytes(torn)
+        log = store.segments_dir / "b" / LOG_FILENAME
+        frame, meta = encode_block(RAW_COLUMNS, list(_block(1)))
+        record = commitlog.encode_record(2, [("w/n00001/strain", frame, meta)])
+        torn = log.read_bytes() + record[:len(record) // 2]
+        log.write_bytes(torn)
         assert TelemetryStore(store.root).read(KEY)["t"].size == BLOCK_ROWS
-        assert journal.read_bytes() == torn  # readers never mutate
+        assert log.read_bytes() == torn  # readers never mutate
         store.append(KEY, *_block(1))
         assert store.read(KEY)["t"].size == 2 * BLOCK_ROWS
-        assert journal.read_bytes().endswith(b"\n")
+        assert TelemetryStore(store.root).read(KEY)["t"].size == 2 * BLOCK_ROWS
+        assert log.stat().st_size < len(torn) + len(record)
 
-    def test_compaction_folds_the_journal(self, tmp_path):
-        store = TelemetryStore(tmp_path / "s")
-        for b in range(3):
-            store.append(KEY, *_block(b))
-        store.compact()
-        assert _journal(store.root).stat().st_size == 0
-        manifest = json.loads(
-            (_segment_dir(store.root) / "manifest.json").read_text()
-        )
-        assert len(manifest["files"]["raw"]["blocks"]) == 3
-        assert store.read(KEY)["t"].size == 3 * BLOCK_ROWS
+    def test_compaction_folds_the_journal(self, pristine):
+        scratch, root = _copy(pristine)
+        try:
+            store = TelemetryStore(root, create=False)
+            store.compact()
+            assert not _journal(root).exists()
+            manifest = json.loads(
+                (_segment_dir(root) / "manifest.json").read_text()
+            )
+            assert len(manifest["files"]["raw"]["blocks"]) == 3
+            data = TelemetryStore(root, create=False).read(KEY)
+            assert np.array_equal(data["t"], pristine["t"])
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
 
 
 class TestVersionOneSegments:
@@ -325,14 +379,25 @@ class TestVersionOneSegments:
         store = TelemetryStore(tmp_path / "s")
         self._v1_segment(_segment_dir(store.root))
         assert store.read(KEY)["t"].size == BLOCK_ROWS
-        store.append(KEY, *_block(1))
+        segment = SegmentDir(
+            _segment_dir(store.root), KEY.to_dict(), store.quarantine_dir
+        )
+        segment.append_block(RAW, list(_block(1)))
         manifest = json.loads(
             (_segment_dir(store.root) / "manifest.json").read_text()
         )
         assert manifest["schema"] == SEGMENT_SCHEMA
-        assert len(manifest["files"]["raw"]["blocks"]) == 1
-        assert _journal(store.root).read_bytes().count(b"\n") == 1
-        data = store.read(KEY)
+        assert len(manifest["files"]["raw"]["blocks"]) == 2
+        # Through a store, the next block is a commit-log record; the
+        # fold appends it after the v1 segment's blocks.
+        store.append(KEY, *_block(2))
+        for reader in (store, TelemetryStore(store.root, create=False)):
+            assert np.array_equal(
+                reader.read(KEY)["t"],
+                np.concatenate([_block(b)[0] for b in range(3)]),
+            )
+        store.compact()
+        data = TelemetryStore(store.root, create=False).read(KEY)
         assert np.array_equal(
-            data["t"], np.concatenate([_block(0)[0], _block(1)[0]])
+            data["t"], np.concatenate([_block(b)[0] for b in range(3)])
         )

@@ -1,12 +1,14 @@
-"""Advisory partition-lock tests (ISSUE 8 satellite).
+"""Partition-lock tests.
 
-Two writers must never append to the same building partition; a lock
-left by a dead pid must be reclaimed loudly instead of wedging the
-partition forever.
+Two mutators must never work on the same building partition at once; a
+live holder is waited for, up to a bound; a lock left by a dead pid
+must be reclaimed loudly instead of wedging the partition forever.
 """
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.store import (
     TelemetryStore,
     pid_alive,
 )
+from repro.store import lock as lock_module
 
 KEY = SeriesKey("tower", "north", 1, "strain")
 
@@ -145,3 +148,60 @@ class TestWriterLocking:
         with store.writer() as writer:
             writer.add_sample(KEY, 0.0, 1.0)
         assert store.read(KEY)["t"].size == 1
+
+
+class TestWaitingForTheHolder:
+    def _hold_on_another_thread(self, path, building, seconds):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            lock = PartitionLock(path, building).acquire()
+            held.set()
+            release.wait(seconds)
+            lock.release()
+
+        thread = threading.Thread(target=hold)
+        thread.start()
+        assert held.wait(10)
+        return thread, release
+
+    def test_acquire_waits_for_a_holder_that_lets_go(self, tmp_path):
+        thread, release = self._hold_on_another_thread(tmp_path, "tower", 0.2)
+        began = time.monotonic()
+        with observed():
+            lock = PartitionLock(tmp_path, "tower").acquire()
+            waits = obs_registry().snapshot()["counters"]["store.lock_waits"]
+        assert time.monotonic() - began >= 0.1
+        assert waits == 1
+        lock.release()
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_mutators_never_proceed_without_the_lock(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(lock_module, "LOCK_WAIT_S", 0.2)
+        store = TelemetryStore(tmp_path)
+        for t in range(3):
+            store.append(KEY, [float(t)], [1.0])
+        log = store.commit_log(KEY.building).path
+        before = log.read_bytes()
+        thread, release = self._hold_on_another_thread(
+            store.segments_dir, KEY.building, 30.0
+        )
+        try:
+            with pytest.raises(PartitionLockError):
+                store.compact()
+            with pytest.raises(PartitionLockError):
+                store.truncate_from(1.0)
+            with pytest.raises(PartitionLockError):
+                store.append(KEY, [5.0], [1.0])
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert log.read_bytes() == before
+        assert not (store.segments_dir / KEY.building / KEY.wall).exists()
+        assert store.truncate_from(1.0) == 2
+        assert store.compact()["folded_rows"] == 1

@@ -1,10 +1,11 @@
-"""Cross-process partition-lock contention: two REAL StoreWriters racing.
+"""Cross-process partition-lock contention: REAL processes racing.
 
 ``test_store_lock.py`` pins the in-process lock semantics; these tests
 put actual separate processes on the same store directory, because the
 hazards the lock exists for -- a live foreign writer, a SIGKILLed
 writer's leftover lockfile, a garbage lockfile from a crashed
-half-write -- only manifest across process boundaries.
+half-write, a compaction folding the log a writer is appending to --
+only manifest across process boundaries.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from repro.errors import PartitionLockError
 from repro.store import TelemetryStore
+from repro.store import lock as lock_module
 from repro.store.keys import SeriesKey
 from repro.store.lock import LOCK_FILENAME, LOCK_SCHEMA
 
@@ -61,7 +63,11 @@ def mp_ctx():
 
 
 class TestLiveForeignWriter:
-    def test_second_process_writer_is_refused(self, tmp_path, mp_ctx):
+    def test_second_process_writer_is_refused(
+        self, tmp_path, mp_ctx, monkeypatch
+    ):
+        # The rival (forked after this) waits this long for the holder.
+        monkeypatch.setattr(lock_module, "LOCK_WAIT_S", 0.5)
         root = tmp_path / "store"
         TelemetryStore(root)  # create the marker before the children race
         ready, release = mp_ctx.Event(), mp_ctx.Event()
@@ -150,3 +156,89 @@ class TestGarbageLockfile:
         writer_proc.start()
         assert queue.get(timeout=30) == "ok"
         writer_proc.join(timeout=30)
+
+
+#: One-row durable flushes process A makes in the compaction race.
+RACE_ROWS = 400
+
+
+def _race(role, report, body):
+    """Run one racer's ``body``; any exception is written to ``report``."""
+    try:
+        body()
+    except BaseException as exc:  # pragma: no cover - asserted empty below
+        Path(report).write_text(f"{role}: {type(exc).__name__}: {exc}")
+
+
+def _race_writer(root, acked, done, report):
+    """A: one writer context (and lock turn) per one-row durable flush."""
+    def body():
+        store = TelemetryStore(root, create=False)
+        for i in range(RACE_ROWS):
+            with store.writer() as writer:
+                writer.add(KEY, np.array([float(i)]), np.array([i * 2.0]))
+            acked.value = i + 1
+
+    try:
+        _race("writer", report, body)
+    finally:
+        done.set()
+
+
+def _race_compactor(root, done, report):
+    """B: compaction in a loop while the writer runs."""
+    def body():
+        store = TelemetryStore(root, create=False)
+        while not done.is_set():
+            store.compact()
+
+    _race("compactor", report, body)
+
+
+def _race_reader(root, acked, done, report, out):
+    """C: reads in a loop; records (rows acknowledged before, rows read)."""
+    seen = []
+
+    def body():
+        store = TelemetryStore(root, create=False)
+        while not done.is_set():
+            before = acked.value
+            seen.append((before, store.read(KEY)["t"].tolist()))
+
+    _race("reader", report, body)
+    Path(out).write_text(json.dumps(seen))
+
+
+class TestCompactionRace:
+    def test_compaction_beside_a_writer_loses_nothing(self, tmp_path, mp_ctx):
+        """A writer, a compaction loop and a reader in three processes:
+        every acknowledged row survives, and every read is a prefix of
+        the final series holding every row acknowledged before it."""
+        root = str(tmp_path / "store")
+        TelemetryStore(root)
+        acked, done = mp_ctx.Value("i", 0), mp_ctx.Event()
+        reports = [tmp_path / f"{role}.err" for role in ("a", "b", "c")]
+        reads = tmp_path / "reads.json"
+        procs = [
+            mp_ctx.Process(target=_race_writer, args=(root, acked, done, reports[0])),
+            mp_ctx.Process(target=_race_compactor, args=(root, done, reports[1])),
+            mp_ctx.Process(
+                target=_race_reader, args=(root, acked, done, reports[2], reads)
+            ),
+        ]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+        assert not any(proc.is_alive() for proc in procs)
+        assert [p.read_text() for p in reports if p.exists()] == []
+        assert acked.value == RACE_ROWS
+        fresh = TelemetryStore(root, create=False)
+        final = fresh.read(KEY)["t"].tolist()
+        assert final == [float(i) for i in range(RACE_ROWS)]
+        seen = json.loads(reads.read_text())
+        assert seen, "the reader never read"
+        for before, rows in seen:
+            assert rows == final[: len(rows)]
+            assert len(rows) >= before
+        assert not fresh.quarantine_dir.exists()
