@@ -4,7 +4,7 @@ Pins the cost of self-telemetry.  A checkpointed campaign (state dir +
 telemetry store) runs with the ``_obs`` heartbeat recorder attached;
 the recorder's **accounted wall time** -- the sum of its own
 ``obs.pipeline.record_s`` (in-memory ticks) and ``obs.pipeline.flush_s``
-(batched non-durable store flushes) histograms -- over the campaign's
+(batched store flushes, one fsynced commit record each) histograms -- over the campaign's
 total wall time becomes ``overhead_pct`` in ``BENCH_obs.json``.
 
 Accounted time is used instead of differencing recorder-on vs

@@ -28,6 +28,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 from ..errors import CheckpointError
 from ..faults.io import io_read_text
 from ..obs import obs_counter, obs_event
+from ..runtime import crclog
 from ..runtime.serialize import canonical_json, write_json_atomic
 
 #: Schema tag for campaign checkpoints.
@@ -147,15 +148,8 @@ class CheckpointStore:
 
     def quarantine(self, path: Path, reason: str) -> Optional[Path]:
         """Move a corrupt checkpoint aside for forensics."""
-        self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        target = self.quarantine_dir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_dir / f"{path.name}.{suffix}"
-        try:
-            path.replace(target)
-        except OSError:  # pragma: no cover - racing deletion
+        target = crclog.quarantine(path, self.quarantine_dir, path.name)
+        if target is None:  # pragma: no cover - racing deletion
             return None
         obs_counter("campaign.checkpoints_quarantined").inc()
         obs_event(

@@ -90,10 +90,10 @@ STORE_WALL = "pilot"
 
 #: Heartbeat ticks buffered in memory between ``_obs`` store flushes.
 #: Ticks are pure in-memory delta computations; the batched flush (one
-#: non-durable block per touched series) amortises manifest rewrites so
-#: the recorder stays inside the <= 2% wall-time budget pinned by
-#: ``BENCH_obs.json``.  A crash loses at most this many ticks of
-#: self-telemetry -- never any experiment data.
+#: block per touched series, in one fsynced commit-log record) amortises
+#: its fsync so the recorder stays inside the <= 2% wall-time budget
+#: pinned by ``BENCH_obs.json``.  A crash loses at most this many ticks
+#: of self-telemetry -- never any experiment data.
 OBS_FLUSH_EPOCHS = 64
 
 

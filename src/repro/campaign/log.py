@@ -5,10 +5,10 @@ its *audit* artifact: one JSON line per completed epoch, appended and
 fsynced as the campaign runs, so an operator (or the ``status`` verb)
 can see what a dead campaign was doing without deserializing state.
 
-Lines are CRC-framed through :mod:`repro.runtime.crclog`, the same
-primitive the store's segment journals use.  Appends are not atomic --
-a SIGKILL or power cut mid-append leaves a torn final line.  Recovery
-is deliberately simple and loss-bounded: on open,
+Lines are CRC-framed and appended through :mod:`repro.runtime.crclog`,
+whose durable append the store's commit log uses too.  Appends are not
+atomic -- a SIGKILL or power cut mid-append leaves a torn final line.
+Recovery is deliberately simple and loss-bounded: on open,
 :meth:`EpochLog.recover` scans for the longest valid prefix and
 truncates the file to it.  A torn tail costs at most the one record
 that was being written (which the next checkpoint replay regenerates);
@@ -50,8 +50,9 @@ class EpochLog:
         """Append one epoch record, flushed and fsynced.
 
         Transient EIO is retried with bounded backoff; before each
-        retry the file is healed back to its pre-append length, so a
-        torn first attempt can never merge with the retried line.
+        retry, and after a final failure, the file is cut back to its
+        pre-append length, so a torn attempt can never merge with a
+        later line.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         crclog.append_line(

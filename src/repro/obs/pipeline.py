@@ -30,10 +30,10 @@ with a recorder attached produces a ``result.json`` byte-identical to
 the same run without one (proved in ``tests/test_obs_pipeline.py``).
 
 Overhead contract: ticks buffer in memory and flush every
-``flush_every`` ticks through the store's non-durable write path (no
-per-block fsyncs -- self-telemetry is loss-tolerant, and torn tails
-heal on the next append).  At the campaign's heartbeat cadence this
-keeps the recorder's wall-time overhead within the budget pinned by
+``flush_every`` ticks through the store's one write path: one
+commit-log record and one fsync per flush.  At the campaign's heartbeat
+cadence (a flush every ``OBS_FLUSH_EPOCHS`` epochs) this keeps the
+recorder's wall-time overhead within the budget pinned by
 ``BENCH_obs.json``.
 """
 
@@ -142,8 +142,8 @@ class MetricsRecorder:
         interval_s: Default cadence for :meth:`start`.
         quantiles: Histogram quantiles estimated per tick.
         flush_every: Ticks buffered in memory before the batch is
-            written to the store (one block per touched series, fsyncs
-            skipped -- self-telemetry is loss-tolerant by contract).
+            written to the store (one block per touched series, in one
+            fsynced commit-log record).
             The default of 1 flushes every tick; high-frequency callers
             (the campaign's per-epoch heartbeat) raise it so the
             steady-state tick is a pure in-memory delta computation.
@@ -295,12 +295,12 @@ class MetricsRecorder:
         return len(samples)
 
     def _flush_locked(self, registry: Optional[MetricsRegistry]) -> None:
-        """Drain the tick buffer: one non-durable block per series."""
+        """Drain the tick buffer: one block per series, one record."""
         if not self._pending:
             self._pending_ticks = 0
             return
         started = time.perf_counter()
-        with self.store.writer(durable=False) as writer:
+        with self.store.writer() as writer:
             for metric, (times, values) in self._pending.items():
                 writer.add(self._key(metric), times, values)
         self._pending.clear()

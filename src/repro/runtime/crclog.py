@@ -1,20 +1,21 @@
-"""CRC-framed JSON lines: the one append-only durability primitive.
+"""The one durable append, CRC-framed JSON lines, and the quarantine move.
 
-Both append-only files of the program -- the campaign's epoch log
-(:mod:`repro.campaign.log`) and each store segment's block journal
-(:mod:`repro.store.segment`) -- are sequences of lines of the form::
+Every append-only file grows through :func:`append_bytes`: the
+campaign's epoch log (:mod:`repro.campaign.log`), each building's
+commit log (:mod:`repro.store.commitlog`) and each series' ``raw.seg``
+when a fold copies logged frames into it (:mod:`repro.store.segment`).
+An append is written and fsynced, so after a crash the file is its
+acknowledged bytes followed by at most one *torn tail*: the strict
+prefix of an append that never finished.  Each caller cuts a torn tail
+before it appends, and fsyncs the directory after creating a file.
+
+The epoch log's records are lines of the form::
 
     {"crc":CRC32,"record":{...},"schema":TAG}\\n
 
 where the CRC32 covers the record's canonical (sorted-key, compact)
-JSON.  An append writes one whole line and fsyncs it, so after a crash
-the file is a run of complete lines followed by at most one *torn
-tail*: the strict prefix of a line whose write never finished.
-
-This module owns the format and the mechanics -- append with
-retry-and-heal, scan, tail read, truncate.  What to do with a complete
-line that fails validation is the caller's policy: the epoch log cuts
-the file back to the valid prefix, the store quarantines the segment.
+JSON.  Damage that is not a torn tail -- in a store segment, a commit
+log, a campaign checkpoint -- is moved aside by :func:`quarantine`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
-from ..faults.io import io_fsync, io_read, io_write, retry_io
-
-#: Bytes read per step when looking for a file's last line.
-_TAIL_WINDOW = 4096
+from ..faults.io import io_fsync, io_write, retry_io
 
 _DECODER = json.JSONDecoder()
 
@@ -118,71 +116,26 @@ def scan_lines(raw: bytes, schema: str) -> LineScan:
     return LineScan(records, cursor, None)
 
 
-@dataclass(frozen=True)
-class FileTail:
-    """The end of a line file, as :func:`read_tail` found it.
-
-    Attributes:
-        line: The last complete line (without its newline), or None.
-        end: Byte offset just past that line's newline (0 when none).
-        size: The file's size (0 when it does not exist).
-        rest: The bytes after ``end`` (empty unless the file ends mid-line).
-    """
-
-    line: Optional[bytes]
-    end: int
-    size: int
-    rest: bytes
-
-
-def read_tail(path: Union[str, Path]) -> FileTail:
-    """The last complete line of ``path`` without reading the whole file."""
-    try:
-        handle = open(path, "rb")
-    except FileNotFoundError:
-        return FileTail(None, 0, 0, b"")
-    with handle:
-        size = os.fstat(handle.fileno()).st_size
-        pos, buf = size, b""
-        while pos > 0:
-            step = min(_TAIL_WINDOW, pos)
-            pos -= step
-            handle.seek(pos)
-            buf = io_read(handle, step, path) + buf
-            last = buf.rfind(b"\n")
-            if last < 0:
-                continue
-            before = buf.rfind(b"\n", 0, last)
-            if before >= 0 or pos == 0:
-                return FileTail(
-                    buf[before + 1:last], pos + last + 1, size, buf[last + 1:]
-                )
-    return FileTail(None, 0, size, buf)
-
-
-def truncate_file(path: Union[str, Path], size: int, durable: bool = True) -> None:
+def truncate_file(path: Union[str, Path], size: int) -> None:
     """Cut ``path`` back to ``size`` bytes (the heal of every torn tail)."""
     with open(path, "r+b") as handle:
         handle.truncate(size)
         handle.flush()
-        if durable:
-            os.fsync(handle.fileno())
+        os.fsync(handle.fileno())
 
 
-def append_line(
-    path: Union[str, Path], line: str, what: str, durable: bool = True
-) -> None:
-    """Append ``line`` plus its newline, fsynced unless ``durable=False``.
+def append_bytes(path: Union[str, Path], data: bytes, base: int, what: str) -> None:
+    """Append ``data`` after the first ``base`` bytes of ``path``, fsynced.
 
-    Transient EIO is retried with bounded backoff; before each retry
-    the file is healed back to its pre-append length, so a torn first
-    attempt can never merge with the retried line.
+    The caller has cut any torn tail, so the file holds ``base`` bytes
+    (none when it does not exist yet).  Transient EIO is retried with
+    bounded backoff.  Before each retry, and after a final failure, the
+    file is cut back to ``base``: a torn attempt can never merge with
+    the retried bytes, and a failed append acknowledges nothing.
     """
     path = Path(path)
-    data = (line + "\n").encode("utf-8")
-    base = path.stat().st_size if path.exists() else 0
 
-    def heal(_attempt: int, _exc: OSError) -> None:
+    def heal(*_args: Any) -> None:
         if path.exists() and path.stat().st_size > base:
             truncate_file(path, base)
 
@@ -190,7 +143,40 @@ def append_line(
         with path.open("ab") as handle:
             io_write(handle, data)
             handle.flush()
-            if durable:
-                io_fsync(handle.fileno(), path)
+            io_fsync(handle.fileno(), path)
 
-    retry_io(attempt, what, on_retry=heal)
+    try:
+        retry_io(attempt, what, on_retry=heal)
+    except BaseException:
+        try:
+            heal()
+        except OSError:
+            pass  # the file stays longer than acknowledged: a torn tail
+        raise
+
+
+def append_line(path: Union[str, Path], line: str, what: str) -> None:
+    """Append ``line`` plus its newline after the file's current bytes."""
+    path = Path(path)
+    base = path.stat().st_size if path.exists() else 0
+    append_bytes(path, (line + "\n").encode("utf-8"), base, what)
+
+
+def quarantine(source: Path, root: Path, stem: str) -> Optional[Path]:
+    """Move a file or directory to a fresh ``root/stem[.N]``.
+
+    Returns where it went, or None when ``source`` has vanished (another
+    process moved it first).
+    """
+    if not os.path.lexists(source):
+        return None
+    root.mkdir(parents=True, exist_ok=True)
+    target, suffix = root / stem, 0
+    while target.exists():
+        suffix += 1
+        target = root / f"{stem}.{suffix}"
+    try:
+        source.replace(target)
+    except FileNotFoundError:
+        return None
+    return target

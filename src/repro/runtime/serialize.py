@@ -102,9 +102,7 @@ def canonical_json(obj: Any) -> str:
     )
 
 
-def write_json_atomic(
-    path: Union[str, Path], payload: Any, fsync: bool = True
-) -> Path:
+def write_json_atomic(path: Union[str, Path], payload: Any) -> Path:
     """Write ``payload`` as indented JSON via a same-directory temp file.
 
     The fsync-then-rename keeps readers (and the result cache) from
@@ -112,17 +110,10 @@ def write_json_atomic(
     the platters before the rename -- a power cut leaves either the old
     file or the complete new one, never a truncated hybrid.
 
-    When ``fsync=True`` the parent directory is fsynced after the
-    rename as well: the rename itself is a directory mutation, and
-    without the directory fsync a power cut can durably keep the data
-    blocks yet lose the name pointing at them.
-
-    ``fsync=False`` keeps the rename atomicity (readers still never see
-    a partial file) but lets the page cache decide when bytes reach the
-    platters -- a power cut may then roll the file back to its previous
-    content, and the directory entry is likewise left to the cache.
-    Only loss-tolerant writers (the ``_obs`` telemetry pipeline, fleet
-    heartbeats) opt into this.
+    The parent directory is fsynced after the rename as well: the
+    rename itself is a directory mutation, and without the directory
+    fsync a power cut can durably keep the data blocks yet lose the
+    name pointing at them.
 
     Transient write/fsync errors (EIO) are retried with bounded
     backoff; each attempt starts from a fresh temp file, so a torn
@@ -140,15 +131,13 @@ def write_json_atomic(
             with os.fdopen(handle, "w") as tmp:
                 io_write(tmp, text + "\n")
                 tmp.flush()
-                if fsync:
-                    io_fsync(tmp.fileno(), tmp_name)
+                io_fsync(tmp.fileno(), tmp_name)
             io_replace(tmp_name, path)
         except BaseException:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
-        if fsync:
-            fsync_dir(path.parent)
+        fsync_dir(path.parent)
 
     retry_io(attempt, f"write_json_atomic:{path.name}")
     return path
@@ -180,7 +169,7 @@ def write_json_atomic_verified(path: Union[str, Path], payload: Any) -> Path:
     expected_bytes = (expected + "\n").encode("utf-8")
 
     def attempt() -> None:
-        write_json_atomic(path, payload, fsync=True)
+        write_json_atomic(path, payload)
         try:
             found = io_read_bytes(path)
         except OSError as exc:

@@ -316,31 +316,23 @@ class CommitLog:
 
     def _quarantine(self, reason: str) -> NoReturn:
         """Move the log aside for forensics and raise loudly."""
-        self.quarantine_root.mkdir(parents=True, exist_ok=True)
-        stem = f"{self.path.parent.name}.{LOG_FILENAME}"
-        target, suffix = self.quarantine_root / stem, 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_root / f"{stem}.{suffix}"
-        try:
-            self.path.replace(target)
-        except FileNotFoundError:
-            pass  # another reader moved it first
-        self._held = None
-        obs_counter("store.quarantines").inc()
-        obs_event(
-            "warning", "store.log_quarantined",
-            log=str(self.path), quarantined_to=str(target), reason=reason,
+        target = crclog.quarantine(
+            self.path, self.quarantine_root,
+            f"{self.path.parent.name}.{LOG_FILENAME}",
         )
+        self._held = None
+        if target is not None:  # else another reader moved it first
+            obs_counter("store.quarantines").inc()
+            obs_event(
+                "warning", "store.log_quarantined",
+                log=str(self.path), quarantined_to=str(target), reason=reason,
+            )
         raise SegmentError(
             f"commit log {self.path} is corrupt (quarantined): {reason}"
         )
 
     def append(
-        self,
-        view: LogView,
-        series: Sequence[Tuple[str, bytes, Mapping[str, Any]]],
-        durable: bool = True,
+        self, view: LogView, series: Sequence[Tuple[str, bytes, Mapping[str, Any]]]
     ) -> LogView:
         """Append one record after ``view``; returns the view with it.
 
@@ -354,42 +346,24 @@ class CommitLog:
         if not base:
             data = encode_header(view.base_seq) + data
         if view.torn:
-            self.cut(view.size, base, durable)
+            self.cut(view.size, base)
         created = not self.path.exists()
-        path = self.path
         if created:
-            path.parent.mkdir(parents=True, exist_ok=True)
-
-        def heal(*_args: Any) -> None:
-            if path.exists() and path.stat().st_size > base:
-                crclog.truncate_file(path, base)
-
-        def attempt() -> None:
-            with path.open("ab") as handle:
-                io_write(handle, data)
-                handle.flush()
-                if durable:
-                    io_fsync(handle.fileno(), path)
-
-        try:
-            retry_io(attempt, f"commit_log_append:{path.parent.name}", on_retry=heal)
-        except BaseException:
-            try:
-                heal()
-            except OSError:
-                pass  # the file stays longer than acknowledged: a torn tail
-            raise
-        if created and durable:
-            fsync_dir(path.parent)  # the new log's name, before its ack
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        crclog.append_bytes(
+            self.path, data, base, f"commit_log_append:{self.path.parent.name}"
+        )
+        if created:
+            fsync_dir(self.path.parent)  # the new log's name, before its ack
         appended = parse(view.raw + data, view if base else None)
         self._held = appended
         obs_counter("store.log_appends").inc()
         obs_counter("store.log_bytes").inc(len(data))
         return appended
 
-    def cut(self, size: int, keep: int, durable: bool = True) -> None:
+    def cut(self, size: int, keep: int) -> None:
         """Cut a torn tail back to ``keep`` bytes (counted, logged)."""
-        crclog.truncate_file(self.path, keep, durable)
+        crclog.truncate_file(self.path, keep)
         obs_counter("store.truncations").inc()
         obs_event(
             "warning", "store.log_truncated",

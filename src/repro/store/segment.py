@@ -30,12 +30,12 @@ drop them.  The durability idioms mirror the campaign runtime's
   silently wrong query result.
 
 Stores written before the commit log acknowledged blocks with a
-per-segment ``journal.jsonl`` of CRC-framed lines
-(:mod:`repro.runtime.crclog`), each tagged with the ``snapshot`` id of
-the manifest it extends.  Readers still apply those lines, and the
-first fold of the building writes them into the manifest and removes
-the file.  Version-1 manifests (no snapshot) still load; the first
-write rewrites them as v2.
+per-segment ``journal.jsonl``, and before that tagged their manifests
+``repro/store-segment/v1``.  Neither is read: the first access to a
+segment that still holds either raises a
+:class:`~repro.errors.StoreError` naming the file, and nothing is moved
+or rewritten -- the files are old, not damaged.  Such a store predates
+the commit log and must be rebuilt.
 
 Block frame (all integers little-endian)::
 
@@ -64,7 +64,6 @@ from ..errors import SegmentError, StoreError
 from ..faults.io import (
     io_fsync,
     io_read,
-    io_read_bytes,
     io_read_text,
     io_replace,
     io_write,
@@ -82,11 +81,10 @@ from .commitlog import CommitLog, LogEntry
 #: Schema tag stamped into every segment manifest.
 SEGMENT_SCHEMA = "repro/store-segment/v2"
 
-#: Manifests written before the journal existed (still readable).
-SEGMENT_SCHEMA_V1 = "repro/store-segment/v1"
-
-#: Schema tag of every line of a pre-commit-log journal.
-JOURNAL_SCHEMA = "repro/store-journal/v1"
+#: What a segment written before the commit log may hold, and is refused
+#: for: a manifest under the first schema tag, or a block journal.
+OLD_SEGMENT_SCHEMA = "repro/store-segment/v1"
+OLD_JOURNAL_FILENAME = "journal.jsonl"
 
 #: Resolutions a segment directory may hold, coarsest last.
 RAW, HOURLY, DAILY = "raw", "hourly", "daily"
@@ -102,9 +100,8 @@ _U32 = struct.Struct("<I")
 _FLOAT_BYTES = 8
 
 MANIFEST_FILENAME = "manifest.json"
-JOURNAL_FILENAME = "journal.jsonl"
 
-#: The index fields of one block, in the manifest and in journal lines.
+#: The index fields of one block in the manifest.
 _BLOCK_FIELDS = ("offset", "length", "n", "t0", "t1", "crc32")
 
 
@@ -219,16 +216,6 @@ def _empty_file_entry(resolution: str) -> Dict[str, Any]:
     }
 
 
-def _journal_line_problem(record: Mapping[str, Any]) -> Optional[str]:
-    """Why a CRC-valid journal record is not a block entry, or None."""
-    missing = [f for f in _BLOCK_FIELDS + ("res", "snapshot") if f not in record]
-    if missing:
-        return f"journal line lacks {missing}"
-    if record["res"] not in RESOLUTIONS:
-        return f"journal line names unknown resolution {record['res']!r}"
-    return None
-
-
 def _with_entry(
     manifest: Dict[str, Any], resolution: str, entry: Dict[str, Any]
 ) -> Dict[str, Any]:
@@ -266,13 +253,11 @@ def _appended(
 class _Index(NamedTuple):
     """A series' block index and the exact inputs it was built from.
 
-    ``manifest`` is the manifest on disk (with any pre-commit-log
-    journal applied); ``merged`` adds the log entries it does not hold
-    yet, and is what readers see.
+    ``manifest`` is the manifest on disk; ``merged`` adds the log
+    entries it does not hold yet, and is what readers see.
     """
 
     entries: Tuple[LogEntry, ...]
-    journal: bytes
     manifest_text: Optional[str]
     manifest: Dict[str, Any]
     merged: Dict[str, Any]
@@ -283,10 +268,10 @@ class SegmentDir:
 
     A :class:`~repro.store.store.TelemetryStore` keeps one object per
     series and calls :meth:`begin_use` each time it hands it out.  The
-    first index access of a use reads the building's commit log, the
-    journal a pre-commit-log store may have left, then the manifest,
-    and reuses the held index only when all three are the ones it was
-    built from; otherwise it parses and validates what it just read.
+    first index access of a use reads the building's commit log, then
+    the manifest, and reuses the held index only when both are the ones
+    it was built from; otherwise it parses and validates what it just
+    read.
     Later accesses in the same use (per thread) see that same index, as
     a freshly constructed object would.  Writes never edit a published
     index: they drop it, so the next use parses what they wrote.
@@ -312,14 +297,13 @@ class SegmentDir:
     ):
         self.directory = Path(directory)
         self.manifest_path = self.directory / MANIFEST_FILENAME
-        self.journal_path = self.directory / JOURNAL_FILENAME
         self.key_dict = dict(key_dict)
         self.quarantine_root = Path(quarantine_root)
         self._log = log
         self._log_key = log_key
-        #: Nothing writes a journal any more, so once it is gone it
-        #: stays gone: reads stop looking for it.
-        self._journal_gone = False
+        #: Nothing writes a journal any more, so once a segment is seen
+        #: without one, it is not looked for again.
+        self._journal_absent = False
         #: The held index: the last one parsed from disk, with its inputs.
         self._manifest: Optional[_Index] = None
         #: Per thread, ``index``: the :class:`_Index` this thread's
@@ -341,9 +325,6 @@ class SegmentDir:
         columns_for(resolution)  # validates the name
         return self.directory / f"{resolution}.seg"
 
-    def exists(self) -> bool:
-        return self.manifest_path.exists()
-
     def _fresh_manifest(self) -> Dict[str, Any]:
         # Snapshot 0: never written (every manifest write advances it).
         return {
@@ -361,8 +342,24 @@ class SegmentDir:
         )
 
     def _holds_data(self) -> bool:
-        paths = [self.seg_path(res) for res in RESOLUTIONS] + [self.journal_path]
+        paths = [self.seg_path(res) for res in RESOLUTIONS]
         return any(p.exists() and p.stat().st_size > 0 for p in paths)
+
+    def _refuse_old_layout(self, path: Path, why: str) -> NoReturn:
+        raise StoreError(
+            f"{path} {why}: this store predates the commit log and must be "
+            "rebuilt (re-running `campaign run --store` rebuilds a campaign "
+            "export)"
+        )
+
+    def _refuse_journal(self) -> None:
+        """Raise if a pre-commit-log journal is here (one ``exists``)."""
+        if self._journal_absent:
+            return
+        path = self.directory / OLD_JOURNAL_FILENAME
+        if path.exists():
+            self._refuse_old_layout(path, "is a block journal")
+        self._journal_absent = True
 
     def _manifest_text(self) -> Optional[str]:
         """``manifest.json``'s text (quarantine + raise if unreadable).
@@ -371,11 +368,15 @@ class SegmentDir:
         quarantined first).
         """
         if not self.manifest_path.exists():
-            if self._holds_data():
+            if not self._holds_data():
+                return None
+            # A first fold writes the manifest before any data, so data
+            # seen after a missing manifest may be that fold's: look again.
+            if not self.manifest_path.exists():
                 # Data without a manifest: nothing acknowledges those
                 # bytes, so nothing can vouch for them.
                 self._quarantine("segment files present without a manifest")
-            return None
+                return None
         try:
             return io_read_text(self.manifest_path)
         except (OSError, ValueError) as exc:
@@ -387,98 +388,43 @@ class SegmentDir:
             payload = json.loads(text)
         except ValueError as exc:
             self._corrupt(f"unreadable manifest: {exc}")
+        if isinstance(payload, dict) and payload.get("schema") == OLD_SEGMENT_SCHEMA:
+            self._refuse_old_layout(
+                self.manifest_path, f"is tagged {OLD_SEGMENT_SCHEMA}"
+            )
         problems = self._manifest_problems(payload)
         if problems:
             self._corrupt(f"malformed manifest: {problems[0]}")
-        payload.setdefault("snapshot", 0)  # v1: never written as v2
         return payload
-
-    def _journal_bytes(self) -> bytes:
-        """The pre-commit-log journal's bytes (empty when there is none)."""
-        if self._journal_gone:
-            return b""
-        try:
-            return retry_io(
-                lambda: io_read_bytes(self.journal_path),
-                f"segment_journal_read:{self.directory.name}",
-            )
-        except FileNotFoundError:
-            self._journal_gone = True
-            return b""
-        except OSError as exc:
-            raise SegmentError(f"cannot read {self.journal_path}: {exc}")
-
-    def _journal_records(self, raw: bytes) -> List[Dict[str, Any]]:
-        """Every complete journal line's record; a torn tail is ignored."""
-        scan = crclog.scan_lines(raw, JOURNAL_SCHEMA)
-        if scan.bad is not None:
-            self._corrupt(f"journal line at byte {scan.good_bytes}: {scan.bad}")
-        for record in scan.records:
-            problem = _journal_line_problem(record)
-            if problem:
-                self._corrupt(problem)
-        return scan.records
 
     def _load_index(self) -> _Index:
         """This use's index, read and parsed on its first access."""
         index = self._use_index()
         if index is not None:
             return index
+        self._refuse_journal()
         held = self._manifest
-        # The log is read before the manifest, and the journal before
-        # the manifest too: a fold writes the manifest before it drops
-        # what it folded, so whatever these reads miss, the manifest
-        # read after them holds -- nothing is lost in between.
+        # The log is read before the manifest: a fold writes the
+        # manifest before it drops what it folded, so whatever the log
+        # read misses, the manifest read after it holds -- nothing is
+        # lost in between.
         entries = self._log.entries(self._log_key) if self._log else ()
-        journal = self._journal_bytes()
         text = self._manifest_text()
         if (
             held is not None
             and held.entries == entries
-            and journal == held.journal
             and text == held.manifest_text
         ):
             index = held  # the same inputs: skip the parse
         else:
-            manifest = self._apply_journal(
-                text, self._journal_records(journal) if journal else []
+            manifest = (
+                self._fresh_manifest() if text is None
+                else self._parse_manifest(text)
             )
-            index = _Index(
-                entries, journal, text, manifest, self._merge(manifest, entries)
-            )
+            index = _Index(entries, text, manifest, self._merge(manifest, entries))
             self._manifest = index
         self._use.index = index
         return index
-
-    def _apply_journal(
-        self, text: Optional[str], records: List[Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """The manifest in ``text`` with its journal ``records`` appended."""
-        manifest = None if text is None else self._parse_manifest(text)
-        if manifest is None:
-            manifest, records = self._fresh_manifest(), []
-        snapshot = manifest["snapshot"]
-        if records and all(r["snapshot"] < snapshot for r in records):
-            records = []  # already written into this manifest
-        files = manifest["files"]
-        for record in records:
-            if record["snapshot"] != snapshot:
-                self._corrupt(
-                    f"journal line of snapshot {record['snapshot']} against "
-                    f"manifest snapshot {snapshot}"
-                )
-            entry = files.setdefault(
-                record["res"], _empty_file_entry(record["res"])
-            )
-            if record["offset"] != entry["bytes"]:
-                self._corrupt(
-                    f"journal skips {record['res']} bytes: block at "
-                    f"{record['offset']}, expected {entry['bytes']}"
-                )
-            entry["blocks"].append({f: record[f] for f in _BLOCK_FIELDS})
-            entry["bytes"] += record["length"]
-            entry["rows"] += record["n"]
-        return manifest
 
     @staticmethod
     def _merge(
@@ -497,9 +443,9 @@ class SegmentDir:
         if not isinstance(payload, dict):
             return ["manifest is not an object"]
         schema = payload.get("schema")
-        if schema not in (SEGMENT_SCHEMA, SEGMENT_SCHEMA_V1):
+        if schema != SEGMENT_SCHEMA:
             return [f"wrong schema {schema!r}"]
-        if schema == SEGMENT_SCHEMA and not isinstance(payload.get("snapshot"), int):
+        if not isinstance(payload.get("snapshot"), int):
             return ["manifest has no snapshot id"]
         log_seq = payload.get("log_seq", 0)
         if not isinstance(log_seq, int) or log_seq < 0:
@@ -536,34 +482,26 @@ class SegmentDir:
         return []
 
     def _write_manifest(
-        self, manifest: Dict[str, Any], durable: bool = True, verified: bool = False
+        self, manifest: Dict[str, Any], verified: bool = False
     ) -> Dict[str, Any]:
         """Write ``manifest`` under a new snapshot id; returns what was written.
 
         ``verified`` reads the file back before returning, for callers
         that drop what the manifest now holds (a fold drops log
-        records).  A leftover journal is written in too (its lines are
-        in ``manifest``), so it is verified likewise and then removed;
-        if the removal is lost to a crash, its lines carry an older
-        snapshot id and are skipped.
+        records).
         """
         self.directory.mkdir(parents=True, exist_ok=True)
-        written = dict(
-            manifest, schema=SEGMENT_SCHEMA, snapshot=manifest["snapshot"] + 1
-        )
+        written = dict(manifest, snapshot=manifest["snapshot"] + 1)
         prior = self._use_index()
         self._manifest = None  # the next use parses what is written here
         self._use.index = None  # disk may disagree if this fails
-        journal = self.journal_path.exists()
-        if verified or journal:
+        if verified:
             write_json_atomic_verified(self.manifest_path, written)
         else:
-            write_json_atomic(self.manifest_path, written, fsync=durable)
-        if journal:
-            self.journal_path.unlink()
+            write_json_atomic(self.manifest_path, written)
         entries = prior.entries if prior is not None else ()
         self._use.index = _Index(
-            entries, b"", None, written, self._merge(written, entries)
+            entries, None, written, self._merge(written, entries)
         )
         return written
 
@@ -608,18 +546,12 @@ class SegmentDir:
 
     def _quarantine(self, reason: str) -> Optional[Path]:
         """Move the whole segment directory aside for forensics."""
-        if not self.directory.exists():
-            return None
-        self.quarantine_root.mkdir(parents=True, exist_ok=True)
         stem = "__".join(str(v) for v in self.key_dict.values()) or "segment"
-        target = self.quarantine_root / stem
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_root / f"{stem}.{suffix}"
-        self.directory.replace(target)
+        target = crclog.quarantine(self.directory, self.quarantine_root, stem)
         self._manifest = None
         self._use.index = None
+        if target is None:
+            return None
         obs_counter("store.quarantines").inc()
         obs_event(
             "warning", "store.segment_quarantined",
@@ -628,9 +560,7 @@ class SegmentDir:
         )
         return target
 
-    def _reconcile(
-        self, resolution: str, acknowledged: int, durable: bool = True
-    ) -> bool:
+    def _reconcile(self, resolution: str, acknowledged: int) -> bool:
         """Cut ``resolution``'s file back to its acknowledged length.
 
         Returns whether a torn tail was truncated (counted, logged).  A
@@ -646,7 +576,7 @@ class SegmentDir:
                 "acknowledged"
             )
         if size > acknowledged:
-            crclog.truncate_file(path, acknowledged, durable)
+            crclog.truncate_file(path, acknowledged)
             obs_counter("store.truncations").inc()
             obs_event(
                 "warning", "store.segment_truncated",
@@ -677,35 +607,20 @@ class SegmentDir:
     # ------------------------------------------------------------------
 
     def _append_frames(
-        self, resolution: str, acknowledged: int, frames: Sequence[bytes],
-        durable: bool = True,
+        self, resolution: str, acknowledged: int, frames: Sequence[bytes]
     ) -> None:
         """Append ``frames`` after the ``acknowledged`` bytes, one write."""
         path = self.seg_path(resolution)
         created = not path.exists()
         data = b"".join(frames)
-
-        def heal(_attempt: int, _exc: OSError) -> None:
-            # A torn attempt left unacknowledged bytes; cut back to the
-            # acknowledged length so the retry cannot merge with garbage.
-            if path.exists() and path.stat().st_size > acknowledged:
-                crclog.truncate_file(path, acknowledged)
-
-        def attempt() -> None:
-            with path.open("ab") as handle:
-                io_write(handle, data)
-                handle.flush()
-                if durable:
-                    io_fsync(handle.fileno(), path)
-
-        retry_io(attempt, f"segment_append:{path.name}", on_retry=heal)
-        if created and durable:
+        crclog.append_bytes(path, data, acknowledged, f"segment_append:{path.name}")
+        if created:
             fsync_dir(self.directory)  # the new file's name, before its ack
         obs_counter("store.blocks_written").inc(len(frames))
         obs_counter("store.bytes_written").inc(len(data))
 
     def append_block(
-        self, resolution: str, arrays: Sequence[np.ndarray], durable: bool = True
+        self, resolution: str, arrays: Sequence[np.ndarray]
     ) -> Dict[str, Any]:
         """Append one block straight to the segment and its manifest.
 
@@ -715,8 +630,6 @@ class SegmentDir:
         store; inside one, :class:`~repro.store.store.StoreWriter`
         acknowledges raw blocks through the building's commit log, and
         a series whose log records are not folded yet refuses this.
-
-        ``durable=False`` skips the data and manifest fsyncs.
         """
         frame, meta = encode_block(columns_for(resolution), arrays)
         manifest = self._require_folded("append a block to")
@@ -729,13 +642,13 @@ class SegmentDir:
                 f"last t={blocks[-1]['t1']}"
             )
         if manifest["snapshot"] == 0:
-            # A new segment, or a v1 one: keys() finds the segment by
-            # its manifest, which must exist before any data does.
-            manifest = self._write_manifest(manifest, durable)
-        self._reconcile(resolution, entry["bytes"], durable)
-        self._append_frames(resolution, entry["bytes"], [frame], durable)
+            # A new segment: keys() finds the segment by its manifest,
+            # which must exist before any data does.
+            manifest = self._write_manifest(manifest)
+        self._reconcile(resolution, entry["bytes"])
+        self._append_frames(resolution, entry["bytes"], [frame])
         updated = _appended(entry, [(meta, None)])
-        self._write_manifest(_with_entry(manifest, resolution, updated), durable)
+        self._write_manifest(_with_entry(manifest, resolution, updated))
         return updated["blocks"][-1]
 
     def fold(self, entries: Sequence[LogEntry]) -> int:
@@ -745,35 +658,31 @@ class SegmentDir:
         manifest already holds (its ``log_seq``) are skipped, so a fold
         that a crash interrupted is finished, never applied twice.  The
         frames are appended and fsynced, then the manifest is written
-        and read back; only then may the log drop the entries.  A
-        leftover pre-commit-log journal is written into the manifest and
-        removed.  Returns the rows folded.
+        and read back; only then may the log drop the entries.  Returns
+        the rows folded.
         """
-        journal = self.journal_path.exists()
-        if not entries and not journal:
+        self._refuse_journal()
+        if not entries:
             return 0
         self.begin_use()
         manifest = self._load_index().manifest
         pending = [e for e in entries if e.seq > manifest.get("log_seq", 0)]
-        if not pending and not journal:
+        if not pending:
             return 0
         if manifest["snapshot"] == 0:
             # A manifest before any data, so a reader never finds data
             # without one.
             self._make_dirs()
             manifest = self._write_manifest(manifest)
-        rows = 0
-        if pending:
-            entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
-            self._reconcile(RAW, entry["bytes"])
-            self._append_frames(RAW, entry["bytes"], [e.frame for e in pending])
-            updated = _appended(entry, [(e._asdict(), None) for e in pending])
-            rows = updated["rows"] - entry["rows"]
-            manifest = dict(
-                _with_entry(manifest, RAW, updated), log_seq=pending[-1].seq
-            )
-        self._write_manifest(manifest, verified=True)
-        return rows
+        entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
+        self._reconcile(RAW, entry["bytes"])
+        self._append_frames(RAW, entry["bytes"], [e.frame for e in pending])
+        updated = _appended(entry, [(e._asdict(), None) for e in pending])
+        self._write_manifest(
+            dict(_with_entry(manifest, RAW, updated), log_seq=pending[-1].seq),
+            verified=True,
+        )
+        return updated["rows"] - entry["rows"]
 
     def replace(
         self, resolution: str, arrays: Optional[Sequence[np.ndarray]]

@@ -263,8 +263,7 @@ class TelemetryStore:
         The caller holds the building's partition lock.  Each series'
         logged frames are appended to its ``raw.seg`` and its manifest
         written and read back (:meth:`SegmentDir.fold`); then the log is
-        replaced by an empty one.  Journals left by a store written
-        before the commit log existed are folded the same way.
+        replaced by an empty one.
         """
         view = self.commit_log(building).view()
         rows = 0
@@ -375,26 +374,15 @@ class TelemetryStore:
     # Write / read
     # ------------------------------------------------------------------
 
-    def writer(
-        self,
-        flush_rows: int = 200_000,
-        durable: bool = True,
-        lock: bool = True,
-    ) -> "StoreWriter":
+    def writer(self, flush_rows: int = 200_000, lock: bool = True) -> "StoreWriter":
         """A batched writer (use as a context manager to auto-flush).
-
-        ``durable=False`` skips the commit log's fsync; only
-        loss-tolerant writers (the ``_obs`` telemetry pipeline) should
-        opt in.
 
         ``lock=True`` (the default) takes each building's
         :class:`~repro.store.lock.PartitionLock` on first ingest into
         it and holds it until the writer closes -- see
         :mod:`repro.store.lock`.
         """
-        return StoreWriter(
-            self, flush_rows=flush_rows, durable=durable, lock=lock
-        )
+        return StoreWriter(self, flush_rows=flush_rows, lock=lock)
 
     def append(
         self,
@@ -612,14 +600,12 @@ class StoreWriter:
         self,
         store: TelemetryStore,
         flush_rows: int = 200_000,
-        durable: bool = True,
         lock: bool = True,
     ):
         if flush_rows < 1:
             raise StoreError(f"flush_rows must be >= 1, got {flush_rows}")
         self.store = store
         self.flush_rows = flush_rows
-        self.durable = durable
         self.lock_partitions = lock
         self._locks: Dict[str, PartitionLock] = {}
         self._buffers: Dict[SeriesKey, List[Tuple[np.ndarray, np.ndarray]]] = {}
@@ -679,9 +665,11 @@ class StoreWriter:
 
         Every block is encoded and checked before any record is
         written, so a flush refused for bad data acknowledges nothing.
-        A record is acknowledged once its append returns (fsynced
-        unless ``durable=False``).  A log grown past
-        :data:`~repro.store.commitlog.FOLD_BYTES` is folded here.
+        A record is acknowledged once its fsynced append returns, and
+        its series leave the buffers then: a flush that fails at a
+        later building and is retried commits only what is left.  A
+        log grown past :data:`~repro.store.commitlog.FOLD_BYTES` is
+        folded here.
         """
         if not self._buffers:
             return 0
@@ -703,15 +691,17 @@ class StoreWriter:
         ]
         for building, (view, series) in checked:
             log = self.store.commit_log(building)
-            if log.append(view, series, durable=self.durable).size > FOLD_BYTES:
+            appended = log.append(view, series)
+            for key, _frame, meta in batches[building]:
+                del self._buffers[key]
+                self._buffered_rows -= meta["n"]
+                self.rows_written += meta["n"]
+            if appended.size > FOLD_BYTES:
                 if building in self._locks:
                     self.store.fold_partition(building)
                 else:
                     with self.store.partition(building):
                         self.store.fold_partition(building)
-        self._buffers.clear()
-        self._buffered_rows = 0
-        self.rows_written += flushed
         obs_counter("store.rows_ingested").inc(flushed)
         obs_counter("store.flushes").inc()
         return flushed

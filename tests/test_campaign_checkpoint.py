@@ -19,10 +19,11 @@ from repro.campaign import (
     checkpoint_digest,
     pilot_epochs,
 )
-from repro.campaign.log import decode_line, encode_line
+from repro.campaign.log import EPOCH_LOG_SCHEMA, decode_line, encode_line
 from repro.campaign.state import decode_rng_state, encode_rng_state
 from repro.errors import CampaignError, CheckpointError, FaultConfigError
 from repro.faults import FaultInjector, FaultPlan
+from repro.runtime import crclog
 
 
 class TestCampaignConfig:
@@ -299,6 +300,18 @@ class TestEpochLog:
         before = log.path.read_bytes()
         assert [r["epoch"] for r in log.recover()] == [0, 1, 2]
         assert log.path.read_bytes() == before
+
+    def test_flipped_final_newline_is_loud_not_torn(self, tmp_path):
+        log = EpochLog(tmp_path / "epochs.jsonl")
+        for epoch in range(3):
+            log.append({"epoch": epoch})
+        raw = log.path.read_bytes()
+        torn = crclog.scan_lines(raw[:-1], EPOCH_LOG_SCHEMA)
+        flipped = crclog.scan_lines(raw[:-1] + b" ", EPOCH_LOG_SCHEMA)
+        # Both keep the first two lines; only the tear is a tear.
+        assert [r["epoch"] for r in torn.records] == [0, 1] and torn.bad is None
+        assert flipped.good_bytes == torn.good_bytes
+        assert flipped.bad == "bytes follow the final line"
 
     def test_interior_corruption_truncates_from_there(self, tmp_path):
         log = EpochLog(tmp_path / "epochs.jsonl")

@@ -7,11 +7,16 @@ prefix that stops at a record boundary.  A crash at any step of a fold
 loses nothing and applies nothing twice; a power cut that keeps only
 the fsynced log bytes keeps every acknowledged row; and any interleaving
 of flushes, folds, compactions and ``truncate_from`` reads exactly like
-the same store fully folded.
+the same store fully folded.  The append-path tests pin what a flush
+costs: one commit-log record, one fsync.  A store written before the
+commit log (block journals, version-1 manifests) is refused on its first
+access and left exactly as it was.
 """
 
 import errno
+import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -21,14 +26,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.errors import SegmentError, StoreError
 from repro.faults.io import IoFaultInjector, IoFaultPlan
 from repro.obs import MetricsRegistry, obs_registry, observed
+from repro.runtime import crclog
 from repro.serve import EndpointCore
 from repro.store import RESOLUTIONS, SeriesKey, TelemetryStore
 from repro.store import commitlog
 from repro.store import store as store_module
 from repro.store.commitlog import HEADER_SIZE, LOG_FILENAME
+from repro.store.segment import (
+    MANIFEST_FILENAME,
+    RAW,
+    RAW_COLUMNS,
+    SEGMENT_SCHEMA,
+    columns_for,
+    encode_block,
+)
 
 KEY = SeriesKey("b", "w", 1, "strain")
 OTHER = SeriesKey("b", "w", 2, "rh")
@@ -44,8 +59,8 @@ def _block(b, key=KEY):
     return t, t * 10.0 + b + (0.5 if key == OTHER else 0.0)
 
 
-def _flush(store, b, keys=KEYS, durable=True):
-    with store.writer(durable=durable) as writer:
+def _flush(store, b, keys=KEYS):
+    with store.writer() as writer:
         for key in keys:
             writer.add(key, *_block(b, key))
 
@@ -253,6 +268,36 @@ class TestFoldCrash:
                 shutil.rmtree(scratch, ignore_errors=True)
 
 
+    def test_dropped_fold_rename_is_rewritten_not_lost(
+        self, pristine, monkeypatch
+    ):
+        class DropFirstManifestRename(IoFaultInjector):
+            def __init__(self):
+                super().__init__(IoFaultPlan(seed=0, drop_rename_rate=1.0))
+                self.dropped = 0
+
+            def replace(self, src, dst):
+                if Path(dst).name == MANIFEST_FILENAME and not self.dropped:
+                    self.dropped += 1
+                    return
+                os.replace(src, dst)
+
+        scratch, root = _copy(pristine)
+        try:
+            injector = DropFirstManifestRename()
+            monkeypatch.setattr("repro.faults.io._active", injector)
+            TelemetryStore(root, create=False).compact()
+            monkeypatch.setattr("repro.faults.io._active", None)
+            assert injector.dropped == 1
+            # The fold read the manifest back, rewrote it, and only then
+            # emptied the log.
+            assert _log(root).stat().st_size == HEADER_SIZE
+            assert _records_read(pristine, root) == RECORDS
+            assert not (root / ".quarantine").exists()
+        finally:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
 class _PowerCut(IoFaultInjector):
     """Remembers how much of the commit log each fsync made durable."""
 
@@ -267,22 +312,19 @@ class _PowerCut(IoFaultInjector):
 
 
 class TestPowerCut:
-    @given(durable=st.lists(st.booleans(), min_size=1, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_fsynced_log_bytes_hold_every_acknowledged_row(self, durable):
+    @given(flushes=st.integers(1, 6))
+    @settings(max_examples=6, deadline=None)
+    def test_fsynced_log_bytes_hold_every_acknowledged_row(self, flushes):
         scratch = Path(tempfile.mkdtemp(prefix="store-powercut-"))
         cut = _PowerCut()
         try:
             store = TelemetryStore(scratch / "tele")
-            acknowledged = 0
             from repro.faults import io as io_module
 
             io_module._active = cut
             try:
-                for b, flag in enumerate(durable):
-                    _flush(store, b, durable=flag)
-                    if flag:
-                        acknowledged = b + 1
+                for b in range(flushes):
+                    _flush(store, b)
             finally:
                 io_module._active = None
             log = _log(scratch / "tele")
@@ -290,12 +332,10 @@ class TestPowerCut:
                 handle.truncate(cut.durable)  # the page cache is gone
             fresh = TelemetryStore(scratch / "tele", create=False)
             for key in KEYS:
-                t = fresh.read(key)["t"]
                 expected = np.concatenate(
-                    [_block(b, key)[0] for b in range(len(durable))]
+                    [_block(b, key)[0] for b in range(flushes)]
                 )
-                assert t.size >= acknowledged * BLOCK_ROWS
-                assert np.array_equal(t, expected[: t.size])
+                assert np.array_equal(fresh.read(key)["t"], expected)
         finally:
             shutil.rmtree(scratch, ignore_errors=True)
 
@@ -366,6 +406,32 @@ class TestWritePath:
         view = commitlog.parse(_log(tmp_path).read_bytes())
         assert [r.seq for r in view.records] == [1, 2] and not view.torn
 
+    def test_retried_flush_commits_only_what_failed(self, tmp_path, monkeypatch):
+        store = TelemetryStore(tmp_path)
+        first, second = (SeriesKey(b, "w", 1, "strain") for b in ("bA", "bB"))
+        real = commitlog.CommitLog.append
+        failed = []
+
+        def append(log, view, series):
+            if log.path.parent.name == "bB" and not failed:
+                failed.append(log.path)
+                raise OSError(errno.ENOSPC, "injected ENOSPC", str(log.path))
+            return real(log, view, series)
+
+        monkeypatch.setattr(commitlog.CommitLog, "append", append)
+        writer = store.writer()
+        try:
+            writer.add_sample(first, 1.0, 1.0)
+            writer.add_sample(second, 1.0, 2.0)
+            with pytest.raises(OSError):
+                writer.flush()  # bA's record is acknowledged, bB's is not
+            assert writer.flush() == 1
+        finally:
+            writer.close()
+        fresh = TelemetryStore(tmp_path, create=False)
+        assert fresh.read(first)["t"].tolist() == [1.0]
+        assert fresh.read(second)["t"].tolist() == [1.0]
+
     def test_log_past_the_threshold_is_folded(self, tmp_path, monkeypatch):
         monkeypatch.setattr(store_module, "FOLD_BYTES", 600)
         store = TelemetryStore(tmp_path)
@@ -399,6 +465,60 @@ class TestWritePath:
         }
         assert after["totals"]["raw"] == stats["totals"]["raw"]
         assert store.compact()["folded_rows"] == 0
+
+
+class TestAppendPath:
+    def test_append_does_not_rewrite_the_manifest(self, tmp_path):
+        store = TelemetryStore(tmp_path / "s")
+        store.append(KEY, *_block(0))
+        store.compact()
+        manifest = store.segments_dir / KEY.relpath / MANIFEST_FILENAME
+        before = (manifest.read_bytes(), manifest.stat().st_ino)
+        for b in range(1, 5):
+            store.append(KEY, *_block(b))
+        assert (manifest.read_bytes(), manifest.stat().st_ino) == before
+        assert store.read(KEY)["t"].size == 5 * BLOCK_ROWS
+
+    def test_append_parses_only_its_own_record(self, tmp_path, monkeypatch):
+        store = TelemetryStore(tmp_path / "s")
+        for b in range(4):
+            store.append(KEY, *_block(b))
+        decoded = []
+        real = commitlog._decode_body
+        monkeypatch.setattr(
+            commitlog, "_decode_body",
+            lambda body: (decoded.append(1), real(body))[1],
+        )
+        store.append(KEY, *_block(4))
+        monkeypatch.undo()
+        assert len(decoded) == 1  # the log's first four records: reused
+        assert store.read(KEY)["t"].size == 5 * BLOCK_ROWS
+
+    def test_steady_state_fsyncs(self, tmp_path, monkeypatch):
+        store = TelemetryStore(tmp_path / "s")
+        _flush(store, 0)
+        calls = []
+        real = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (calls.append(fd), real(fd))[1])
+        _flush(TelemetryStore(tmp_path / "s", create=False), 1)
+        # One commit record for both series: no segment, manifest or
+        # directory fsync.
+        assert len(calls) == 1
+
+    def test_reader_leaves_a_torn_tail_for_the_writer(self, tmp_path):
+        store = TelemetryStore(tmp_path / "s")
+        store.append(KEY, *_block(0))
+        log = _log(store.root)
+        frame, meta = encode_block(RAW_COLUMNS, list(_block(1)))
+        record = commitlog.encode_record(2, [("w/n00001/strain", frame, meta)])
+        torn = log.read_bytes() + record[:len(record) // 2]
+        log.write_bytes(torn)
+        assert TelemetryStore(store.root).read(KEY)["t"].size == BLOCK_ROWS
+        assert log.read_bytes() == torn  # readers never mutate
+        store.append(KEY, *_block(1))
+        assert store.read(KEY)["t"].size == 2 * BLOCK_ROWS
+        assert TelemetryStore(store.root).read(KEY)["t"].size == 2 * BLOCK_ROWS
+        assert log.stat().st_size < len(torn) + len(record)
 
 
 class TestTruncateFrom:
@@ -533,3 +653,120 @@ class TestQuarantinedLog:
         assert store.read(KEY)["t"].tolist() == (
             _block(0)[0].tolist() + _block(2)[0].tolist()
         )
+
+
+#: What a store written before the commit log holds, and is refused for.
+OLD_JOURNAL = "journal.jsonl"
+OLD_JOURNAL_SCHEMA = "repro/store-journal/v1"
+OLD_SEGMENT_SCHEMA = "repro/store-segment/v1"
+
+
+def _old_segment_dir(root):
+    return Path(root) / "segments" / KEY.relpath
+
+
+def _old_manifest(schema, raw_entry):
+    empty = {"bytes": 0, "rows": 0, "blocks": []}
+    files = {res: {"columns": list(columns_for(res)), **empty} for res in RESOLUTIONS}
+    files[RAW].update(raw_entry)
+    manifest = {"schema": schema, "key": KEY.to_dict(), "files": files}
+    if schema == SEGMENT_SCHEMA:
+        manifest["snapshot"] = 1
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def write_journaled_store(root, blocks=RECORDS):
+    """A store as written before the commit log: a snapshot-1 manifest
+    indexing nothing, the blocks in ``raw.seg``, one journal line each.
+    Returns the name of the file a refusal must name."""
+    TelemetryStore(root)
+    directory = _old_segment_dir(root)
+    directory.mkdir(parents=True)
+    (directory / MANIFEST_FILENAME).write_text(_old_manifest(SEGMENT_SCHEMA, {}))
+    offset = 0
+    with open(directory / "raw.seg", "wb") as seg, open(
+        directory / OLD_JOURNAL, "w"
+    ) as journal:
+        for b in range(blocks):
+            frame, meta = encode_block(RAW_COLUMNS, list(_block(b)))
+            seg.write(frame)
+            journal.write(crclog.encode_line(
+                OLD_JOURNAL_SCHEMA,
+                {"res": RAW, "snapshot": 1, "offset": offset, **meta},
+            ) + "\n")
+            offset += meta["length"]
+    return OLD_JOURNAL
+
+
+def write_v1_store(root):
+    """A store whose one segment has a version-1 manifest (no snapshot)."""
+    TelemetryStore(root)
+    directory = _old_segment_dir(root)
+    directory.mkdir(parents=True)
+    frame, meta = encode_block(RAW_COLUMNS, list(_block(0)))
+    (directory / "raw.seg").write_bytes(frame)
+    (directory / MANIFEST_FILENAME).write_text(_old_manifest(
+        OLD_SEGMENT_SCHEMA,
+        {"bytes": meta["length"], "rows": meta["n"],
+         "blocks": [{"offset": 0, **meta}]},
+    ))
+    return MANIFEST_FILENAME
+
+
+def _plant_record(root):
+    """A commit-log record for the old segment: frames for a fold to copy."""
+    frame, meta = encode_block(RAW_COLUMNS, list(_block(RECORDS)))
+    _log(root).write_bytes(
+        commitlog.encode_header(0)
+        + commitlog.encode_record(1, [("w/n00001/strain", frame, meta)])
+    )
+
+
+def _fold(store):
+    with store.partition("b"):
+        store.fold_partition("b")
+
+
+def _tree(root):
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(Path(root).rglob("*")) if p.is_file()
+    }
+
+
+class TestOldLayoutRefused:
+    LAYOUTS = {"journal": write_journaled_store, "v1": write_v1_store}
+    ACCESSES = {
+        "read": lambda store: store.read(KEY),
+        "stats": lambda store: store.stats(),
+        "fold": _fold,
+        "compact": lambda store: store.compact(),
+    }
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("access", sorted(ACCESSES))
+    def test_first_access_raises_and_changes_nothing(self, tmp_path, layout, access):
+        root = tmp_path / "tele"
+        name = self.LAYOUTS[layout](root)
+        if access == "fold":
+            _plant_record(root)
+        before = _tree(root)
+        store = TelemetryStore(root, create=False)
+        with pytest.raises(StoreError, match=re.escape(name)) as excinfo:
+            self.ACCESSES[access](store)
+        assert type(excinfo.value) is StoreError  # refused, not corrupt
+        assert "predates the commit log" in str(excinfo.value)
+        assert _tree(root) == before
+        assert not store.quarantine_dir.exists()
+
+    @pytest.mark.parametrize("verb", ["stats", "compact"])
+    def test_cli_exits_with_one_line(self, tmp_path, capsys, verb):
+        root = tmp_path / "tele"
+        write_journaled_store(root)
+        before = _tree(root)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", verb, "--store", str(root)])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"store {verb}: ") and OLD_JOURNAL in message
+        assert _tree(root) == before

@@ -9,8 +9,9 @@ once, and every kind of change -- an append by another process, a
 compaction by another store object, an in-place rewrite that keeps the
 log's size and mtime, a flipped manifest byte, and appends racing
 readers on other threads -- is seen by the next read exactly as a
-fresh store would see it.  The uncached ``keys()`` directory walk must
-list exactly what a manifest glob does.
+fresh store would see it; a read racing a series' first fold
+quarantines nothing.  The uncached ``keys()`` directory walk must list
+exactly what a manifest glob does.
 """
 
 import json
@@ -32,12 +33,7 @@ from repro.store import OBS_BUILDING, SeriesKey, TelemetryStore
 from repro.store import commitlog
 from repro.store import segment as segment_module
 from repro.store.commitlog import LOG_FILENAME
-from repro.store.segment import (
-    HOURLY,
-    JOURNAL_FILENAME,
-    MANIFEST_FILENAME,
-    SegmentDir,
-)
+from repro.store.segment import HOURLY, MANIFEST_FILENAME, SegmentDir
 
 KEY = SeriesKey("b", "w", 1, "strain")
 BLOCK_ROWS = 8
@@ -82,7 +78,7 @@ class TestParseOnce:
             assert store.read(KEY)["t"].size == 3 * BLOCK_ROWS
         assert len(calls) == 1
 
-    def test_every_read_still_rereads_the_journal_and_manifest(
+    def test_every_read_still_rereads_the_log_and_manifest(
         self, tmp_path, monkeypatch
     ):
         _seeded(tmp_path / "s", compact=True).append(KEY, *_block(3))
@@ -90,7 +86,6 @@ class TestParseOnce:
         opened = []
         for module, name in (
             (commitlog, "io_read_bytes"),
-            (segment_module, "io_read_bytes"),
             (segment_module, "io_read_text"),
         ):
             real = getattr(module, name)
@@ -102,13 +97,9 @@ class TestParseOnce:
             )
         for _ in range(3):
             assert store.read(KEY)["t"].size == 4 * BLOCK_ROWS
-        # The log first, then a journal an older store may have left,
-        # then the manifest: a fold drops what it folded only after the
-        # manifest holding it is durable.  Nothing writes journals any
-        # more, so once one is found missing it is not looked for again.
-        assert opened == [LOG_FILENAME, JOURNAL_FILENAME, MANIFEST_FILENAME] + [
-            LOG_FILENAME, MANIFEST_FILENAME
-        ] * 2
+        # The log first, then the manifest: a fold drops what it folded
+        # only after the manifest holding it is durable.
+        assert opened == [LOG_FILENAME, MANIFEST_FILENAME] * 3
 
 
 class TestChangesAreSeen:
@@ -192,6 +183,30 @@ class TestChangesAreSeen:
             assert list(reader.quarantine_dir.iterdir())
             assert reader.keys() == []
 
+    def test_read_racing_a_first_fold_quarantines_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        writer = TelemetryStore(tmp_path / "s")
+        writer.append(KEY, *_block(0))  # logged; no segment directory yet
+        reader = TelemetryStore(tmp_path / "s", create=False)
+        real = SegmentDir._holds_data
+        folded = []
+
+        def fold_first(segment):
+            # The series' first fold lands after the reader found no
+            # manifest and before it looks for data.
+            if not folded:
+                folded.append(segment.directory)
+                writer.compact()
+            return real(segment)
+
+        monkeypatch.setattr(SegmentDir, "_holds_data", fold_first)
+        assert reader.read(KEY)["t"].size == BLOCK_ROWS
+        monkeypatch.undo()
+        assert folded and not writer.quarantine_dir.exists()
+        fresh = TelemetryStore(tmp_path / "s", create=False)
+        assert fresh.read(KEY)["t"].tolist() == _block(0)[0].tolist()
+
 
 class TestKeysWalk:
     def test_matches_the_manifest_glob(self, tmp_path, caplog):
@@ -243,7 +258,7 @@ class TestConcurrentAppend:
         def append_block():
             t = next_t[0] + np.arange(self.ROWS, dtype=float)
             next_t[0] += self.ROWS
-            with store.writer(durable=False) as writer:
+            with store.writer() as writer:
                 writer.add(self.KEY, t, t * 2.0)
 
         for _ in range(4):

@@ -90,35 +90,18 @@ class TestWriter:
                 raise RuntimeError("abort ingest")
         assert store.read(KEY)["t"].size == 0
 
-    def test_non_durable_writer_reads_back_identically(self, tmp_path):
-        # durable=False only skips fsyncs -- bytes, ordering and the
-        # commit-log acknowledgement are exactly the durable path's.
-        durable = TelemetryStore(tmp_path / "d")
-        relaxed = TelemetryStore(tmp_path / "r")
-        for store, flag in ((durable, True), (relaxed, False)):
-            with store.writer(durable=flag) as writer:
-                writer.add(KEY, [0.0, 1.0, 2.0], [5.0, 6.0, 7.0])
-        logs = [s.commit_log(KEY.building).path for s in (durable, relaxed)]
-        assert logs[0].read_bytes() == logs[1].read_bytes()
-        assert np.array_equal(relaxed.read(KEY)["value"], [5.0, 6.0, 7.0])
-        for store in (durable, relaxed):
-            store.compact()
-        pa = durable.segment(KEY).seg_path("raw")
-        pb = relaxed.segment(KEY).seg_path("raw")
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_non_durable_appends_stay_ordered_and_recoverable(self, tmp_path):
+    def test_appends_stay_ordered_and_recoverable(self, tmp_path):
         store = TelemetryStore(tmp_path)
-        store.writer(durable=False).__enter__()  # writer alone writes nothing
-        with store.writer(durable=False) as writer:
+        store.writer().__enter__()  # writer alone writes nothing
+        with store.writer() as writer:
             writer.add(KEY, [0.0, 1.0], [1.0, 2.0])
-        with store.writer(durable=False) as writer:
+        with store.writer() as writer:
             writer.add(KEY, [2.0], [3.0])
-        # A torn tail on a non-durable commit log still heals on append.
+        # A torn tail on the commit log heals on the next append.
         path = store.commit_log(KEY.building).path
         with path.open("ab") as handle:
             handle.write(b"RREC\x20")
-        with store.writer(durable=False) as writer:
+        with store.writer() as writer:
             writer.add(KEY, [3.0], [4.0])
         assert np.array_equal(store.read(KEY)["value"], [1.0, 2.0, 3.0, 4.0])
 
