@@ -15,6 +15,9 @@ the next-newest good checkpoint.  Only when every checkpoint is corrupt
 or absent does the store give up with an explicit
 :class:`~repro.errors.CheckpointError` -- the failure mode is always
 "resume from an older epoch" or "loud error", never "silently wrong".
+A resume also passes over good checkpoints newer than the epoch log
+covers (``max_epoch``), leaving them in place: the replay rewrites them
+with the same bytes.
 """
 
 from __future__ import annotations
@@ -158,34 +161,54 @@ class CheckpointStore:
         )
         return target
 
-    def load_latest(self) -> Optional[Dict[str, Any]]:
-        """The newest checkpoint that passes verification, or None.
+    def find(
+        self, max_epoch: Optional[int] = None
+    ) -> Tuple[Optional[Dict[str, Any]], List[Tuple[Path, str]]]:
+        """The newest good checkpoint at or before ``max_epoch``; changes nothing.
+
+        Returns it (None when there is none) with every corrupt
+        checkpoint passed on the way, as ``(path, what is wrong)``.
+        Checkpoints newer than ``max_epoch`` are not read.
+        """
+        corrupt: List[Tuple[Path, str]] = []
+        for path, epoch in self._candidates():
+            if max_epoch is not None and epoch > max_epoch:
+                continue
+            try:
+                return self.verify(path), corrupt
+            except CheckpointError as exc:
+                corrupt.append((path, str(exc)))
+        return None, corrupt
+
+    def load_latest(self, max_epoch: Optional[int] = None) -> Optional[Dict[str, Any]]:
+        """The newest checkpoint at or before ``max_epoch`` that verifies.
 
         Corrupt checkpoints encountered on the way are quarantined and
-        the search rolls back to older ones (counted as
-        ``campaign.rollbacks``).  Returns None only when no checkpoint
-        file exists at all; raises :class:`CheckpointError` when files
-        exist but every one of them is corrupt.
+        the search rolls back to older ones; checkpoints newer than
+        ``max_epoch`` stay where they are.  Every checkpoint passed
+        over, for either reason, counts as one ``campaign.rollbacks``.
+        Returns None when no checkpoint file at or before ``max_epoch``
+        exists; raises :class:`CheckpointError` when such files exist
+        but every one of them is corrupt.
         """
-        candidates = self._candidates()
-        if not candidates:
-            return None
-        rolled_back = 0
-        for path, _epoch in candidates:
-            try:
-                payload = self.verify(path)
-            except CheckpointError as exc:
-                self.quarantine(path, str(exc))
-                rolled_back += 1
-                continue
-            if rolled_back:
-                obs_counter("campaign.rollbacks").inc(rolled_back)
-            return payload
-        raise CheckpointError(
-            f"all {len(candidates)} checkpoint(s) in {self.directory} are "
-            f"corrupt (quarantined under {self.quarantine_dir}); the campaign "
-            "must be restarted from scratch"
+        payload, corrupt = self.find(max_epoch)
+        for path, reason in corrupt:
+            self.quarantine(path, reason)
+        if payload is None:
+            if not corrupt:
+                return None
+            scope = "" if max_epoch is None else f" at or before epoch {max_epoch}"
+            raise CheckpointError(
+                f"all {len(corrupt)} checkpoint(s){scope} in {self.directory} "
+                f"are corrupt (quarantined under {self.quarantine_dir}); the "
+                "campaign must be restarted from scratch"
+            )
+        passed = len(corrupt) + sum(
+            1 for _, epoch in self._candidates() if epoch > payload["epoch"]
         )
+        if passed:
+            obs_counter("campaign.rollbacks").inc(passed)
+        return payload
 
     def latest_epoch(self) -> Optional[int]:
         """Epoch of the newest on-disk checkpoint file (unverified)."""

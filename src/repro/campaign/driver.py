@@ -30,6 +30,7 @@ import dataclasses
 import hashlib
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -37,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..acoustics import StructureGeometry
-from ..errors import CampaignError, CheckpointError, PartitionLockError, StoreError
+from ..errors import CampaignError, PartitionLockError, StoreError
 from ..faults import FaultInjector, FaultPlan
 from ..faults.io import reclaim_tmp_files
 from ..link import PlacedNode, PowerUpLink, WallSession
@@ -52,11 +53,7 @@ from ..obs import (
     obs_span,
 )
 from ..obs.pipeline import MetricsRecorder
-from ..runtime.serialize import (
-    canonical_json,
-    write_json_atomic,
-    write_json_atomic_verified,
-)
+from ..runtime.serialize import canonical_json, write_json_atomic_verified
 from ..shm import (
     AnomalyWindow,
     ComplianceReport,
@@ -210,12 +207,9 @@ class EpochOutcome:
     stuck_latches: Dict[str, Optional[int]]
 
     def commit(self, state: CampaignState) -> None:
-        """Advance ``state``'s streams, latches, grades and fault totals."""
+        """Advance ``state``'s RNG stream and latches."""
         state.rng = self.rng
         state.stuck_latches = self.stuck_latches
-        grade = self.record["grade"]
-        state.grade_counts[grade] = state.grade_counts.get(grade, 0) + 1
-        state.absorb_faults(self.record["fault_counts"])
 
 
 class Campaign:
@@ -308,32 +302,50 @@ class Campaign:
         record_obs: bool = False,
         store_building: str = STORE_BUILDING,
     ) -> Tuple["Campaign", CampaignState]:
-        """Reload a campaign from its newest good checkpoint.
+        """Reload a campaign from the newest good checkpoint its log covers.
 
-        Corrupt checkpoints are quarantined and rolled past; raises
-        :class:`~repro.errors.CheckpointError` when no usable
-        checkpoint survives and :class:`~repro.errors.CampaignError`
-        when the directory has never hosted a campaign.
+        The epoch log's numbered records, scanned without changing the
+        file, bound the checkpoint search; corrupt checkpoints are
+        quarantined and rolled past.  Only then is the log cut back to
+        the chosen checkpoint's epoch, so the replayed epochs re-append
+        cleanly.  Raises :class:`~repro.errors.CheckpointError` when
+        every checkpoint the log covers is corrupt, and
+        :class:`~repro.errors.CampaignError` when the directory has
+        never hosted a campaign or every checkpoint is newer than the
+        log covers (the log then stays byte-for-byte as found).
 
         An attached telemetry store is healed the same way the epoch
         log is: exports from epochs past the checkpoint boundary (they
         will be replayed and re-exported) are truncated, and stale
         rollups are cleared for the next ``compact``.
         """
-        store = CheckpointStore(Path(state_dir) / CHECKPOINT_DIRNAME)
-        payload = store.load_latest()
+        state_dir = Path(state_dir)
+        log = EpochLog(state_dir / EPOCH_LOG_FILENAME)
+        scan = log.scan()
+        covered = len(scan.records)
+        store = CheckpointStore(state_dir / CHECKPOINT_DIRNAME)
+        payload = store.load_latest(max_epoch=covered)
         if payload is None:
+            if store.latest_epoch() is None:
+                raise CampaignError(
+                    f"nothing to resume: no checkpoints under {state_dir}"
+                )
             raise CampaignError(
-                f"nothing to resume: no checkpoints under {state_dir}"
+                f"cannot resume {state_dir}: the epoch log's numbered "
+                f"records stop after {covered} epoch(s) "
+                f"({scan.bad or 'the file ends there'}), and every "
+                f"checkpoint is newer than epoch {covered}; the campaign "
+                "must be restarted from scratch"
             )
         config = CampaignConfig.from_dict(payload["config"])
-        state = CampaignState.from_dict(payload["state"])
+        state = CampaignState.from_dict(
+            payload["state"], log.recover(payload["epoch"], scan)
+        )
         campaign = cls(
             config, state_dir=state_dir, epoch_hook=epoch_hook,
             store_dir=store_dir, record_obs=record_obs,
             store_building=store_building,
         )
-        campaign._sync_log(state)
         if campaign.telemetry is not None:
             # Heal exactly this campaign's partition: its experiment
             # series and its own _obs heartbeat wall (both stamped on
@@ -358,20 +370,6 @@ class Campaign:
             epoch=state.epoch, state_dir=str(state_dir),
         )
         return campaign, state
-
-    def _sync_log(self, state: CampaignState) -> None:
-        """Heal the epoch log: truncate torn tails and stale records.
-
-        The log may end mid-line (SIGKILL during append) or run ahead
-        of the checkpoint (checkpoint_interval > 1); both are cut back
-        so the replayed epochs re-append cleanly.
-        """
-        if self.log is None:
-            return
-        records = self.log.recover()
-        fresh = [r for r in records if r.get("epoch", 0) < state.epoch]
-        if len(fresh) != len(records):
-            self.log.rewrite(fresh)
 
     # ------------------------------------------------------------------
     # The epoch body
@@ -698,7 +696,6 @@ class Campaign:
                 "storm": config.is_storm_epoch(epoch),
                 "degraded": True,
             }
-            state.timeouts.append(epoch)
             obs_counter("campaign.epoch_timeouts").inc()
             obs_event(
                 "warning", "campaign.epoch_timeout",
@@ -708,7 +705,6 @@ class Campaign:
             outcome.commit(state)
             record = outcome.record
         state.epoch_records.append(record)
-        state.epoch = epoch + 1
         elapsed = time.perf_counter() - started
         obs_counter("campaign.epochs_run").inc()
         if record.get("degraded"):
@@ -718,9 +714,9 @@ class Campaign:
         obs_gauge("campaign.epoch_wall_s").set(elapsed)
         obs_histogram("campaign.epoch_s").observe(elapsed)
         if self.log is not None:
-            # Wall time and export degradation are audit-log-only: they
-            # must never reach state.epoch_records, which feed the
-            # byte-stable result.json (an io-faulted run hashes
+            # Wall time and export degradation are audit-only fields
+            # (AUDIT_FIELDS): loading strips them, so they never reach
+            # the byte-stable result.json (an io-faulted run hashes
             # identically to a clean one).
             extra: Dict[str, Any] = {"elapsed_s": round(elapsed, 6)}
             if epoch in self.export_failures:
@@ -812,16 +808,18 @@ class Campaign:
     def _finalize(self, state: CampaignState) -> CampaignResult:
         """Run the Fig. 21 analytics over the committed epochs' series.
 
-        The series are regenerated here rather than checkpointed: each
-        epoch's is a pure function of (seed, epoch, storm), and an epoch
-        the watchdog abandoned contributes none.
+        The timeouts, grade histogram and fault totals are sums over the
+        epoch records.  The series are regenerated here rather than
+        checkpointed: each epoch's is a pure function of (seed, epoch,
+        storm), and an epoch the watchdog abandoned contributes none.
         """
         config = self.config
-        timed_out = set(state.timeouts)
+        records = state.epoch_records
+        timeouts = [r["epoch"] for r in records if r["status"] == "epoch_timeout"]
         series = [
             self._epoch_series(epoch, config.is_storm_epoch(epoch))
             for epoch in range(state.epoch)
-            if epoch not in timed_out
+            if epoch not in timeouts
         ]
         if not series:
             raise CampaignError(
@@ -852,17 +850,20 @@ class Campaign:
         compliance = check_compliance(
             Footbridge().limits, acceleration, stress
         )
-        total_graded = sum(state.grade_counts.values())
+        grades = Counter(r["grade"] for r in records if "grade" in r)
+        total_graded = sum(grades.values())
         grade_fractions = {
-            g: c / total_graded
-            for g, c in sorted(state.grade_counts.items())
+            g: c / total_graded for g, c in sorted(grades.items())
         }
+        fault_totals: Counter = Counter()
+        for record in records:
+            fault_totals.update(record.get("fault_counts", {}))
 
         return CampaignResult(
             epochs=config.epochs,
             epochs_run=state.epoch,
             storm_epochs=storm_epochs,
-            epoch_records=list(state.epoch_records),
+            epoch_records=list(records),
             hours=hours,
             acceleration=acceleration,
             stress_mpa=stress,
@@ -874,8 +875,8 @@ class Campaign:
             storms_detected=storms_detected,
             compliance=compliance,
             grade_fractions=grade_fractions,
-            fault_totals=dict(sorted(state.fault_totals.items())),
-            timeouts=list(state.timeouts),
+            fault_totals=dict(sorted(fault_totals.items())),
+            timeouts=timeouts,
         )
 
 
@@ -915,12 +916,30 @@ def resume_campaign(
     return campaign.run(state)
 
 
+def run_or_resume_campaign(
+    config: CampaignConfig, state_dir: Union[str, Path], **kwargs: Any
+) -> Tuple[Campaign, CampaignOutcome]:
+    """Resume the campaign in ``state_dir`` if it has a checkpoint, else start it.
+
+    ``kwargs`` go to :class:`Campaign` (or :meth:`Campaign.resume`);
+    a resumed campaign runs its checkpointed config, not ``config``.
+    """
+    if CheckpointStore(Path(state_dir) / CHECKPOINT_DIRNAME).latest_epoch() is None:
+        campaign = Campaign(config, state_dir=state_dir, **kwargs)
+        return campaign, campaign.run()
+    campaign, state = Campaign.resume(state_dir, **kwargs)
+    return campaign, campaign.run(state)
+
+
 def campaign_status(state_dir: Union[str, Path]) -> Dict[str, Any]:
-    """A non-mutating snapshot of a campaign directory's health."""
+    """A non-mutating snapshot of a campaign directory's health.
+
+    The resume point follows the rule :meth:`Campaign.resume` applies:
+    the newest good checkpoint the epoch log's records cover.
+    """
     state_dir = Path(state_dir)
     store = CheckpointStore(state_dir / CHECKPOINT_DIRNAME)
-    log = EpochLog(state_dir / EPOCH_LOG_FILENAME)
-    records = log.records()
+    records = EpochLog(state_dir / EPOCH_LOG_FILENAME).records()
     quarantined = (
         sorted(p.name for p in store.quarantine_dir.iterdir())
         if store.quarantine_dir.is_dir()
@@ -948,23 +967,16 @@ def campaign_status(state_dir: Union[str, Path]) -> Dict[str, Any]:
     }
     # Verify without quarantining: status must never mutate the store
     # (resume is the verb that acts on what it finds).
-    payload = None
-    corrupt: List[str] = []
-    for path, _epoch in store._candidates():
-        try:
-            payload = store.verify(path)
-            break
-        except CheckpointError as exc:
-            corrupt.append(str(exc))
+    payload, corrupt = store.find(max_epoch=len(records))
     if corrupt:
-        status["corrupt_checkpoints"] = corrupt
+        status["corrupt_checkpoints"] = [reason for _, reason in corrupt]
     if payload is not None:
         status["verified_epoch"] = payload["epoch"]
         status["epochs_total"] = payload["config"].get("epochs")
-        status["timeouts"] = list(payload["state"].get("timeouts", []))
     elif store.latest_epoch() is not None:
         status["checkpoint_error"] = (
-            "every checkpoint on disk fails verification; "
-            "resume would quarantine them all and fail"
+            f"no checkpoint at or before epoch {len(records)}, where the "
+            "epoch log's records stop, passes verification; resume would "
+            "fail"
         )
     return status

@@ -1,33 +1,39 @@
-"""Append-only JSONL epoch log with torn-tail truncation recovery.
+"""Append-only JSONL epoch log: the only copy of the per-epoch records.
 
-Checkpoints are the campaign's *recovery* artifact; the epoch log is
-its *audit* artifact: one JSON line per completed epoch, appended and
-fsynced as the campaign runs, so an operator (or the ``status`` verb)
-can see what a dead campaign was doing without deserializing state.
+One JSON line per completed epoch, appended and fsynced as the campaign
+runs.  The checkpoints hold only the boundary state (RNG and latches),
+so the log is half of the recovery artifact: a resume rebuilds the
+state's records from it, and an operator (or the ``status`` verb) can
+read what a dead campaign was doing without deserializing anything.
 
 Lines are CRC-framed and appended through :mod:`repro.runtime.crclog`,
 whose durable append the store's commit log uses too.  Appends are not
 atomic -- a SIGKILL or power cut mid-append leaves a torn final line.
-Recovery is deliberately simple and loss-bounded: on open,
-:meth:`EpochLog.recover` scans for the longest valid prefix and
-truncates the file to it.  A torn tail costs at most the one record
-that was being written (which the next checkpoint replay regenerates);
-an *interior* invalid line marks everything after it suspect and is
-truncated too, counted separately, because a log that lies in the
-middle is worse than a short one.
+The log's usable part is its *numbered prefix*: the valid lines
+numbered 0, 1, 2, ... up to the first damaged line, torn tail or
+numbering gap.  :meth:`EpochLog.scan` finds it without changing the
+file; :meth:`EpochLog.recover` cuts the file back to it (or to a
+shorter record boundary) with one truncate.  A cut that drops damage
+is counted and logged, because a log that lies in the middle is worse
+than a short one, and the records it drops are regenerated by the
+replay from an older checkpoint.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
-from ..faults.io import io_fsync, io_replace, io_write, retry_io
 from ..obs import obs_counter, obs_event
 from ..runtime import crclog
 
 #: Schema tag stamped into every log line.
 EPOCH_LOG_SCHEMA = "repro/campaign-epoch-log/v1"
+
+#: Fields a log line carries for the audit trail only: the epoch's wall
+#: time and whether its store export degraded.  They differ between
+#: runs, so loading strips them and they never reach the result.
+AUDIT_FIELDS = ("elapsed_s", "export_degraded")
 
 
 def encode_line(record: Mapping[str, Any]) -> str:
@@ -41,7 +47,7 @@ def decode_line(line: str) -> Dict[str, Any]:
 
 
 class EpochLog:
-    """The append-only per-epoch audit log of one campaign."""
+    """The append-only per-epoch record log of one campaign."""
 
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
@@ -59,56 +65,50 @@ class EpochLog:
             self.path, encode_line(record), f"epoch_log_append:{self.path.name}"
         )
 
-    def _scan(self) -> crclog.LineScan:
+    def scan(self) -> crclog.LineScan:
+        """The log's numbered prefix, audit fields included; changes nothing."""
         raw = self.path.read_bytes() if self.path.exists() else b""
-        return crclog.scan_lines(raw, EPOCH_LOG_SCHEMA)
+        scan = crclog.scan_lines(raw, EPOCH_LOG_SCHEMA)
+        for number, record in enumerate(scan.records):
+            if record.get("epoch") != number:
+                return crclog.LineScan(
+                    scan.records[:number], scan.ends[:number],
+                    f"line {number + 1} holds epoch {record.get('epoch')!r}",
+                )
+        return scan
 
-    def recover(self) -> List[Dict[str, Any]]:
-        """Validate the log, truncate any torn/corrupt tail, return records.
+    def recover(
+        self, epochs: Optional[int] = None, scan: Optional[crclog.LineScan] = None
+    ) -> List[Dict[str, Any]]:
+        """Cut the log back to its first ``epochs`` records and return them.
 
-        Returns the longest valid record prefix.  When truncation was
-        needed the event is counted (``campaign.log_truncations``) and
-        logged with the byte offset, so silent data loss never happens.
+        ``epochs`` defaults to the whole numbered prefix and may not
+        exceed it; ``scan`` is the caller's :meth:`scan` of the file as
+        it still stands.  A cut that drops bytes past the numbered
+        prefix -- a torn tail, a damaged line, a numbering gap -- is
+        counted (``campaign.log_truncations``) and logged with its byte
+        offsets.  The records come back without their audit fields.
         """
-        if not self.path.exists():
-            return []
-        size = self.path.stat().st_size
-        scan = self._scan()
+        if scan is None:
+            scan = self.scan()
+        kept = len(scan.records) if epochs is None else epochs
+        size = self.path.stat().st_size if self.path.exists() else 0
+        end = scan.ends[kept - 1] if kept else 0
+        if end < size:
+            crclog.truncate_file(self.path, end)
         if scan.good_bytes < size:
-            crclog.truncate_file(self.path, scan.good_bytes)
             obs_counter("campaign.log_truncations").inc()
             obs_event(
                 "warning", "campaign.log_truncated",
-                path=str(self.path), kept_records=len(scan.records),
-                kept_bytes=scan.good_bytes, dropped_bytes=size - scan.good_bytes,
+                path=str(self.path), kept_records=kept, kept_bytes=end,
+                dropped_bytes=size - end,
+                reason=scan.bad or "torn tail",
             )
-        return scan.records
-
-    def rewrite(self, records: List[Mapping[str, Any]]) -> None:
-        """Replace the log's contents atomically (resume log-sync path).
-
-        Used when a checkpoint is older than the log tail: replayed
-        epochs will re-append their records, so the stale tail is cut
-        back to the checkpoint's epoch first.
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(".jsonl.tmp")
-
-        def attempt() -> None:
-            with tmp.open("w") as handle:
-                for record in records:
-                    io_write(handle, encode_line(record) + "\n")
-                handle.flush()
-                io_fsync(handle.fileno(), tmp)
-            io_replace(tmp, self.path)
-
-        try:
-            retry_io(attempt, f"epoch_log_rewrite:{self.path.name}")
-        except BaseException:
-            if tmp.exists():
-                tmp.unlink()
-            raise
+        return [
+            {k: v for k, v in record.items() if k not in AUDIT_FIELDS}
+            for record in scan.records[:kept]
+        ]
 
     def records(self) -> List[Dict[str, Any]]:
-        """All currently-valid records (without truncating the file)."""
-        return self._scan().records
+        """The numbered prefix's records, audit fields included."""
+        return self.scan().records

@@ -1,34 +1,37 @@
-"""Mutable campaign state: everything a checkpoint must carry.
+"""Mutable campaign state: the epoch records plus the boundary state.
 
 The determinism contract of the campaign runtime is that *state at
 epoch boundary N* plus *the config* fully determine every later epoch.
-:class:`CampaignState` is that boundary state: the epoch cursor, the
-master RNG stream (``random.Random`` with its exact Mersenne state),
-the cross-epoch fault-injector memory (stuck-sensor latches and fault
-totals), the grade histogram and the per-epoch summary records.
-``to_dict``/``from_dict`` round-trip all of it through JSON losslessly
--- including the RNG state tuple -- which is what makes a
-kill-and-resume run byte-identical to an uninterrupted one.
+That boundary state is small: the epoch count, the master RNG stream
+(``random.Random`` with its exact Mersenne state) and the cross-epoch
+stuck-sensor latches.  ``to_dict`` writes exactly those three into a
+checkpoint, losslessly -- including the RNG state tuple -- which is
+what makes a kill-and-resume run byte-identical to an uninterrupted
+one.
 
-The SHM sample series are *not* state: each epoch's series is a pure
-function of (seed, epoch, storm), so the driver regenerates them for
-the committed epochs when it finalizes, and a checkpoint stays the same
-size however long the campaign has run.
+The per-epoch records live in the epoch log, which is their only copy
+on disk: :meth:`CampaignState.from_dict` takes them from there, and the
+grade histogram, fault totals and timeouts of the result are sums over
+them.  The SHM sample series are not state either: each epoch's series
+is a pure function of (seed, epoch, storm), so the driver regenerates
+them for the committed epochs when it finalizes.  A checkpoint
+therefore stays the same size however long the campaign has run.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import CampaignError
 
 #: Schema tag for the state block inside a checkpoint.
-CAMPAIGN_STATE_SCHEMA = "repro/campaign-state/v2"
+CAMPAIGN_STATE_SCHEMA = "repro/campaign-state/v3"
 
-#: The previous tag, whose accumulated sample series are ignored on load.
-CAMPAIGN_STATE_SCHEMA_V1 = "repro/campaign-state/v1"
+#: Earlier tags.  Their boundary fields load through the same code; the
+#: records, totals and sample series they also carried are ignored.
+OLDER_STATE_SCHEMAS = ("repro/campaign-state/v1", "repro/campaign-state/v2")
 
 
 def encode_rng_state(state: Tuple[Any, ...]) -> List[Any]:
@@ -51,85 +54,76 @@ class CampaignState:
     """The resumable state of a campaign at an epoch boundary.
 
     Attributes:
-        epoch: The next epoch to run (== completed epoch count).
         rng: Master campaign RNG (drives per-epoch deployment drift);
             its Mersenne state is serialized exactly, so a resumed
             campaign continues the same stream mid-sequence.
         stuck_latches: Cross-epoch stuck-sensor memory keyed
             ``"node:channel"`` -- a sensor that latched in epoch 3 is
             still latched in epoch 40, across any number of resumes.
-        fault_totals: Accumulated fault counts across all epochs.
-        grade_counts: Bridge-grade histogram over completed epochs.
         epoch_records: One summary dict per completed epoch (status,
-            coverage, retries, fault counts, storm flag, grade).
-        timeouts: Epochs the watchdog had to abandon.
+            coverage, retries, fault counts, storm flag, grade), in
+            epoch order.
     """
 
-    epoch: int = 0
     rng: random.Random = field(default_factory=lambda: random.Random(0))
     stuck_latches: Dict[str, Optional[int]] = field(default_factory=dict)
-    fault_totals: Dict[str, int] = field(default_factory=dict)
-    grade_counts: Dict[str, int] = field(default_factory=dict)
     epoch_records: List[Dict[str, Any]] = field(default_factory=list)
-    timeouts: List[int] = field(default_factory=list)
+
+    @property
+    def epoch(self) -> int:
+        """The next epoch to run (== completed epoch count)."""
+        return len(self.epoch_records)
 
     @classmethod
     def fresh(cls, seed: int) -> "CampaignState":
         """Epoch-zero state for a campaign with master ``seed``."""
         return cls(rng=random.Random(f"campaign:{seed}"))
 
-    def absorb_faults(self, counts: Mapping[str, int]) -> None:
-        """Fold one epoch's fault counts into the campaign totals."""
-        for name, count in counts.items():
-            self.fault_totals[name] = self.fault_totals.get(name, 0) + count
-
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready dict; round-trips through :meth:`from_dict`."""
+        """The boundary state, JSON-ready; :meth:`from_dict` inverts it."""
         return {
             "schema": CAMPAIGN_STATE_SCHEMA,
             "epoch": self.epoch,
             "rng_state": encode_rng_state(self.rng.getstate()),
             "stuck_latches": dict(self.stuck_latches),
-            "fault_totals": dict(self.fault_totals),
-            "grade_counts": dict(self.grade_counts),
-            "epoch_records": list(self.epoch_records),
-            "timeouts": list(self.timeouts),
         }
 
     @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "CampaignState":
-        """Rebuild a state; raises :class:`CampaignError` on bad shape.
+    def from_dict(
+        cls, payload: Mapping[str, Any], records: Sequence[Mapping[str, Any]]
+    ) -> "CampaignState":
+        """Rebuild a state from its boundary fields and the epoch log's records.
 
-        A v1 state still loads; the sample series it carries are
-        ignored, because the driver regenerates them.
+        ``records`` must be exactly epochs ``0 .. epoch-1``.  Raises
+        :class:`CampaignError` on a bad shape or records that do not
+        match the boundary.
         """
         if not isinstance(payload, Mapping):
             raise CampaignError("campaign state must be an object")
         schema = payload.get("schema")
-        if schema not in (CAMPAIGN_STATE_SCHEMA, CAMPAIGN_STATE_SCHEMA_V1):
+        if schema != CAMPAIGN_STATE_SCHEMA and schema not in OLDER_STATE_SCHEMAS:
             raise CampaignError(
                 f"unsupported campaign-state schema {schema!r} "
                 f"(expected {CAMPAIGN_STATE_SCHEMA!r})"
             )
         try:
+            epoch = int(payload["epoch"])
             rng = random.Random()
             rng.setstate(decode_rng_state(payload["rng_state"]))
-            return cls(
-                epoch=int(payload["epoch"]),
-                rng=rng,
-                stuck_latches=dict(payload["stuck_latches"]),
-                fault_totals={
-                    k: int(v) for k, v in payload["fault_totals"].items()
-                },
-                grade_counts={
-                    k: int(v) for k, v in payload["grade_counts"].items()
-                },
-                epoch_records=[dict(r) for r in payload["epoch_records"]],
-                timeouts=[int(v) for v in payload["timeouts"]],
-            )
+            latches = dict(payload["stuck_latches"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CampaignError(f"malformed campaign state: {exc!r}")
+        if [record.get("epoch") for record in records] != list(range(epoch)):
+            raise CampaignError(
+                f"the state is at epoch {epoch} but its {len(records)} "
+                f"record(s) are not epochs 0 .. {epoch - 1}"
+            )
+        return cls(
+            rng=rng,
+            stuck_latches=latches,
+            epoch_records=[dict(record) for record in records],
+        )

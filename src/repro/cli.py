@@ -634,8 +634,6 @@ def _cmd_campaign_status(args: argparse.Namespace) -> int:
             f"  verified resume point:   epoch {status['verified_epoch']}"
             + (f" of {total}" if total else "")
         )
-        if status.get("timeouts"):
-            print(f"  watchdog timeouts:       {status['timeouts']}")
     if "checkpoint_error" in status:
         print(f"  CHECKPOINT ERROR: {status['checkpoint_error']}")
     print(f"  epoch log records:       {status['log_records']}")

@@ -53,14 +53,8 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from ..campaign.checkpoint import CheckpointStore
 from ..campaign.config import CampaignConfig
-from ..campaign.driver import (
-    CHECKPOINT_DIRNAME,
-    Campaign,
-    CampaignOutcome,
-    RESULT_FILENAME,
-)
+from ..campaign.driver import RESULT_FILENAME, run_or_resume_campaign
 from ..errors import ChaosError, ReproError
 from ..fleet.config import FleetConfig, building_names
 from ..fleet.merge import (
@@ -289,22 +283,6 @@ def _verified_result(path: Path) -> Tuple[Optional[Dict[str, Any]], Optional[str
 # Clean references
 # ----------------------------------------------------------------------
 
-def _run_or_resume_campaign(
-    config: CampaignConfig,
-    state_dir: Path,
-    store_dir: Optional[Path],
-    building: Optional[str] = None,
-) -> Tuple[Campaign, CampaignOutcome]:
-    kwargs: Dict[str, Any] = {"store_dir": store_dir}
-    if building is not None:
-        kwargs["store_building"] = building
-    if CheckpointStore(state_dir / CHECKPOINT_DIRNAME).latest_epoch() is not None:
-        campaign, state = Campaign.resume(state_dir, **kwargs)
-        return campaign, campaign.run(state)
-    campaign = Campaign(config, state_dir=state_dir, **kwargs)
-    return campaign, campaign.run()
-
-
 def _batch_series(config: ChaosConfig, batch: int) -> Tuple[str, np.ndarray, np.ndarray]:
     """The store scenario's deterministic synthetic batch ``batch``."""
     rng = random.Random(f"{config.seed}:chaos-store:{batch}")
@@ -323,8 +301,9 @@ def _ensure_clean(chaos_dir: Path, config: ChaosConfig) -> None:
     clean = chaos_dir / CLEAN_DIRNAME
     if config.scenario == "campaign":
         if not (clean / "state" / RESULT_FILENAME).exists():
-            _run_or_resume_campaign(
-                config.campaign_config(), clean / "state", clean / "store"
+            run_or_resume_campaign(
+                config.campaign_config(), clean / "state",
+                store_dir=clean / "store",
             )
     elif config.scenario == "fleet":
         fleet_cfg = config.fleet_config()
@@ -337,8 +316,9 @@ def _ensure_clean(chaos_dir: Path, config: ChaosConfig) -> None:
             if not (shard_dir / RESULT_FILENAME).exists():
                 # In-process and sequential: the reference needs
                 # determinism, not throughput.
-                _run_or_resume_campaign(
-                    fleet_cfg.shard_config(name), shard_dir, None, building=name
+                run_or_resume_campaign(
+                    fleet_cfg.shard_config(name), shard_dir,
+                    store_building=name,
                 )
             payload = load_shard_result(shard_dir)
             if payload is None:
@@ -386,8 +366,8 @@ def _drill_campaign(
         attempt = manifest["attempts_done"]
         with io_faults(config.attempt_plan(0, attempt)) as injector:
             try:
-                campaign, _ = _run_or_resume_campaign(
-                    config.campaign_config(), state_dir, store_dir
+                campaign, _ = run_or_resume_campaign(
+                    config.campaign_config(), state_dir, store_dir=store_dir
                 )
                 manifest["export_failures"] += len(campaign.export_failures)
             except (OSError, ReproError) as exc:

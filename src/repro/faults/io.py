@@ -84,7 +84,7 @@ IO_BACKOFF_MAX_S = 0.05
 TRANSIENT_ERRNOS = frozenset({errno.EIO})
 
 #: Suffix shared by every temp file the write paths create
-#: (``write_json_atomic`` mkstemp, ``*.seg.tmp``, ``*.jsonl.tmp``,
+#: (``write_json_atomic`` mkstemp, ``*.seg.tmp``,
 #: ``heartbeat.json.tmp``) -- what :func:`reclaim_tmp_files` sweeps.
 TMP_SUFFIX = ".tmp"
 

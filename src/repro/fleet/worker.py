@@ -37,11 +37,10 @@ import signal
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from ..campaign import CampaignConfig
-from ..campaign.checkpoint import CheckpointStore
-from ..campaign.driver import CHECKPOINT_DIRNAME, Campaign
+from ..campaign.driver import run_or_resume_campaign
 from ..faults.io import io_replace, io_write
 from ..faults.worker import WorkerFaultPlan
 from ..obs import obs_counter, obs_event
@@ -216,18 +215,10 @@ def run_shard(
         faults or WorkerFaultPlan(),
         epoch_sleep_s=epoch_sleep_s,
     )
-    kwargs: Dict[str, Any] = dict(
-        epoch_hook=hook,
-        store_dir=store_dir,
-        store_building=building,
-        record_obs=record_obs,
+    _, outcome = run_or_resume_campaign(
+        config, shard_dir, epoch_hook=hook, store_dir=store_dir,
+        store_building=building, record_obs=record_obs,
     )
-    checkpoints = CheckpointStore(shard_dir / CHECKPOINT_DIRNAME)
-    if checkpoints.latest_epoch() is not None:
-        campaign, state = Campaign.resume(shard_dir, **kwargs)
-        outcome = campaign.run(state)
-    else:
-        outcome = Campaign(config, state_dir=shard_dir, **kwargs).run()
     return EXIT_INTERRUPTED if outcome.interrupted else EXIT_OK
 
 

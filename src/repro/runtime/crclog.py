@@ -88,36 +88,47 @@ class LineScan:
 
     Attributes:
         records: The records of the valid lines before the first problem.
-        good_bytes: Byte length of that valid prefix.
+        ends: The byte offset just past each of those lines' newline, so
+            ``ends[n - 1]`` is where a cut that keeps ``n`` records goes.
         bad: Why the bytes after the prefix are invalid; None when there
             are none, or when they are only a torn tail.
     """
 
     records: List[Dict[str, Any]]
-    good_bytes: int
+    ends: List[int]
     bad: Optional[str]
+
+    @property
+    def good_bytes(self) -> int:
+        """Byte length of the valid prefix."""
+        return self.ends[-1] if self.ends else 0
 
 
 def scan_lines(raw: bytes, schema: str) -> LineScan:
     """Validate ``raw`` line by line, stopping at the first problem."""
     records: List[Dict[str, Any]] = []
+    ends: List[int] = []
     cursor = 0
     while cursor < len(raw):
         newline = raw.find(b"\n", cursor)
         if newline < 0:
             if is_torn_tail(raw[cursor:]):
-                return LineScan(records, cursor, None)
-            return LineScan(records, cursor, "bytes follow the final line")
+                return LineScan(records, ends, None)
+            return LineScan(records, ends, "bytes follow the final line")
         try:
             records.append(decode_line(schema, raw[cursor:newline].decode("utf-8")))
         except (ValueError, UnicodeDecodeError) as exc:
-            return LineScan(records, cursor, str(exc))
+            return LineScan(records, ends, str(exc))
         cursor = newline + 1
-    return LineScan(records, cursor, None)
+        ends.append(cursor)
+    return LineScan(records, ends, None)
 
 
 def truncate_file(path: Union[str, Path], size: int) -> None:
-    """Cut ``path`` back to ``size`` bytes (the heal of every torn tail)."""
+    """Cut ``path`` back to ``size`` bytes.
+
+    This heals every torn tail, and cuts a log back to a record boundary.
+    """
     with open(path, "r+b") as handle:
         handle.truncate(size)
         handle.flush()

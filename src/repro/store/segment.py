@@ -560,13 +560,12 @@ class SegmentDir:
         )
         return target
 
-    def _reconcile(self, resolution: str, acknowledged: int) -> bool:
+    def _reconcile(self, resolution: str, acknowledged: int) -> None:
         """Cut ``resolution``'s file back to its acknowledged length.
 
-        Returns whether a torn tail was truncated (counted, logged).  A
-        file *shorter* than acknowledged is corruption, not a torn
-        append: the segment is quarantined and a :class:`SegmentError`
-        raised.
+        A torn tail is truncated, counted and logged.  A file *shorter*
+        than acknowledged is corruption, not a torn append: the segment
+        is quarantined and a :class:`SegmentError` raised.
         """
         path = self.seg_path(resolution)
         size = path.stat().st_size if path.exists() else 0
@@ -583,24 +582,6 @@ class SegmentDir:
                 segment=str(path), kept_bytes=acknowledged,
                 dropped_bytes=size - acknowledged,
             )
-            return True
-        return False
-
-    def recover(self) -> int:
-        """Cut each segment file back to what its manifest acknowledges.
-
-        Returns the number of files that had torn (unacknowledged)
-        tails truncated.  Corruption quarantines the segment and raises
-        :class:`SegmentError`.
-        """
-        manifest = self._load_index().manifest
-        truncated = sum(
-            self._reconcile(resolution, entry["bytes"])
-            for resolution, entry in manifest["files"].items()
-        )
-        if truncated:
-            self._manifest = None  # parsed from bytes just cut
-        return truncated
 
     # ------------------------------------------------------------------
     # Append / fold / replace

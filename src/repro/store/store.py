@@ -374,15 +374,14 @@ class TelemetryStore:
     # Write / read
     # ------------------------------------------------------------------
 
-    def writer(self, flush_rows: int = 200_000, lock: bool = True) -> "StoreWriter":
+    def writer(self, flush_rows: int = 200_000) -> "StoreWriter":
         """A batched writer (use as a context manager to auto-flush).
 
-        ``lock=True`` (the default) takes each building's
-        :class:`~repro.store.lock.PartitionLock` on first ingest into
-        it and holds it until the writer closes -- see
-        :mod:`repro.store.lock`.
+        It takes each building's :class:`~repro.store.lock.PartitionLock`
+        on first ingest into it and holds it until the writer closes --
+        see :mod:`repro.store.lock`.
         """
-        return StoreWriter(self, flush_rows=flush_rows, lock=lock)
+        return StoreWriter(self, flush_rows=flush_rows)
 
     def append(
         self,
@@ -596,17 +595,11 @@ class StoreWriter:
     to a bound; then :class:`~repro.errors.PartitionLockError`).
     """
 
-    def __init__(
-        self,
-        store: TelemetryStore,
-        flush_rows: int = 200_000,
-        lock: bool = True,
-    ):
+    def __init__(self, store: TelemetryStore, flush_rows: int = 200_000):
         if flush_rows < 1:
             raise StoreError(f"flush_rows must be >= 1, got {flush_rows}")
         self.store = store
         self.flush_rows = flush_rows
-        self.lock_partitions = lock
         self._locks: Dict[str, PartitionLock] = {}
         self._buffers: Dict[SeriesKey, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._buffered_rows = 0
@@ -629,7 +622,7 @@ class StoreWriter:
             held.release()
 
     def _lock_building(self, building: str) -> None:
-        if self.lock_partitions and building not in self._locks:
+        if building not in self._locks:
             self._locks[building] = self.store.lock_partition(building)
 
     # ------------------------------------------------------------------
@@ -697,11 +690,7 @@ class StoreWriter:
                 self._buffered_rows -= meta["n"]
                 self.rows_written += meta["n"]
             if appended.size > FOLD_BYTES:
-                if building in self._locks:
-                    self.store.fold_partition(building)
-                else:
-                    with self.store.partition(building):
-                        self.store.fold_partition(building)
+                self.store.fold_partition(building)
         obs_counter("store.rows_ingested").inc(flushed)
         obs_counter("store.flushes").inc()
         return flushed

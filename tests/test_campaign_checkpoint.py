@@ -23,6 +23,7 @@ from repro.campaign.log import EPOCH_LOG_SCHEMA, decode_line, encode_line
 from repro.campaign.state import decode_rng_state, encode_rng_state
 from repro.errors import CampaignError, CheckpointError, FaultConfigError
 from repro.faults import FaultInjector, FaultPlan
+from repro.obs import observed
 from repro.runtime import crclog
 
 
@@ -129,39 +130,74 @@ class TestCampaignState:
     def test_state_round_trip_is_lossless(self):
         state = CampaignState.fresh(5)
         state.rng.random()
-        state.epoch = 3
         state.stuck_latches = {"2:strain": 123, "1:humidity": None}
-        state.fault_totals = {"brownouts": 4}
-        state.grade_counts = {"A": 3}
-        state.epoch_records = [{"epoch": 0, "status": "ok"}]
-        state.timeouts = [2]
+        state.epoch_records = [
+            {"epoch": 0, "status": "ok", "grade": "A"},
+            {"epoch": 1, "status": "ok", "fault_counts": {"brownouts": 4}},
+            {"epoch": 2, "status": "epoch_timeout"},
+        ]
         payload = json.loads(json.dumps(state.to_dict()))
-        clone = CampaignState.from_dict(payload)
+        # The checkpoint carries the boundary only; records come from the log.
+        assert set(payload) == {"schema", "epoch", "rng_state", "stuck_latches"}
+        assert payload["epoch"] == 3
+        clone = CampaignState.from_dict(payload, state.epoch_records)
         assert clone.to_dict() == state.to_dict()
+        assert clone.epoch_records == state.epoch_records
         assert clone.rng.random() == state.rng.random()
 
     def test_v1_state_loads_without_its_sample_series(self):
         state = CampaignState.fresh(5)
-        state.epoch = 2
-        state.grade_counts = {"B": 2}
+        state.epoch_records = [{"epoch": 0, "grade": "B"}, {"epoch": 1, "grade": "B"}]
         v1 = dict(
             state.to_dict(),
             schema="repro/campaign-state/v1",
+            grade_counts={"B": 2},
             hours=[0.0, 1.0],
             acceleration=[0.001, -0.002],
             stress_mpa=[-60.0, -61.5],
         )
-        clone = CampaignState.from_dict(json.loads(json.dumps(v1)))
+        clone = CampaignState.from_dict(
+            json.loads(json.dumps(v1)), state.epoch_records
+        )
         assert clone.to_dict() == state.to_dict()
-        assert clone.to_dict()["schema"] == "repro/campaign-state/v2"
+        assert clone.to_dict()["schema"] == "repro/campaign-state/v3"
+
+    def test_v2_state_loads_only_its_boundary_fields(self):
+        state = CampaignState.fresh(5)
+        state.stuck_latches = {"1:strain": 7}
+        state.epoch_records = [
+            {"epoch": 0, "status": "ok"}, {"epoch": 1, "status": "epoch_timeout"},
+        ]
+        v2 = dict(
+            state.to_dict(),
+            schema="repro/campaign-state/v2",
+            fault_totals={"brownouts": 4},
+            grade_counts={"A": 1},
+            epoch_records=[{"epoch": 0, "status": "stale copy"}],
+            timeouts=[1],
+        )
+        clone = CampaignState.from_dict(
+            json.loads(json.dumps(v2)), state.epoch_records
+        )
+        assert clone.to_dict() == state.to_dict()
+        assert clone.epoch_records == state.epoch_records  # the log's copy
 
     def test_from_dict_rejects_bad_payloads(self):
         with pytest.raises(CampaignError):
-            CampaignState.from_dict({"schema": "wrong"})
+            CampaignState.from_dict({"schema": "wrong"}, [])
         good = CampaignState.fresh(1).to_dict()
         del good["rng_state"]
         with pytest.raises(CampaignError):
-            CampaignState.from_dict(good)
+            CampaignState.from_dict(good, [])
+
+    @pytest.mark.parametrize("epochs", [[0], [0, 2], [0, 1, 2], [1, 0]])
+    def test_from_dict_takes_exactly_the_epochs_before_the_boundary(self, epochs):
+        state = CampaignState.fresh(1)
+        state.epoch_records = [{"epoch": 0}, {"epoch": 1}]
+        payload = state.to_dict()
+        assert CampaignState.from_dict(payload, state.epoch_records).epoch == 2
+        with pytest.raises(CampaignError, match="not epochs 0 .. 1"):
+            CampaignState.from_dict(payload, [{"epoch": e} for e in epochs])
 
 
 class TestInjectorStateRoundTrip:
@@ -189,10 +225,14 @@ class TestInjectorStateRoundTrip:
             injector.restore_state({"streams": {"x": "bad"}, "stuck": [], "counts": {}})
 
 
+def _records(epochs):
+    return [{"epoch": epoch} for epoch in range(epochs)]
+
+
 def _save(store, epoch, seed=1):
     config = CampaignConfig(epochs=5, seed=seed)
     state = CampaignState.fresh(seed)
-    state.epoch = epoch
+    state.epoch_records = _records(epoch)
     return store.save(epoch, config.to_dict(), state.to_dict())
 
 
@@ -204,7 +244,7 @@ class TestCheckpointStore:
         assert payload["epoch"] == 2
         loaded = store.load_latest()
         assert loaded["epoch"] == 2
-        assert CampaignState.from_dict(loaded["state"]).epoch == 2
+        assert CampaignState.from_dict(loaded["state"], _records(2)).epoch == 2
 
     def test_load_latest_prefers_newest(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt")
@@ -212,6 +252,30 @@ class TestCheckpointStore:
             _save(store, epoch)
         assert store.load_latest()["epoch"] == 3
         assert store.latest_epoch() == 3
+
+    def test_max_epoch_leaves_newer_checkpoints_in_place(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        paths = [_save(store, epoch) for epoch in (1, 2, 3)]
+        before = paths[2].read_bytes()
+        with observed() as scope:
+            assert store.load_latest(max_epoch=2)["epoch"] == 2
+            assert scope.registry.counter("campaign.rollbacks").value == 1.0
+        assert paths[2].read_bytes() == before
+        assert store.load_latest(max_epoch=0) is None
+        assert all(path.exists() for path in paths)
+        assert not store.quarantine_dir.exists()
+
+    def test_find_reports_corruption_without_moving_it(self, tmp_path):
+        store = CheckpointStore(tmp_path / "ckpt")
+        _save(store, 1)
+        newest = _save(store, 2)
+        newest.write_text("rotted")
+        payload, corrupt = store.find()
+        assert payload["epoch"] == 1
+        assert [path for path, _ in corrupt] == [newest]
+        assert "not valid JSON" in corrupt[0][1]
+        assert newest.read_text() == "rotted"
+        assert store.find(max_epoch=0) == (None, [])
 
     def test_empty_store_returns_none(self, tmp_path):
         assert CheckpointStore(tmp_path / "nothing").load_latest() is None
@@ -323,12 +387,50 @@ class TestEpochLog:
         # Record 1 fails its CRC: everything from it on is suspect.
         assert [r["epoch"] for r in log.recover()] == [0]
 
-    def test_rewrite_replaces_contents(self, tmp_path):
+    def test_recover_cuts_back_to_a_record_boundary(self, tmp_path):
         log = EpochLog(tmp_path / "epochs.jsonl")
         for epoch in range(4):
             log.append({"epoch": epoch})
-        log.rewrite([{"epoch": 0}, {"epoch": 1}])
+        scan = log.scan()
+        assert scan.ends[-1] == log.path.stat().st_size
+        with observed() as scope:
+            assert [r["epoch"] for r in log.recover(2, scan)] == [0, 1]
+            # Dropping good records is a rewind, not damage.
+            assert scope.registry.counter("campaign.log_truncations").value == 0.0
+        assert log.path.stat().st_size == scan.ends[1]
         assert [r["epoch"] for r in log.records()] == [0, 1]
+        log.append({"epoch": 2})
+        assert [r["epoch"] for r in log.records()] == [0, 1, 2]
+        assert log.recover(0) == [] and log.path.read_bytes() == b""
+
+    def test_numbering_gap_truncates_from_there(self, tmp_path):
+        log = EpochLog(tmp_path / "epochs.jsonl")
+        for epoch in (0, 1, 5, 6):
+            log.append({"epoch": epoch})
+        scan = log.scan()
+        assert [r["epoch"] for r in scan.records] == [0, 1]
+        assert scan.bad == "line 3 holds epoch 5"
+        with observed() as scope:
+            assert [r["epoch"] for r in log.recover()] == [0, 1]
+            assert scope.registry.counter("campaign.log_truncations").value == 1.0
+        assert log.path.stat().st_size == scan.good_bytes
+
+    def test_scan_changes_nothing(self, tmp_path):
+        log = EpochLog(tmp_path / "epochs.jsonl")
+        for epoch in range(3):
+            log.append({"epoch": epoch})
+        raw = log.path.read_bytes()
+        log.path.write_bytes(raw[:10] + b"X" + raw[11:] + b'{"torn')
+        before = log.path.read_bytes()
+        assert log.scan().records == [] and log.records() == []
+        assert log.path.read_bytes() == before
+
+    def test_audit_fields_are_stripped_on_load(self, tmp_path):
+        log = EpochLog(tmp_path / "epochs.jsonl")
+        log.append({"epoch": 0, "status": "ok", "elapsed_s": 0.25,
+                    "export_degraded": True})
+        assert log.records()[0]["elapsed_s"] == 0.25  # the audit view
+        assert log.recover() == [{"epoch": 0, "status": "ok"}]
 
     def test_line_codec_rejects_crc_mismatch(self):
         line = encode_line({"epoch": 9})

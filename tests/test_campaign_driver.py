@@ -171,6 +171,30 @@ class TestCrashAndResume:
         assert resumed.resumed_from_epoch == 3
         assert result_hash(resumed.result) == result_hash(reference.result)
 
+    def test_timeouts_faults_and_grades_survive_a_resume(self, tmp_path):
+        def abandon_1(epoch):
+            if epoch == 1:
+                raise EpochTimeout("abandoned")
+
+        def abandon_1_crash_3(epoch):
+            abandon_1(epoch)
+            if epoch == 3:
+                raise _Crash
+
+        reference = run_campaign(small_config(), epoch_hook=abandon_1).result
+        state_dir = tmp_path / "pilot"
+        with pytest.raises(_Crash):
+            run_campaign(
+                small_config(), state_dir=state_dir, epoch_hook=abandon_1_crash_3
+            )
+        outcome = resume_campaign(state_dir)
+        assert outcome.resumed_from_epoch == 3
+        # Derived from the records the log holds, not from the checkpoint.
+        assert outcome.result.timeouts == reference.timeouts == [1]
+        assert outcome.result.fault_totals == reference.fault_totals != {}
+        assert outcome.result.grade_fractions == reference.grade_fractions
+        assert result_hash(outcome.result) == result_hash(reference)
+
     def test_resume_with_nothing_there_is_loud(self, tmp_path):
         with pytest.raises(CampaignError, match="nothing to resume"):
             resume_campaign(tmp_path / "empty")
@@ -249,27 +273,21 @@ class TestAbandonedEpoch:
 
 
 class TestCheckpointSize:
-    def _final_state(self, tmp_path, epochs):
+    def _final_checkpoint(self, tmp_path, epochs):
         state_dir = tmp_path / f"e{epochs}"
         config = small_config(epochs=epochs, hours_per_epoch=168)
         run_campaign(config, state_dir=state_dir)
-        path = state_dir / CHECKPOINT_DIRNAME / f"epoch-{epochs:06d}.json"
-        return json.loads(path.read_text())["state"]
+        return state_dir / CHECKPOINT_DIRNAME / f"epoch-{epochs:06d}.json"
 
     def test_checkpoint_does_not_grow_with_samples(self, tmp_path):
-        short = self._final_state(tmp_path, 4)
-        long = self._final_state(tmp_path, 16)
-        assert set(short) == set(long)
-        assert len(long["epoch_records"]) == 16
-
-        def boundary(state):
-            return len(json.dumps(
-                {k: v for k, v in state.items() if k != "epoch_records"}
-            ))
-
-        # Twelve more weeks of hourly samples would add ~100 KiB; the
-        # rest of the state differs only by the digits of its counters.
-        assert abs(boundary(long) - boundary(short)) < 1024
+        short = self._final_checkpoint(tmp_path, 8)
+        long = self._final_checkpoint(tmp_path, 74)
+        state = json.loads(long.read_text())["state"]
+        assert set(state) == {"schema", "epoch", "rng_state", "stuck_latches"}
+        assert state["epoch"] == 74
+        # Sixty-six more weeks of samples and epoch records stay out of
+        # the file; it differs only by the digits of its RNG state.
+        assert abs(long.stat().st_size - short.stat().st_size) < 1024
 
 
 @pytest.mark.skipif(

@@ -22,6 +22,8 @@ from repro.campaign import (
     CHECKPOINT_DIRNAME,
     EPOCH_LOG_FILENAME,
     CampaignConfig,
+    EpochLog,
+    campaign_status,
     result_hash,
     resume_campaign,
     run_campaign,
@@ -87,6 +89,9 @@ def _resume_must_not_lie(crashed, damage):
             "resume after on-disk damage produced a DIFFERENT result -- "
             "silent divergence, the one forbidden outcome"
         )
+        # The log is whole again: one record per epoch, in order.
+        records = EpochLog(state_dir / EPOCH_LOG_FILENAME).records()
+        assert [r["epoch"] for r in records] == list(range(CONFIG["epochs"]))
         return "recovered"
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
@@ -122,8 +127,10 @@ class TestTruncationNeverLies:
             path = state_dir / EPOCH_LOG_FILENAME
             path.write_bytes(path.read_bytes()[:offset])
 
-        # The log is the audit artifact, not the recovery artifact: a
-        # torn log never blocks resume and never changes the result.
+        # The log holds the records the checkpoints do not: a shorter
+        # log rolls resume back to the newest checkpoint it covers, and
+        # the replay rewrites the cut records.  Checkpoint 0 is always
+        # kept here, so every offset recovers.
         assert _resume_must_not_lie(crashed, damage) == "recovered"
 
     @given(data=st.data())
@@ -172,3 +179,83 @@ class TestByteFlipsNeverLie:
         # quarantine + rollback) or is a no-op rewrite of the same byte;
         # all three converge on the reference bytes.
         assert _resume_must_not_lie(crashed, damage) == "recovered"
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_epoch_log_flipped_anywhere(self, crashed, data):
+        log = crashed["state_dir"] / EPOCH_LOG_FILENAME
+        position = data.draw(st.integers(0, log.stat().st_size - 1), label="position")
+        value = data.draw(st.integers(0, 255), label="value")
+
+        def damage(state_dir):
+            path = state_dir / EPOCH_LOG_FILENAME
+            raw = bytearray(path.read_bytes())
+            raw[position] = value
+            path.write_bytes(bytes(raw))
+
+        # A flipped line fails its CRC (or its JSON); resume rolls back
+        # to the newest checkpoint before it and replays the lost epochs.
+        assert _resume_must_not_lie(crashed, damage) == "recovered"
+
+
+def _run_killed_at(config, kill_epoch, state_dir):
+    def hook(epoch):
+        if epoch == kill_epoch:
+            raise _Crash
+
+    with pytest.raises(_Crash):
+        run_campaign(config, state_dir=state_dir, epoch_hook=hook)
+
+
+def _flip_in_line(state_dir, line):
+    """Flip one byte in the middle of the epoch log's ``line`` (0-based)."""
+    path = state_dir / EPOCH_LOG_FILENAME
+    lines = path.read_bytes().splitlines(keepends=True)
+    damaged = bytearray(lines[line])
+    damaged[len(damaged) // 2] ^= 0x20
+    lines[line] = bytes(damaged)
+    path.write_bytes(b"".join(lines))
+
+
+def _tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*")) if path.is_file()
+    }
+
+
+class TestLogDamageRollsBack:
+    def test_damaged_early_line_is_replayed_not_lost(self, tmp_path):
+        config = CampaignConfig(**dict(CONFIG, epochs=6))
+        reference = run_campaign(config)
+        state_dir = tmp_path / "pilot"
+        _run_killed_at(config, 5, state_dir)
+        _flip_in_line(state_dir, 1)
+
+        outcome = resume_campaign(state_dir)
+        # Rolled back past checkpoints 5 .. 2 to the one the log covers.
+        assert outcome.resumed_from_epoch == 1
+        assert result_hash(outcome.result) == result_hash(reference.result)
+        records = EpochLog(state_dir / EPOCH_LOG_FILENAME).records()
+        assert [r["epoch"] for r in records] == [0, 1, 2, 3, 4, 5]
+        status = campaign_status(state_dir)
+        assert status["log_records"] == 6 and status["verified_epoch"] == 6
+
+    def test_damage_older_than_every_checkpoint_is_loud(self, tmp_path):
+        config = CampaignConfig(**dict(CONFIG, epochs=8, checkpoint_keep=2))
+        state_dir = tmp_path / "pilot"
+        _run_killed_at(config, 6, state_dir)
+        _flip_in_line(state_dir, 1)
+        before = _tree(state_dir)
+        assert sorted(p.name for p in (state_dir / CHECKPOINT_DIRNAME).iterdir()) == [
+            "epoch-000005.json", "epoch-000006.json",
+        ]
+
+        status = campaign_status(state_dir)
+        assert "verified_epoch" not in status and "checkpoint_error" in status
+        with pytest.raises(CampaignError, match=(
+            r"records stop after 1 epoch\(s\) \(.*CRC.*\), and every "
+            r"checkpoint is newer than epoch 1"
+        )):
+            resume_campaign(state_dir)
+        assert _tree(state_dir) == before

@@ -127,12 +127,6 @@ class TestWriterLocking:
         with store.writer() as writer:  # partition is free again
             writer.add_sample(KEY, 1.0, 2.0)
 
-    def test_lock_false_disables_locking(self, tmp_path):
-        store = TelemetryStore(tmp_path)
-        with store.writer(lock=False) as writer:
-            writer.add_sample(KEY, 0.0, 1.0)
-            assert not _lock_path(store).exists()
-
     def test_crashed_writer_lock_reclaimed_by_next_writer(self, tmp_path):
         store = TelemetryStore(tmp_path)
         pid = os.fork()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SegmentError, StoreError
+from repro.obs import observed
 from repro.store import MAX_NODE_ID, SegmentDir, SeriesKey
 from repro.store.segment import (
     DAILY,
@@ -157,9 +158,13 @@ class TestSegmentDurability:
         with seg.seg_path(RAW).open("ab") as handle:
             handle.write(b"torn half-written block")
         fresh = _segment(tmp_path)
-        assert fresh.recover() == 1
         assert fresh.rows(RAW) == 1
         assert np.array_equal(fresh.read(RAW)["value"], [1.0])
+        with observed() as scope:
+            fresh.append_block(RAW, [np.array([1.0]), np.array([2.0])])
+            assert scope.registry.counter("store.truncations").value == 1.0
+        assert fresh.rows(RAW) == 2
+        assert np.array_equal(fresh.read(RAW)["value"], [1.0, 2.0])
 
     def test_short_file_quarantined(self, tmp_path):
         seg = _segment(tmp_path)
@@ -168,7 +173,7 @@ class TestSegmentDurability:
         raw.write_bytes(raw.read_bytes()[:-5])
         fresh = _segment(tmp_path)
         with pytest.raises(SegmentError):
-            fresh.recover()
+            fresh.append_block(RAW, [np.array([1.0]), np.array([2.0])])
         assert not raw.exists()
         assert any((tmp_path / "quarantine").iterdir())
 
