@@ -99,7 +99,7 @@ def test_store_bench(benchmark):
         [
             ("bulk ingest", ">= 1M rows", f"{TOTAL_ROWS} rows in {ingest_s:.2f} s"),
             ("ingest throughput", "vectorized", f"{TOTAL_ROWS / ingest_s:,.0f} rows/s"),
-            ("compact (raw->hourly->daily)", "--", f"{compact_s:.2f} s"),
+            ("compact (fold the commit logs)", "--", f"{compact_s:.2f} s"),
             ("range query p50", "--", f"{p50 * 1e3:.2f} ms"),
             ("range query p95", "--", f"{p95 * 1e3:.2f} ms"),
             ("daily mean aggregate", "--", f"{agg_s * 1e3:.1f} ms ({mean:.2f} ue)"),

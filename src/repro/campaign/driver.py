@@ -316,8 +316,7 @@ class Campaign:
 
         An attached telemetry store is healed the same way the epoch
         log is: exports from epochs past the checkpoint boundary (they
-        will be replayed and re-exported) are truncated, and stale
-        rollups are cleared for the next ``compact``.
+        will be replayed and re-exported) are truncated.
         """
         state_dir = Path(state_dir)
         log = EpochLog(state_dir / EPOCH_LOG_FILENAME)

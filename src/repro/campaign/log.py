@@ -24,6 +24,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
+from ..errors import CampaignError
+from ..faults.io import io_read_bytes, retry_io
 from ..obs import obs_counter, obs_event
 from ..runtime import crclog
 
@@ -66,8 +68,19 @@ class EpochLog:
         )
 
     def scan(self) -> crclog.LineScan:
-        """The log's numbered prefix, audit fields included; changes nothing."""
-        raw = self.path.read_bytes() if self.path.exists() else b""
+        """The log's numbered prefix, audit fields included; changes nothing.
+
+        A transient EIO on the read is retried; one that persists raises
+        :class:`~repro.errors.CampaignError`.
+        """
+        try:
+            raw = retry_io(
+                lambda: io_read_bytes(self.path), f"epoch_log_read:{self.path.name}"
+            )
+        except FileNotFoundError:
+            raw = b""
+        except OSError as exc:
+            raise CampaignError(f"cannot read {self.path}: {exc}")
         scan = crclog.scan_lines(raw, EPOCH_LOG_SCHEMA)
         for number, record in enumerate(scan.records):
             if record.get("epoch") != number:

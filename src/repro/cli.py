@@ -33,7 +33,7 @@ quarantine, byte-deterministic)::
     python -m repro.cli fleet resume --fleet-dir city
     python -m repro.cli fleet status --fleet-dir city
 
-and the embedded telemetry store (ingest + rollups + query + HTTP)::
+and the embedded telemetry store (ingest + compact + query + HTTP)::
 
     python -m repro.cli campaign run --state-dir pilot --store telemetry
     python -m repro.cli store ingest --store telemetry pilot/result.json
@@ -800,13 +800,9 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
 def _cmd_store_compact(args: argparse.Namespace) -> int:
     store = _open_store(args)
     summary = store.compact()
-    rollups = ", ".join(
-        f"{res}={rows}" for res, rows in summary["rollup_rows"].items()
-    )
     print(
         f"compacted {summary['series']} series: {summary['raw_rows']} raw "
-        f"row(s) ({summary['folded_rows']} folded from commit logs) -> "
-        f"{rollups}"
+        f"row(s), {summary['folded_rows']} folded from commit logs"
     )
     return 0
 
@@ -904,9 +900,9 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
             f"{key['building']}/{key['wall']}/n{key['node_id']}/"
             f"{key['metric']}"
         )
+        raw = entry["raw"]
         print(
-            f"  {label}: {entry['raw']['rows']} raw, "
-            f"{entry['hourly']['rows']} hourly, {entry['daily']['rows']} daily"
+            f"  {label}: {raw['rows']} raw row(s) in {raw['blocks']} block(s)"
         )
     return 0
 
@@ -1344,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     store = sub.add_parser(
         "store",
-        help="the embedded telemetry store (ingest, rollups, query, HTTP)",
+        help="the embedded telemetry store (ingest, compact, query, HTTP)",
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
@@ -1362,7 +1358,9 @@ def build_parser() -> argparse.ArgumentParser:
     st_ingest.set_defaults(func=_cmd_store_ingest)
 
     st_compact = store_sub.add_parser(
-        "compact", help="regenerate hourly/daily rollups from raw samples"
+        "compact",
+        help="fold the commit logs into the segments (hourly/daily "
+        "rollups are computed from raw on every read)",
     )
     _store_dir(st_compact)
     st_compact.set_defaults(func=_cmd_store_compact)
@@ -1403,7 +1401,7 @@ def build_parser() -> argparse.ArgumentParser:
     st_health.set_defaults(func=_cmd_store_health)
 
     st_stats = store_sub.add_parser(
-        "stats", help="rows/bytes/blocks per series and resolution"
+        "stats", help="raw rows/bytes/blocks per series"
     )
     _store_dir(st_stats)
     st_stats.add_argument("--json", action="store_true")

@@ -4,9 +4,10 @@
 HTTP server: an asyncio HTTP/1.1 gateway with connection reuse, a
 bounded worker pool over segment reads, explicit load shedding (503 +
 ``Retry-After`` instead of unbounded queueing), an LRU cache of hot
-rollup blocks invalidated by the store's compaction generation
-counter, ETag/If-None-Match, cursor pagination with chunked streaming
-for long windows, and graceful drain on SIGINT/SIGTERM.
+rollup answers stamped with the store generation and the commit-log
+sizes they were computed from, ETag/If-None-Match, cursor pagination
+with chunked streaming for long windows, and graceful drain on
+SIGINT/SIGTERM.
 
 Every response body comes from :class:`EndpointCore`
 (:mod:`repro.serve.api`); an uncached core called in-process is the

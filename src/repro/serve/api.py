@@ -33,7 +33,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from ..errors import ReproError, StoreError
 from ..obs import MetricsRegistry, obs_registry, render_prometheus_text
@@ -359,18 +359,25 @@ class EndpointCore:
             return _Block(
                 self.engine.series(key, t0=t0, t1=t1, resolution=resolution)
             )
-        # The generation is read *before* the segment read: if a
-        # compaction lands in between, the entry is stamped with the
-        # old generation and the next lookup invalidates it.
-        generation = self.store.generation
+        stamp = self._stamp([key.building])
         cache_key = ("series", key.label(), t0, t1, resolution)
-        block = self.cache.get(cache_key, generation)
+        block = self.cache.get(cache_key, stamp)
         if block is None:
             block = _Block(
                 self.engine.series(key, t0=t0, t1=t1, resolution=resolution)
             )
-            self.cache.put(cache_key, generation, block)
+            self.cache.put(cache_key, stamp, block)
         return block
+
+    def _stamp(self, buildings: List[str]) -> Hashable:
+        """The store generation and each building's commit-log size.
+
+        Read *before* the data: a change landing in between leaves the
+        entry an old stamp, and the next lookup invalidates it.
+        """
+        return (self.store.generation,) + tuple(
+            (building, self.store.log_size(building)) for building in buildings
+        )
 
     # ------------------------------------------------------------------
     # /aggregate (cache)
@@ -380,12 +387,15 @@ class EndpointCore:
         resolution = params.get("resolution", RAW)
         if self.cache is None or resolution == RAW:
             return encode_json(self._aggregate_payload(params))
-        generation = self.store.generation
+        stamp = self._stamp(
+            [params["building"]] if "building" in params
+            else self.store.buildings()
+        )
         cache_key = ("aggregate",) + tuple(sorted(params.items()))
-        block = self.cache.get(cache_key, generation)
+        block = self.cache.get(cache_key, stamp)
         if block is None:
             block = _Block(self._aggregate_payload(params))
-            self.cache.put(cache_key, generation, block)
+            self.cache.put(cache_key, stamp, block)
         return block.render(block.value)
 
     def _aggregate_payload(self, params: Dict[str, str]) -> Dict[str, Any]:

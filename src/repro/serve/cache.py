@@ -1,21 +1,20 @@
-"""Hot-rollup LRU cache with generation-counter invalidation.
+"""Hot-rollup LRU cache with stamp invalidation.
 
 The gateway's cache of query results, keyed by the caller (typically
-``(kind, series label, window, resolution)``).  Every entry is stamped
-with the store *generation* current when the value was computed; the
-store bumps its generation on :meth:`~repro.store.store.TelemetryStore.compact`
-and on ``truncate_from`` (both rewrite rollup bytes in place), so a
-lookup against a newer generation drops the stale entry instead of
-serving pre-compaction data.  That is the entire invalidation contract:
-no TTLs, no background sweeper -- staleness is impossible by
-construction, proved in ``tests/test_serve_gateway.py``.
+``(kind, series label, window, resolution)``).  Every entry carries the
+*stamp* the caller read before computing it: the store generation plus
+the commit-log size of each building the query touched.  Within one
+generation a log only grows, so an unchanged stamp means unchanged
+answers, and a lookup under another stamp drops the entry.  That is
+the entire invalidation contract: no TTLs, no background sweeper --
+proved in ``tests/test_store_compact_query.py``.
 
 Counter accounting is exact and scripted-test-friendly:
 
-* ``hits``          -- entry present at the current generation;
+* ``hits``          -- entry present under the current stamp;
 * ``misses``        -- every lookup that returns None (including ones
   caused by an invalidation);
-* ``invalidations`` -- entry present but generation-stale (dropped);
+* ``invalidations`` -- entry present under another stamp (dropped);
 * ``evictions``     -- LRU entries pushed out by capacity.
 
 When a :class:`~repro.obs.metrics.MetricsRegistry` is attached, the
@@ -40,7 +39,7 @@ DEFAULT_CACHE_ENTRIES = 512
 
 
 class RollupCache:
-    """Thread-safe LRU of ``key -> (generation, value)`` entries."""
+    """Thread-safe LRU of ``key -> (stamp, value)`` entries."""
 
     def __init__(
         self,
@@ -51,7 +50,7 @@ class RollupCache:
             raise StoreError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Tuple[int, Any]]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Tuple[Hashable, Any]]" = OrderedDict()
         self._registry = registry
         self.hits = 0
         self.misses = 0
@@ -62,18 +61,17 @@ class RollupCache:
         if self._registry is not None:
             self._registry.counter(f"serve.cache_{what}").inc()
 
-    def get(self, key: Hashable, generation: int) -> Optional[Any]:
+    def get(self, key: Hashable, stamp: Hashable) -> Optional[Any]:
         """The cached value, or None on a miss (stale entries dropped)."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry[0] == generation:
+            if entry is not None and entry[0] == stamp:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 self._count("hits")
                 return entry[1]
             if entry is not None:
-                # Present but computed against an older store generation:
-                # a compaction (or truncate) rewrote rollup bytes since.
+                # Present but computed from rows that changed since.
                 del self._entries[key]
                 self.invalidations += 1
                 self._count("invalidations")
@@ -81,22 +79,15 @@ class RollupCache:
             self._count("misses")
             return None
 
-    def put(self, key: Hashable, generation: int, value: Any) -> None:
+    def put(self, key: Hashable, stamp: Hashable, value: Any) -> None:
         """Insert (or refresh) an entry; LRU-evicts past capacity."""
         with self._lock:
-            self._entries[key] = (generation, value)
+            self._entries[key] = (stamp, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
                 self._count("evictions")
-
-    def clear(self) -> int:
-        """Drop everything; returns the number of entries dropped."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            return dropped
 
     def __len__(self) -> int:
         with self._lock:

@@ -1,10 +1,10 @@
 """repro.store: embedded telemetry time-series store.
 
 The persistence layer under the smart-building vision: surveys and
-campaign epochs are ingested into durable columnar segments, compacted
-into multi-resolution rollups, and read back through a vectorized
-query engine.  The HTTP API over a store lives in :mod:`repro.serve`,
-which this package does not import.
+campaign epochs are ingested into durable columnar segments and read
+back through a vectorized query engine, which rolls raw samples up
+into hourly and daily buckets on every read.  The HTTP API over a
+store lives in :mod:`repro.serve`, which this package does not import.
 
 Durability follows the campaign subsystem's rules: a sample is either
 acknowledged by a record in its building's commit log or by a segment
@@ -14,7 +14,14 @@ and raised as :class:`~repro.errors.SegmentError` -- never silently
 wrong data.
 """
 
-from .compact import ROLLUP_WIDTHS, compact_store, rollup
+from .compact import (
+    DAILY,
+    HOURLY,
+    RESOLUTIONS,
+    ROLLUP_WIDTHS,
+    compact_store,
+    rollup,
+)
 from .ingest import (
     ingest_campaign_result,
     ingest_inventory,
@@ -31,14 +38,7 @@ from .keys import (
 )
 from .lock import LOCK_FILENAME, PartitionLock, pid_alive
 from .query import AGGREGATIONS, QueryEngine
-from .segment import (
-    DAILY,
-    HOURLY,
-    RAW,
-    RESOLUTIONS,
-    SEGMENT_SCHEMA,
-    SegmentDir,
-)
+from .segment import RAW, SEGMENT_SCHEMA, SegmentDir
 from .store import STORE_SCHEMA, StoreWriter, TelemetryStore
 
 __all__ = [

@@ -6,8 +6,8 @@ so a building's telemetry arrives in one burst per visit.
 one append and one fsync: ``segments/<building>/commit.log`` gains one
 *record* that carries every touched series' block frame exactly as
 :func:`~repro.store.segment.encode_block` made it.  A *fold*
-(:meth:`~repro.store.segment.SegmentDir.fold`) later copies those
-frames byte-for-byte into each series' ``raw.seg``, and then the
+(:meth:`~repro.store.segment.SegmentDir.fold`) later appends each
+series' logged rows to its ``raw.seg`` as one block, and then the
 folded records are dropped.
 
 Layout (integers little-endian)::
@@ -27,7 +27,7 @@ folded into it: readers skip the records it already holds.
 
 A crash leaves complete records followed by at most one *torn* record,
 a strict prefix of a record whose append never finished.  Readers
-ignore it without touching the file, and the next writer cuts it.  A
+ignore it without touching the file, and the next lock holder cuts it.  A
 complete record that fails a CRC, a record sequence that does not
 advance, and bytes after the last complete record that are no prefix
 of a record are corruption: :meth:`CommitLog.view` moves the log to
@@ -336,8 +336,8 @@ class CommitLog:
     ) -> LogView:
         """Append one record after ``view``; returns the view with it.
 
-        ``view`` must be this log as just read by the lock holder.  A
-        torn tail is cut first (counted, logged).  The record is
+        ``view`` must be this log as just read by the lock holder, with
+        no torn tail (the store cuts one first).  The record is
         acknowledged once this returns; an error leaves the log at its
         previous length, so a failed append acknowledges nothing.
         """
@@ -345,8 +345,6 @@ class CommitLog:
         data = encode_record(view.last_seq + 1, series)
         if not base:
             data = encode_header(view.base_seq) + data
-        if view.torn:
-            self.cut(view.size, base)
         created = not self.path.exists()
         if created:
             self.path.parent.mkdir(parents=True, exist_ok=True)

@@ -1,36 +1,34 @@
-"""Deterministic compaction: raw samples into multi-resolution rollups.
+"""Rollups of raw samples, and compaction: the fold of every commit log.
 
-Long campaigns accumulate millions of raw samples per series; the
-queries operators actually run ("mean strain per day this month") do
-not need them.  :func:`compact_store` downsamples every series into
-hourly and daily ``(t, min, mean, max, count)`` rollup segments.
-
-Compaction is *background-free and deterministic*: it is an explicit
-verb (``store compact`` / :meth:`TelemetryStore.compact`), a pure
-function of the raw data, and rewrites each rollup file atomically in
-full -- so compacting twice, or compacting a store rebuilt from the
-same ingest sequence, produces byte-identical rollup segments.  It
-folds each building's commit log first, under the building's
-partition lock, so the raw segments it reads hold every acknowledged
-row, and it holds that lock for the building's whole pass.  Rollup
-buckets are aligned to the epoch of the time base (``floor(t /
-width)``), not to the first sample, so later appends never shift
-existing bucket boundaries.
+:func:`rollup` downsamples a series into hourly or daily ``(t, min,
+mean, max, count)`` buckets; the query engine (:mod:`repro.store.query`)
+applies it to raw on every read, so each resolution equals the rollup
+of raw at every moment.  Buckets are aligned to the epoch of the time
+base (``floor(t / width)``), so later appends never shift them.
+Compaction (``store compact``) folds each building's commit log under
+its partition lock; a store with nothing to fold is left untouched.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
 from ..errors import StoreError
 from ..obs import obs_counter, obs_event, obs_span
-from .keys import SeriesKey, by_building
-from .segment import DAILY, HOURLY, RAW
+from .keys import by_building
+from .segment import RAW
+
+#: Query resolutions: raw samples, and the rollups of raw.
+HOURLY, DAILY = "hourly", "daily"
+RESOLUTIONS = (RAW, HOURLY, DAILY)
 
 #: Rollup bucket widths, in the store's time unit (hours).
 ROLLUP_WIDTHS: Dict[str, float] = {HOURLY: 1.0, DAILY: 24.0}
+
+#: The columns of a rollup, in :func:`rollup`'s order.
+ROLLUP_COLUMNS = ("t", "min", "mean", "max", "count")
 
 
 def rollup(
@@ -63,48 +61,25 @@ def rollup(
     )
 
 
-def compact_store(
-    store: Any, keys: Optional[Iterable[SeriesKey]] = None
-) -> Dict[str, Any]:
-    """Fold each building's commit log, then regenerate every rollup.
+def compact_store(store: Any) -> Dict[str, Any]:
+    """Fold each building's commit log into its segments.
 
-    Each building is one pass under its partition lock: the fold first
-    (so raw reads see every acknowledged row in ``raw.seg``), then the
-    rollups of its series.  The summary is JSON-ready: the series
-    compacted, the raw rows read, the rows the folds moved out of the
-    logs and per-resolution rollup row totals -- what the CLI verb
-    prints.
+    Each building is one pass under its partition lock: the fold, then
+    the removal of any rollup files an earlier compaction left.  The
+    summary is JSON-ready, what the CLI verb prints: the series, the
+    rows the folds moved out of the logs, and ``raw_rows``, every raw
+    row the store holds, summed from the indexes without reading data.
     """
-    selected = list(store.keys() if keys is None else keys)
-    summary: Dict[str, Any] = {
-        "series": len(selected),
-        "raw_rows": 0,
-        "folded_rows": 0,
-        "rollup_rows": {HOURLY: 0, DAILY: 0},
-    }
-    with obs_span("store.compact", series=len(selected)):
-        for building, group in by_building(selected).items():
+    keys = store.keys()
+    summary = {"series": len(keys), "folded_rows": 0, "raw_rows": 0}
+    with obs_span("store.compact", series=len(keys)):
+        for building, group in by_building(keys).items():
             with store.partition(building):
                 summary["folded_rows"] += store.fold_partition(building)
                 for key in group:
-                    _compact_series(store.segment(key), summary)
-    # Rollup bytes changed in place: bump the store generation so the
-    # serving tier's rollup caches drop their now-stale entries.
-    summary["generation"] = store.bump_generation()
+                    segment = store.segment(key)
+                    segment.drop_rollups()
+                    summary["raw_rows"] += segment.rows()
     obs_counter("store.compactions").inc()
-    obs_event(
-        "info", "store.compacted",
-        series=summary["series"], raw_rows=summary["raw_rows"],
-        folded_rows=summary["folded_rows"],
-    )
+    obs_event("info", "store.compacted", **summary)
     return summary
-
-
-def _compact_series(segment: Any, summary: Dict[str, Any]) -> None:
-    data = segment.read(RAW)
-    summary["raw_rows"] += int(data["t"].size)
-    for resolution, width in ROLLUP_WIDTHS.items():
-        cols = rollup(data["t"], data["value"], width)
-        segment.replace(resolution, None if cols[0].size == 0 else list(cols))
-        summary["rollup_rows"][resolution] += int(cols[0].size)
-        obs_counter("store.rollup_rows").inc(int(cols[0].size))

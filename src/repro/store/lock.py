@@ -6,8 +6,7 @@ building's :class:`PartitionLock` while it does:
 * a :class:`~repro.store.store.StoreWriter`, from its first ingest into
   the building until its context exits (its flushes append the
   building's commit log, and may fold it);
-* compaction's pass over the building (the fold, then the rollup
-  rewrites);
+* compaction's pass over the building (the fold);
 * :meth:`~repro.store.store.TelemetryStore.truncate_from` (a fold when
   the log holds rows it must cut, then the segment rewrites).
 
@@ -57,7 +56,7 @@ LOCK_SCHEMA = "repro/store-lock/v1"
 
 #: Seconds :meth:`PartitionLock.acquire` waits for a live holder.
 #: Holders keep the lock for one flush (milliseconds), one building's
-#: compaction pass (about 0.3 s on the pilot's store) or one
+#: compaction pass (one fold) or one
 #: ``truncate_from``, so a wait this long means a stuck or misassigned
 #: writer, not a busy one.
 LOCK_WAIT_S = 10.0

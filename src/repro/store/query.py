@@ -1,10 +1,11 @@
 """The store's query engine: range scans, aggregation, damage queries.
 
 Everything here is read-only and vectorized: range scans ride the
-segments' block index (blocks wholly outside the range are
-never read), aggregates over rollup resolutions combine the stored
-``(min, mean, max, count)`` statistics instead of re-reading raw
-samples, and the building-health queries reuse the SHM analytics
+segments' block index (blocks wholly outside the range are never
+read), the hourly and daily resolutions are rolled up from raw on every
+read (:func:`~repro.store.compact.rollup`), aggregates over them
+combine the buckets' ``(min, mean, max, count)`` statistics, and the
+building-health queries reuse the SHM analytics
 (:mod:`repro.shm.damage` drift detection, :mod:`repro.shm.building`
 aggregation) so "which walls degraded this month" is answered straight
 from stored telemetry with the same detectors the pilot uses.
@@ -20,9 +21,9 @@ from ..errors import StoreError
 from ..obs import obs_counter, obs_span
 from ..shm.building import BuildingMonitor, CapsuleStatus
 from ..shm.damage import DamageAlarm, DamageDetector, StrainHistory
-from .compact import ROLLUP_WIDTHS, rollup
+from .compact import DAILY, RESOLUTIONS, ROLLUP_COLUMNS, ROLLUP_WIDTHS, rollup
 from .keys import STRUCTURE_NODE_ID, SeriesKey
-from .segment import DAILY, RAW, RESOLUTIONS
+from .segment import RAW, SegmentDir
 from .store import TelemetryStore
 
 #: Aggregations the engine understands.
@@ -30,6 +31,26 @@ AGGREGATIONS = ("count", "min", "max", "mean", "sum")
 
 #: Group-by dimensions for :meth:`QueryEngine.aggregate`.
 GROUP_BY = ("node", "wall")
+
+
+def _rolled_up(
+    segment: SegmentDir, t0: Optional[float], t1: Optional[float], width: float
+) -> Dict[str, np.ndarray]:
+    """The ``width`` buckets starting in ``[t0, t1]``, each over its whole width.
+
+    Raw is read over ``[ceil(t0/w)*w, (floor(t1/w)+1)*w]`` (numpy bounds,
+    so an infinite one stays open); buckets starting outside are dropped.
+    """
+    lo = None if t0 is None else np.ceil(np.float64(t0) / width) * width
+    hi = None if t1 is None else (np.floor(np.float64(t1) / width) + 1.0) * width
+    raw = segment.read(t0=lo, t1=hi)
+    columns = rollup(raw["t"], raw["value"], width)
+    keep = np.ones(columns[0].shape, dtype=bool)
+    if t0 is not None:
+        keep &= columns[0] >= t0
+    if t1 is not None:
+        keep &= columns[0] <= t1
+    return {name: column[keep] for name, column in zip(ROLLUP_COLUMNS, columns)}
 
 
 class QueryEngine:
@@ -72,10 +93,9 @@ class QueryEngine:
     ) -> Dict[str, np.ndarray]:
         """Column arrays for one series over ``[t0, t1]``.
 
-        Requesting a rollup resolution whose segment has never been
-        compacted falls back to rolling the raw range up on the fly --
-        identical numbers (compaction is a pure function of raw), just
-        without the precomputed speed.
+        Raw returns the samples in the window.  A rollup resolution
+        returns every bucket whose start lies in ``[t0, t1]``, each with
+        the statistics of its whole width (see :func:`_rolled_up`).
         """
         if resolution not in RESOLUTIONS:
             raise StoreError(
@@ -85,28 +105,19 @@ class QueryEngine:
             obs_counter("store.queries").inc()
             segment = self.store.segment(key)
             if resolution == RAW:
-                data = segment.read(RAW, t0=t0, t1=t1)
-            elif segment.rows(resolution):
-                data = segment.read(resolution, t0=t0, t1=t1)
+                data = segment.read(t0=t0, t1=t1)
             else:
-                raw = segment.read(RAW, t0=t0, t1=t1)
-                t, mins, means, maxs, counts = rollup(
-                    raw["t"], raw["value"], ROLLUP_WIDTHS[resolution]
-                )
-                data = {
-                    "t": t, "min": mins, "mean": means,
-                    "max": maxs, "count": counts,
-                }
+                data = _rolled_up(segment, t0, t1, ROLLUP_WIDTHS[resolution])
             obs_counter("store.query_rows").inc(int(data["t"].size))
             return data
 
     def latest(self, key: SeriesKey) -> Optional[Dict[str, float]]:
         """The newest raw sample of a series, or None when empty."""
         segment = self.store.segment(key)
-        blocks = segment.file_entry(RAW)["blocks"]
+        blocks = segment.file_entry()["blocks"]
         if not blocks:
             return None
-        tail = segment.read(RAW, t0=blocks[-1]["t0"])
+        tail = segment.read(t0=blocks[-1]["t0"])
         return {"t": float(tail["t"][-1]), "value": float(tail["value"][-1])}
 
     # ------------------------------------------------------------------
@@ -127,10 +138,10 @@ class QueryEngine:
     ) -> Dict[str, Any]:
         """Aggregate one metric over every matching series.
 
-        Raw aggregation touches the samples; rollup aggregation combines
-        the stored bucket statistics (count-weighted for ``mean``), so
-        the answers match raw exactly for ``count``/``min``/``max``/
-        ``sum`` and match raw's mean because buckets partition samples.
+        Raw aggregation touches the samples in ``[t0, t1]``; rollup
+        aggregation combines the statistics of the buckets
+        :meth:`series` returns (count-weighted for ``mean``), so it
+        answers as raw does over those whole buckets.
         """
         if agg not in AGGREGATIONS:
             raise StoreError(f"unknown agg {agg!r}; options: {AGGREGATIONS}")

@@ -1,10 +1,11 @@
 """Append-only columnar segments with per-block CRC32 and a manifest.
 
-One *segment directory* holds everything the store knows about one
-series: an append-only binary file per resolution (``raw.seg``,
-``hourly.seg``, ``daily.seg``) and one canonical-JSON
+One *segment directory* holds everything the store keeps of one
+series: the append-only binary file ``raw.seg`` and one canonical-JSON
 ``manifest.json`` (schema ``repro/store-segment/v2``) indexing every
-block -- offset, length, row count, time range and CRC32.
+block -- offset, length, row count, time range and CRC32.  Hourly and
+daily rollups are not stored: the query engine
+(:mod:`repro.store.query`) rolls raw up on every read.
 
 Raw blocks are acknowledged first by the building's commit log
 (:mod:`repro.store.commitlog`), one record per writer flush.  A series'
@@ -12,9 +13,10 @@ index is its manifest plus the log's entries for it that the manifest
 does not yet hold: each manifest records ``log_seq``, the last log
 sequence folded into it, and readers skip the entries up to it.
 :meth:`SegmentDir.fold` -- run under the building's partition lock --
-appends those frames byte-for-byte to ``raw.seg`` and fsyncs it, then
-writes the manifest and reads it back; only after that may the log
-drop them.  The durability idioms mirror the campaign runtime's
+decodes those frames (checking each one's CRC32), appends their rows
+to ``raw.seg`` as one block and fsyncs it, then writes the manifest
+and reads it back; only after that may the log drop them.  The
+durability idioms mirror the campaign runtime's
 (:mod:`repro.campaign.checkpoint` / :mod:`repro.campaign.log`):
 
 * the manifest is replaced by fsync-then-rename and only ever indexes
@@ -35,7 +37,10 @@ per-segment ``journal.jsonl``, and before that tagged their manifests
 segment that still holds either raises a
 :class:`~repro.errors.StoreError` naming the file, and nothing is moved
 or rewritten -- the files are old, not damaged.  Such a store predates
-the commit log and must be rebuilt.
+the commit log and must be rebuilt.  A segment compacted when
+compaction still wrote rollups loads: its ``hourly.seg``, ``daily.seg``
+and their manifest entries are never read, and ``store compact``
+deletes them (:meth:`SegmentDir.drop_rollups`).
 
 Block frame (all integers little-endian)::
 
@@ -86,13 +91,13 @@ SEGMENT_SCHEMA = "repro/store-segment/v2"
 OLD_SEGMENT_SCHEMA = "repro/store-segment/v1"
 OLD_JOURNAL_FILENAME = "journal.jsonl"
 
-#: Resolutions a segment directory may hold, coarsest last.
-RAW, HOURLY, DAILY = "raw", "hourly", "daily"
-RESOLUTIONS = (RAW, HOURLY, DAILY)
-
-#: Column layouts.  The first column is always the time base (hours).
+#: The one file kind a segment holds, and its columns (hours, value).
+RAW = "raw"
 RAW_COLUMNS = ("t", "value")
-ROLLUP_COLUMNS = ("t", "min", "mean", "max", "count")
+
+#: Rollup files and manifest entries an earlier compaction wrote; never
+#: read, and deleted by :meth:`SegmentDir.drop_rollups`.
+OLD_ROLLUPS = ("hourly", "daily")
 
 #: Frame constants.
 MAGIC = b"RSEG"
@@ -107,17 +112,6 @@ _BLOCK_FIELDS = ("offset", "length", "n", "t0", "t1", "crc32")
 
 def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def columns_for(resolution: str) -> Tuple[str, ...]:
-    """The column layout a resolution's blocks carry."""
-    if resolution == RAW:
-        return RAW_COLUMNS
-    if resolution in (HOURLY, DAILY):
-        return ROLLUP_COLUMNS
-    raise StoreError(
-        f"unknown resolution {resolution!r}; options: {RESOLUTIONS}"
-    )
 
 
 def encode_block(
@@ -165,8 +159,8 @@ def decode_block(
     """Verify + decode one framed block into ``{column: float64 array}``.
 
     Raises :class:`SegmentError` on any integrity violation: bad magic,
-    torn frame, CRC mismatch, or a column layout that disagrees with
-    the manifest's resolution.
+    torn frame, CRC mismatch, or a column layout other than
+    ``expected_columns``.
     """
     if len(frame) < len(MAGIC) + 2 * _U32.size:
         raise SegmentError(f"block frame torn: only {len(frame)} bytes")
@@ -207,26 +201,22 @@ def decode_block(
     return out
 
 
-def _empty_file_entry(resolution: str) -> Dict[str, Any]:
-    return {
-        "columns": list(columns_for(resolution)),
-        "bytes": 0,
-        "rows": 0,
-        "blocks": [],
-    }
+def _empty_file_entry() -> Dict[str, Any]:
+    return {"columns": list(RAW_COLUMNS), "bytes": 0, "rows": 0, "blocks": []}
 
 
-def _with_entry(
-    manifest: Dict[str, Any], resolution: str, entry: Dict[str, Any]
-) -> Dict[str, Any]:
-    """A copy of ``manifest`` whose ``resolution`` entry is ``entry``.
+def _raw_entry(manifest: Dict[str, Any]) -> Dict[str, Any]:
+    return manifest["files"].get(RAW) or _empty_file_entry()
+
+
+def _with_raw(manifest: Dict[str, Any], entry: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of ``manifest`` whose only file entry is raw ``entry``.
 
     Indexes are shared between threads once published, so every change
-    builds a new one instead of editing the old in place.
+    builds a new one instead of editing the old in place.  Rollup
+    entries an earlier compaction wrote are dropped here.
     """
-    files = dict(manifest["files"])
-    files[resolution] = entry
-    return dict(manifest, files=files)
+    return dict(manifest, files={RAW: entry})
 
 
 def _appended(
@@ -321,9 +311,10 @@ class SegmentDir:
     # Manifest + index
     # ------------------------------------------------------------------
 
-    def seg_path(self, resolution: str) -> Path:
-        columns_for(resolution)  # validates the name
-        return self.directory / f"{resolution}.seg"
+    @property
+    def seg_path(self) -> Path:
+        """The segment's ``raw.seg``."""
+        return self.directory / f"{RAW}.seg"
 
     def _fresh_manifest(self) -> Dict[str, Any]:
         # Snapshot 0: never written (every manifest write advances it).
@@ -331,7 +322,7 @@ class SegmentDir:
             "schema": SEGMENT_SCHEMA,
             "snapshot": 0,
             "key": dict(self.key_dict),
-            "files": {res: _empty_file_entry(res) for res in RESOLUTIONS},
+            "files": {RAW: _empty_file_entry()},
         }
 
     def _corrupt(self, reason: str) -> NoReturn:
@@ -342,8 +333,8 @@ class SegmentDir:
         )
 
     def _holds_data(self) -> bool:
-        paths = [self.seg_path(res) for res in RESOLUTIONS]
-        return any(p.exists() and p.stat().st_size > 0 for p in paths)
+        path = self.seg_path
+        return path.exists() and path.stat().st_size > 0
 
     def _refuse_old_layout(self, path: Path, why: str) -> NoReturn:
         raise StoreError(
@@ -435,8 +426,7 @@ class SegmentDir:
         pending = [(e._asdict(), e.frame) for e in entries if e.seq > folded]
         if not pending:
             return manifest
-        entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
-        return _with_entry(manifest, RAW, _appended(entry, pending))
+        return _with_raw(manifest, _appended(_raw_entry(manifest), pending))
 
     @staticmethod
     def _manifest_problems(payload: Any) -> List[str]:
@@ -453,32 +443,33 @@ class SegmentDir:
         files = payload.get("files")
         if not isinstance(files, dict):
             return ["manifest has no files object"]
-        for res, entry in files.items():
-            if res not in RESOLUTIONS:
+        for res in files:
+            if res != RAW and res not in OLD_ROLLUPS:
                 return [f"unknown resolution {res!r}"]
-            if not isinstance(entry, dict):
-                return [f"{res}: entry is not an object"]
-            if list(entry.get("columns", [])) != list(columns_for(res)):
-                return [f"{res}: wrong column layout"]
-            blocks = entry.get("blocks")
-            if not isinstance(blocks, list):
-                return [f"{res}: blocks is not a list"]
-            offset = 0
-            rows = 0
-            for block in blocks:
-                if not isinstance(block, dict):
-                    return [f"{res}: block entry is not an object"]
-                for field in _BLOCK_FIELDS:
-                    if field not in block:
-                        return [f"{res}: block missing {field!r}"]
-                if block["offset"] != offset:
-                    return [f"{res}: block offsets are not contiguous"]
-                offset += block["length"]
-                rows += block["n"]
-            if entry.get("bytes") != offset:
-                return [f"{res}: bytes field disagrees with blocks"]
-            if entry.get("rows") != rows:
-                return [f"{res}: rows field disagrees with blocks"]
+        entry = files.get(RAW, _empty_file_entry())
+        if not isinstance(entry, dict):
+            return ["raw: entry is not an object"]
+        if list(entry.get("columns", [])) != list(RAW_COLUMNS):
+            return ["raw: wrong column layout"]
+        blocks = entry.get("blocks")
+        if not isinstance(blocks, list):
+            return ["raw: blocks is not a list"]
+        offset = 0
+        rows = 0
+        for block in blocks:
+            if not isinstance(block, dict):
+                return ["raw: block entry is not an object"]
+            for field in _BLOCK_FIELDS:
+                if field not in block:
+                    return [f"raw: block missing {field!r}"]
+            if block["offset"] != offset:
+                return ["raw: block offsets are not contiguous"]
+            offset += block["length"]
+            rows += block["n"]
+        if entry.get("bytes") != offset:
+            return ["raw: bytes field disagrees with blocks"]
+        if entry.get("rows") != rows:
+            return ["raw: rows field disagrees with blocks"]
         return []
 
     def _write_manifest(
@@ -490,7 +481,6 @@ class SegmentDir:
         that drop what the manifest now holds (a fold drops log
         records).
         """
-        self.directory.mkdir(parents=True, exist_ok=True)
         written = dict(manifest, snapshot=manifest["snapshot"] + 1)
         prior = self._use_index()
         self._manifest = None  # the next use parses what is written here
@@ -516,15 +506,14 @@ class SegmentDir:
             level.mkdir(exist_ok=True)
             fsync_dir(level.parent)
 
-    def file_entry(self, resolution: str) -> Dict[str, Any]:
-        """``resolution``'s index entry (shared: read it, never edit it)."""
-        files = self._load_index().merged["files"]
-        return files.get(resolution) or _empty_file_entry(resolution)
+    def file_entry(self) -> Dict[str, Any]:
+        """The raw index entry (shared: read it, never edit it)."""
+        return _raw_entry(self._load_index().merged)
 
     def log_state(self) -> Tuple[int, Optional[float]]:
         """``(log_seq, last raw t1)``: what a new raw block must follow."""
         index = self._load_index()
-        blocks = self.file_entry(RAW)["blocks"]
+        blocks = self.file_entry()["blocks"]
         return (
             index.manifest.get("log_seq", 0),
             blocks[-1]["t1"] if blocks else None,
@@ -560,18 +549,18 @@ class SegmentDir:
         )
         return target
 
-    def _reconcile(self, resolution: str, acknowledged: int) -> None:
-        """Cut ``resolution``'s file back to its acknowledged length.
+    def _reconcile(self, acknowledged: int) -> None:
+        """Cut ``raw.seg`` back to its acknowledged length.
 
         A torn tail is truncated, counted and logged.  A file *shorter*
         than acknowledged is corruption, not a torn append: the segment
         is quarantined and a :class:`SegmentError` raised.
         """
-        path = self.seg_path(resolution)
+        path = self.seg_path
         size = path.stat().st_size if path.exists() else 0
         if size < acknowledged:
             self._corrupt(
-                f"{resolution}.seg is {size} bytes but {acknowledged} are "
+                f"{path.name} is {size} bytes but {acknowledged} are "
                 "acknowledged"
             )
         if size > acknowledged:
@@ -587,60 +576,60 @@ class SegmentDir:
     # Append / fold / replace
     # ------------------------------------------------------------------
 
-    def _append_frames(
-        self, resolution: str, acknowledged: int, frames: Sequence[bytes]
-    ) -> None:
-        """Append ``frames`` after the ``acknowledged`` bytes, one write."""
-        path = self.seg_path(resolution)
+    def _append_frame(
+        self, manifest: Dict[str, Any], frame: bytes, meta: Dict[str, Any]
+    ) -> Dict[str, Any]:
+        """Append one block; returns ``manifest`` indexing it.
+
+        A new segment gets its manifest first: ``keys()`` finds a
+        segment by its manifest, which must exist before any data does.
+        """
+        if manifest["snapshot"] == 0:
+            self._make_dirs()
+            manifest = self._write_manifest(manifest)
+        entry = _raw_entry(manifest)
+        path = self.seg_path
         created = not path.exists()
-        data = b"".join(frames)
-        crclog.append_bytes(path, data, acknowledged, f"segment_append:{path.name}")
+        self._reconcile(entry["bytes"])
+        crclog.append_bytes(path, frame, entry["bytes"], f"segment_append:{path.name}")
         if created:
             fsync_dir(self.directory)  # the new file's name, before its ack
-        obs_counter("store.blocks_written").inc(len(frames))
-        obs_counter("store.bytes_written").inc(len(data))
+        obs_counter("store.blocks_written").inc()
+        obs_counter("store.bytes_written").inc(len(frame))
+        return _with_raw(manifest, _appended(entry, [(meta, None)]))
 
-    def append_block(
-        self, resolution: str, arrays: Sequence[np.ndarray]
-    ) -> Dict[str, Any]:
-        """Append one block straight to the segment and its manifest.
+    def append_block(self, arrays: Sequence[np.ndarray]) -> Dict[str, Any]:
+        """Append one raw block straight to the segment and its manifest.
 
-        ``arrays`` follow the resolution's column order.  Appends must
-        advance time: the new block's ``t0`` may not precede the last
-        acknowledged ``t1``.  This is the path for a segment outside a
-        store; inside one, :class:`~repro.store.store.StoreWriter`
-        acknowledges raw blocks through the building's commit log, and
-        a series whose log records are not folded yet refuses this.
+        ``arrays`` are ``(t, value)``.  Appends must advance time: the
+        new block's ``t0`` may not precede the last acknowledged ``t1``.
+        This is the path for a segment outside a store; inside one,
+        :class:`~repro.store.store.StoreWriter` acknowledges raw blocks
+        through the building's commit log, and a series whose log
+        records are not folded yet refuses this.
         """
-        frame, meta = encode_block(columns_for(resolution), arrays)
+        frame, meta = encode_block(RAW_COLUMNS, arrays)
         manifest = self._require_folded("append a block to")
-        entry = manifest["files"].get(resolution) or _empty_file_entry(resolution)
-        blocks = entry["blocks"]
+        blocks = _raw_entry(manifest)["blocks"]
         if blocks and meta["t0"] < blocks[-1]["t1"]:
             raise StoreError(
-                f"out-of-order append to {self.directory.name}/{resolution}: "
-                f"block starts at t={meta['t0']} before the segment's "
-                f"last t={blocks[-1]['t1']}"
+                f"out-of-order append to {self.directory.name}: block "
+                f"starts at t={meta['t0']} before the segment's last "
+                f"t={blocks[-1]['t1']}"
             )
-        if manifest["snapshot"] == 0:
-            # A new segment: keys() finds the segment by its manifest,
-            # which must exist before any data does.
-            manifest = self._write_manifest(manifest)
-        self._reconcile(resolution, entry["bytes"])
-        self._append_frames(resolution, entry["bytes"], [frame])
-        updated = _appended(entry, [(meta, None)])
-        self._write_manifest(_with_entry(manifest, resolution, updated))
-        return updated["blocks"][-1]
+        written = self._write_manifest(self._append_frame(manifest, frame, meta))
+        return _raw_entry(written)["blocks"][-1]
 
     def fold(self, entries: Sequence[LogEntry]) -> int:
-        """Copy this series' unfolded log ``entries`` into ``raw.seg``.
+        """Append the rows of this series' unfolded log ``entries`` as one block.
 
         The caller holds the building's partition lock.  Entries the
         manifest already holds (its ``log_seq``) are skipped, so a fold
-        that a crash interrupted is finished, never applied twice.  The
-        frames are appended and fsynced, then the manifest is written
-        and read back; only then may the log drop the entries.  Returns
-        the rows folded.
+        a crash interrupted is finished, never applied twice.  Decoding
+        checks each frame's CRC32: rot in the log raises instead of
+        being stamped with a fresh CRC.  The block is fsynced, then the
+        manifest written and read back; only then may the log drop the
+        entries.  Returns the rows folded.
         """
         self._refuse_journal()
         if not entries:
@@ -650,47 +639,34 @@ class SegmentDir:
         pending = [e for e in entries if e.seq > manifest.get("log_seq", 0)]
         if not pending:
             return 0
-        if manifest["snapshot"] == 0:
-            # A manifest before any data, so a reader never finds data
-            # without one.
-            self._make_dirs()
-            manifest = self._write_manifest(manifest)
-        entry = manifest["files"].get(RAW) or _empty_file_entry(RAW)
-        self._reconcile(RAW, entry["bytes"])
-        self._append_frames(RAW, entry["bytes"], [e.frame for e in pending])
-        updated = _appended(entry, [(e._asdict(), None) for e in pending])
+        parts = [decode_block(e.frame, RAW_COLUMNS) for e in pending]
+        frame, meta = encode_block(
+            RAW_COLUMNS,
+            [np.concatenate([part[c] for part in parts]) for c in RAW_COLUMNS],
+        )
+        manifest = self._append_frame(manifest, frame, meta)
         self._write_manifest(
-            dict(_with_entry(manifest, RAW, updated), log_seq=pending[-1].seq),
-            verified=True,
+            dict(manifest, log_seq=pending[-1].seq), verified=True
         )
-        return updated["rows"] - entry["rows"]
+        return meta["n"]
 
-    def replace(
-        self, resolution: str, arrays: Optional[Sequence[np.ndarray]]
-    ) -> None:
-        """Atomically rewrite a whole resolution file (compaction path).
+    def replace(self, arrays: Sequence[np.ndarray]) -> None:
+        """Atomically rewrite ``raw.seg`` as one block of ``arrays``.
 
-        ``None`` (or empty first column) clears the file.  The new file
-        is written beside the old one and renamed into place, then the
-        manifest is rewritten.  A crash between the rename and the
-        manifest write leaves the old index over the new file; reads
-        check every block's CRC32 against that index, so it is loud.
-        A raw rewrite needs the series' log records folded first.
+        The ``truncate_from`` path; empty arrays leave an empty file.
+        The new file is written beside the old one and renamed into
+        place, then the manifest is rewritten.  A crash between the
+        rename and the manifest write leaves the old index over the new
+        file; reads check every block's CRC32 against that index, so it
+        is loud.  The series' log records must be folded first.
         """
-        index = self._load_index()
-        manifest = (
-            self._require_folded("rewrite") if resolution == RAW else index.manifest
-        )
-        path = self.seg_path(resolution)
-        if arrays is None or len(arrays[0]) == 0:
-            if path.exists():
-                path.unlink()
-            self._write_manifest(
-                _with_entry(manifest, resolution, _empty_file_entry(resolution))
-            )
-            return
-        frame, meta = encode_block(columns_for(resolution), arrays)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        manifest = self._require_folded("rewrite")
+        entry = _empty_file_entry()
+        frame = b""
+        if len(arrays[0]):
+            frame, meta = encode_block(RAW_COLUMNS, arrays)
+            entry = _appended(entry, [(meta, None)])
+        path = self.seg_path
         tmp = path.with_suffix(".seg.tmp")
 
         def attempt() -> None:
@@ -706,54 +682,59 @@ class SegmentDir:
             if tmp.exists():
                 tmp.unlink()
             raise
-        self._write_manifest(
-            _with_entry(
-                manifest, resolution,
-                _appended(_empty_file_entry(resolution), [(meta, None)]),
-            )
-        )
-        obs_counter("store.blocks_written").inc()
-        obs_counter("store.bytes_written").inc(meta["length"])
+        self._write_manifest(_with_raw(manifest, entry))
+        obs_counter("store.blocks_written").inc(len(entry["blocks"]))
+        obs_counter("store.bytes_written").inc(len(frame))
+
+    def drop_rollups(self) -> None:
+        """Delete the rollup files and manifest entries an earlier
+        compaction left (the caller holds the partition lock).
+
+        Neither is read.  Nothing is written when there are none.
+        """
+        manifest = self._load_index().manifest
+        if set(manifest["files"]) - {RAW}:
+            self._write_manifest(_with_raw(manifest, _raw_entry(manifest)))
+        for name in OLD_ROLLUPS:
+            path = self.directory / f"{name}.seg"
+            if path.exists():
+                path.unlink()
 
     # ------------------------------------------------------------------
     # Read
     # ------------------------------------------------------------------
 
-    def rows(self, resolution: str) -> int:
-        return self.file_entry(resolution)["rows"]
+    def rows(self) -> int:
+        return self.file_entry()["rows"]
 
-    def time_range(self, resolution: str) -> Optional[Tuple[float, float]]:
-        blocks = self.file_entry(resolution)["blocks"]
+    def time_range(self) -> Optional[Tuple[float, float]]:
+        blocks = self.file_entry()["blocks"]
         if not blocks:
             return None
         return blocks[0]["t0"], blocks[-1]["t1"]
 
     def read(
-        self,
-        resolution: str,
-        t0: Optional[float] = None,
-        t1: Optional[float] = None,
+        self, t0: Optional[float] = None, t1: Optional[float] = None
     ) -> Dict[str, np.ndarray]:
-        """Read ``[t0, t1]`` (inclusive, None = open) at ``resolution``.
+        """Read raw ``[t0, t1]`` (inclusive, None = open).
 
         Every block touched is CRC-verified; blocks wholly outside the
         range are skipped via the index without touching their bytes.
         A block that fails its check while the manifest on disk has
-        moved on (a compaction or ``truncate_from`` rewrote the file
-        under this read) is re-read once from a fresh index.  Raises
+        moved on (a fold or ``truncate_from`` rewrote the file under
+        this read) is re-read once from a fresh index.  Raises
         :class:`SegmentError` on any other integrity failure.
         """
-        columns = columns_for(resolution)
         for retry in (False, True):
-            entry = self.file_entry(resolution)
+            entry = self.file_entry()
             wanted = [
                 b for b in entry["blocks"]
                 if (t1 is None or b["t0"] <= t1) and (t0 is None or b["t1"] >= t0)
             ]
             if not wanted:
-                return {name: np.empty(0, dtype=np.float64) for name in columns}
+                return {name: np.empty(0, dtype=np.float64) for name in RAW_COLUMNS}
             try:
-                parts = self._read_blocks(resolution, wanted, columns)
+                parts = self._read_blocks(wanted)
                 break
             except SegmentError:
                 if retry or not self._moved_on():
@@ -761,7 +742,7 @@ class SegmentDir:
                 self.begin_use()
         out = {
             name: np.concatenate([p[name] for p in parts])
-            for name in columns
+            for name in RAW_COLUMNS
         }
         if t0 is not None or t1 is not None:
             t = out["t"]
@@ -774,10 +755,10 @@ class SegmentDir:
         return out
 
     def _read_blocks(
-        self, resolution: str, wanted: List[Dict[str, Any]], columns: Sequence[str]
+        self, wanted: List[Dict[str, Any]]
     ) -> List[Dict[str, np.ndarray]]:
         """Verify and decode ``wanted``, from the file or the log's frames."""
-        path = self.seg_path(resolution)
+        path = self.seg_path
 
         def attempt() -> List[Dict[str, np.ndarray]]:
             found: List[Dict[str, np.ndarray]] = []
@@ -794,12 +775,14 @@ class SegmentDir:
                         raise SegmentError(
                             f"{path} torn at offset {block['offset']}"
                         )
-                    if _crc(frame[8:-4]) != block["crc32"]:
+                    # The decode checks the bytes against the frame's own
+                    # CRC32, which must then be the manifest's.
+                    found.append(decode_block(frame, RAW_COLUMNS))
+                    if _U32.unpack_from(frame, len(frame) - 4)[0] != block["crc32"]:
                         raise SegmentError(
                             f"{path} block at offset {block['offset']} "
                             "disagrees with its manifest CRC32"
                         )
-                    found.append(decode_block(frame, columns))
             finally:
                 if handle is not None:
                     handle.close()
@@ -830,22 +813,12 @@ class SegmentDir:
 
         Used when a resumed campaign replays epochs that were already
         exported: the replay re-appends them, so the stale suffix is
-        cut first.  Rollup files are cleared outright (a bucket
-        straddling the cut would otherwise keep stale statistics) and
-        regenerated by the next ``compact()``.  Rows still in the commit
-        log must be folded first.
+        cut first.  Rows still in the commit log must be folded first.
         """
-        span = self.time_range(RAW)
+        span = self.time_range()
         if span is None or span[1] < t:
-            return 0  # nothing at or after t; existing rollups stay valid
-        self._require_folded("truncate")
-        before = self.file_entry(RAW)["rows"]
-        data = self.read(RAW)
-        mask = data["t"] < t
-        dropped = before - int(mask.sum())
-        if dropped == 0:
-            return 0
-        self.replace(RAW, [data[name][mask] for name in RAW_COLUMNS])
-        self.replace(HOURLY, None)
-        self.replace(DAILY, None)
-        return dropped
+            return 0  # nothing at or after t
+        data = self.read()
+        keep = data["t"] < t
+        self.replace([data[name][keep] for name in RAW_COLUMNS])
+        return int(keep.size - keep.sum())

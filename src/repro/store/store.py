@@ -10,8 +10,9 @@ copies logged blocks into the per-series segments
 (:mod:`repro.store.lock`); compaction, ``truncate_from`` and a log
 grown past :data:`~repro.store.commitlog.FOLD_BYTES` run one.  Reads go
 through :meth:`TelemetryStore.read` (or the higher-level query engine
-in :mod:`repro.store.query`) and merge the unfolded records in; neither
-ever returns silently wrong data -- corruption surfaces as a
+in :mod:`repro.store.query`, which rolls raw up into hourly and daily
+buckets) and merge the unfolded records in; neither ever returns
+silently wrong data -- corruption surfaces as a
 :class:`~repro.errors.SegmentError`.
 
 Layout::
@@ -22,12 +23,19 @@ Layout::
         .writer.lock                   # the partition lock
         <wall>/n<id>/<metric>/
             manifest.json              # repro/store-segment/v2
-            raw.seg  hourly.seg  daily.seg
+            raw.seg
     <root>/.quarantine/                # corrupt segments and logs, moved aside
 
 The time base is *hours* as float64 -- the campaign's native clock --
 but nothing in the store interprets it beyond ordering and the rollup
 bucket widths (1 h, 24 h).
+
+The store *generation* in ``store.json`` lets a reader tell whether a
+result it computed earlier still holds: within one generation each
+building's commit log only grows, and every other change to what a
+read returns happens under a partition lock that bumps the generation
+before releasing it -- a fold that moved records, a torn-tail cut,
+``truncate_from``.
 """
 
 from __future__ import annotations
@@ -50,9 +58,7 @@ from ..runtime.serialize import write_json_atomic
 from .commitlog import FOLD_BYTES, LOG_FILENAME, CommitLog, LogView
 from .keys import SeriesKey, by_building
 from .lock import PartitionLock
-from .segment import (
-    MANIFEST_FILENAME, RAW, RAW_COLUMNS, RESOLUTIONS, SegmentDir, encode_block,
-)
+from .segment import MANIFEST_FILENAME, RAW_COLUMNS, SegmentDir, encode_block
 
 #: Schema tag for the store-level marker file.
 STORE_SCHEMA = "repro/store/v1"
@@ -105,14 +111,11 @@ class TelemetryStore:
         self._segments_lock = threading.Lock()
         marker = self.root / STORE_MARKER_FILENAME
         if marker.exists():
-            try:
-                payload = json.loads(marker.read_text())
-            except (OSError, ValueError) as exc:
-                raise StoreError(f"unreadable store marker {marker}: {exc}")
-            if not isinstance(payload, dict) or payload.get("schema") != STORE_SCHEMA:
+            payload = self._read_marker()
+            if payload.get("schema") != STORE_SCHEMA:
                 raise StoreError(
                     f"{self.root} is not a telemetry store "
-                    f"(marker schema {payload.get('schema') if isinstance(payload, dict) else None!r}, "
+                    f"(marker schema {payload.get('schema')!r}, "
                     f"expected {STORE_SCHEMA!r})"
                 )
         elif create:
@@ -142,45 +145,50 @@ class TelemetryStore:
         return self.root / QUARANTINE_DIRNAME
 
     # ------------------------------------------------------------------
-    # Generation (rollup-cache invalidation)
+    # Generation (cache invalidation)
     # ------------------------------------------------------------------
+
+    def _read_marker(self, handle: Optional[IO[bytes]] = None) -> Dict[str, Any]:
+        """``store.json``'s object, read from ``handle`` when given.
+
+        A marker that cannot be read or parsed raises a loud
+        :class:`~repro.errors.StoreError` naming it.
+        """
+        marker = self.root / STORE_MARKER_FILENAME
+        try:
+            payload = json.loads(handle.read() if handle else marker.read_bytes())
+        except (OSError, ValueError) as exc:
+            raise StoreError(f"unreadable store marker {marker}: {exc}")
+        if not isinstance(payload, dict):
+            raise StoreError(f"unreadable store marker {marker}: not an object")
+        return payload
 
     @property
     def generation(self) -> int:
-        """The store's compaction generation (0 for pre-generation stores).
+        """The store's generation (0 for a marker without one).
 
-        Persisted in ``store.json`` and bumped by every operation that
-        rewrites rollup bytes in place (:meth:`compact`,
-        :meth:`truncate_from`), so serving-tier caches keyed on it can
-        never return pre-compaction data.  Cross-process visible at the
-        cost of one ``stat`` per access: the marker is only ever
-        replaced by rename, so it is re-read whenever the file at its
-        path is no longer the inode the cached value came from.  That
-        inode is held open, so its number cannot be recycled by a later
-        marker -- not even by two bumps inside one mtime tick.
+        See the module docstring for when it is bumped.  Cross-process
+        visible at the cost of one ``stat`` per access: the marker is
+        only ever replaced by rename, so it is re-read whenever the file
+        at its path is no longer the inode the cached value came from.
+        That inode is held open, so its number cannot be recycled by a
+        later marker -- not even by two bumps inside one mtime tick.
+        An unreadable marker raises :class:`~repro.errors.StoreError`.
         """
         marker = self.root / STORE_MARKER_FILENAME
         try:
             inode = os.stat(marker).st_ino
-        except OSError:
-            return 0
-        cached = self._generation_cache
-        if cached is not None and cached[1] == inode:
-            return cached[2]
-        try:
+            cached = self._generation_cache
+            if cached is not None and cached[1] == inode:
+                return cached[2]
             handle = open(marker, "rb")
-        except OSError:
-            return 0
+        except OSError as exc:
+            raise StoreError(f"unreadable store marker {marker}: {exc}")
         try:
-            payload = json.loads(handle.read())
-        except (OSError, ValueError):
-            # Racing an atomic rewrite; next access re-reads.
+            value = int(self._read_marker(handle).get("generation", 0))
+        except BaseException:
             handle.close()
-            return 0
-        value = (
-            int(payload.get("generation", 0))
-            if isinstance(payload, dict) else 0
-        )
+            raise
         self._set_generation_cache(
             (handle, os.fstat(handle.fileno()).st_ino, value)
         )
@@ -199,16 +207,10 @@ class TelemetryStore:
 
     def bump_generation(self) -> int:
         """Advance and persist the generation; returns the new value."""
-        marker = self.root / STORE_MARKER_FILENAME
-        try:
-            payload = json.loads(marker.read_text())
-        except (OSError, ValueError):
-            payload = {"schema": STORE_SCHEMA, "time_unit": "hours"}
-        if not isinstance(payload, dict):
-            payload = {"schema": STORE_SCHEMA, "time_unit": "hours"}
+        payload = self._read_marker()
         value = int(payload.get("generation", 0)) + 1
         payload["generation"] = value
-        write_json_atomic(marker, payload)
+        write_json_atomic(self.root / STORE_MARKER_FILENAME, payload)
         self._set_generation_cache(None)
         obs_counter("store.generation_bumps").inc()
         return value
@@ -230,6 +232,16 @@ class TelemetryStore:
                 with self._segments_lock:
                     log = self._logs.setdefault(building, log)
         return log
+
+    def log_size(self, building: str) -> Optional[int]:
+        """``building``'s commit-log size, or None when it has none.
+
+        Unlike :meth:`commit_log` it keeps nothing, so any name will do.
+        """
+        try:
+            return os.stat(self.segments_dir / building / LOG_FILENAME).st_size
+        except OSError:
+            return None
 
     def lock_partition(self, building: str) -> PartitionLock:
         """Take ``building``'s partition lock and sweep its leaked temps.
@@ -257,30 +269,45 @@ class TelemetryStore:
         finally:
             lock.release()
 
+    def _log_view(self, building: str) -> LogView:
+        """``building``'s log, any torn tail cut (the caller holds the lock).
+
+        A cut shrinks the log, so it bumps the generation.
+        """
+        log = self.commit_log(building)
+        view = log.view()
+        if view.torn:
+            log.cut(view.size, len(view.raw))
+            self.bump_generation()
+            view = view._replace(size=len(view.raw))
+        return view
+
     def fold_partition(self, building: str) -> int:
         """Fold ``building``'s commit log into its segments; returns rows.
 
         The caller holds the building's partition lock.  Each series'
-        logged frames are appended to its ``raw.seg`` and its manifest
-        written and read back (:meth:`SegmentDir.fold`); then the log is
-        replaced by an empty one.
+        logged rows are appended to its ``raw.seg`` as one block and its
+        manifest written and read back (:meth:`SegmentDir.fold`); then
+        the log is replaced by an empty one.  The generation is bumped
+        on both sides of that reset: before it, so no result cached
+        while the log was last this short can match again; after it, so
+        none cached during the fold can match once the log regrows.
         """
-        view = self.commit_log(building).view()
+        view = self._log_view(building)
+        if not view.records:
+            return 0
         rows = 0
         for key in self._building_keys(building, view):
             rows += self.segment(key).fold(view.entries(log_key(key)))
-        log = self.commit_log(building)
-        if view.records:
-            log.reset(view.last_seq)
-        elif view.torn:
-            log.cut(view.size, len(view.raw))
-        if view.records:
-            obs_counter("store.folds").inc()
-            obs_counter("store.rows_folded").inc(rows)
-            obs_event(
-                "info", "store.folded", building=building,
-                records=len(view.records), rows=rows,
-            )
+        self.bump_generation()
+        self.commit_log(building).reset(view.last_seq)
+        self.bump_generation()
+        obs_counter("store.folds").inc()
+        obs_counter("store.rows_folded").inc(rows)
+        obs_event(
+            "info", "store.folded", building=building,
+            records=len(view.records), rows=rows,
+        )
         return rows
 
     # ------------------------------------------------------------------
@@ -358,6 +385,10 @@ class TelemetryStore:
             found = sorted(set(found).union(logged))
         return found
 
+    def buildings(self) -> List[str]:
+        """Every building in the store, sorted (one directory listing)."""
+        return _subdirs(str(self.segments_dir))
+
     def keys(self) -> List[SeriesKey]:
         """Every series in the store, sorted, logged-only ones included.
 
@@ -366,7 +397,7 @@ class TelemetryStore:
         so a cached listing could miss a new series.
         """
         found: List[SeriesKey] = []
-        for building in _subdirs(str(self.segments_dir)):
+        for building in self.buildings():
             found.extend(self._building_keys(building))
         return sorted(found)
 
@@ -403,7 +434,7 @@ class TelemetryStore:
         starts after the last record any of the building's manifests
         folded, so record numbers never repeat.
         """
-        view = self.commit_log(building).view()
+        view = self._log_view(building)
         if not view.raw:
             base = max(
                 (self.segment(key).log_state()[0]
@@ -436,12 +467,11 @@ class TelemetryStore:
     def read(
         self,
         key: SeriesKey,
-        resolution: str = RAW,
         t0: Optional[float] = None,
         t1: Optional[float] = None,
     ) -> Dict[str, np.ndarray]:
-        """Column arrays for ``key`` over ``[t0, t1]`` at ``resolution``."""
-        return self.segment(key).read(resolution, t0=t0, t1=t1)
+        """``key``'s raw ``(t, value)`` columns over ``[t0, t1]``."""
+        return self.segment(key).read(t0=t0, t1=t1)
 
     def truncate_from(
         self, t: float, keys: Optional[Iterable[SeriesKey]] = None
@@ -450,21 +480,22 @@ class TelemetryStore:
 
         The campaign resume path: epochs past the checkpoint boundary
         will be replayed and re-exported, so their earlier exports are
-        cut first (rollups are cleared and left to the next compact).
-        Only ``keys`` (default: every series) are cut.  Each building is
-        handled under its partition lock.  Trailing commit-log records
-        that hold only those keys' rows at or after ``t`` are cut from
-        the log; if other logged rows of those keys remain at or after
-        ``t``, the log is folded before the segments are cut.  A resume
-        with nothing to cut leaves the log alone.
+        cut first.  Only ``keys`` (default: every series) are cut.  Each
+        building is handled under its partition lock, which bumps the
+        generation before it is released when anything was cut.
+        Trailing commit-log records that hold only those keys' rows at
+        or after ``t`` are cut from the log; if other logged rows of
+        those keys remain at or after ``t``, the log is folded before
+        the segments are cut.  A resume with nothing to cut leaves the
+        log alone.
         """
-        dropped = cleared = 0
+        dropped = 0
         for building, group in by_building(
             self.keys() if keys is None else keys
         ).items():
             with self.partition(building):
-                dropped += self._cut_log_tail(building, group, t)
-                view = self.commit_log(building).view()
+                cut = self._cut_log_tail(building, group, t)
+                view = self._log_view(building)
                 if any(
                     entry.t1 >= t
                     for key in group for entry in view.entries(log_key(key))
@@ -476,11 +507,10 @@ class TelemetryStore:
                     if not logged or logged[-1].t1 >= t:
                         # Otherwise its newest rows, in the log, are all
                         # before t: there is nothing to cut.
-                        cleared += self.segment(key).truncate_from(t)
-        if cleared:
-            # Rollups were cleared in place: stale cached blocks must die.
-            self.bump_generation()
-        dropped += cleared
+                        cut += self.segment(key).truncate_from(t)
+                if cut:
+                    self.bump_generation()
+            dropped += cut
         if dropped:
             obs_counter("store.rows_truncated").inc(dropped)
             obs_event(
@@ -495,7 +525,7 @@ class TelemetryStore:
         Records a manifest already holds (a fold a crash interrupted)
         are never cut; those rows are cut from the segments instead.
         """
-        view = self.commit_log(building).view()
+        view = self._log_view(building)
         names = {log_key(key): key for key in group}
         first = len(view.records)
         while first and all(
@@ -521,7 +551,7 @@ class TelemetryStore:
         return rows
 
     def compact(self) -> Dict[str, Any]:
-        """Fold, then deterministic multi-resolution rollups; see :mod:`.compact`."""
+        """Fold every building's commit log; see :mod:`.compact`."""
         from .compact import compact_store
 
         return compact_store(self)
@@ -538,25 +568,22 @@ class TelemetryStore:
         will copy into the segments.
         """
         series = []
-        totals = {res: {"rows": 0, "bytes": 0, "blocks": 0} for res in RESOLUTIONS}
+        totals = {"rows": 0, "bytes": 0, "blocks": 0}
         for key in self.keys():
             segment = self.segment(key)
-            entry: Dict[str, Any] = {"key": key.to_dict()}
-            for res in RESOLUTIONS:
-                info = segment.file_entry(res)
-                entry[res] = {
-                    "rows": info["rows"],
-                    "bytes": info["bytes"],
-                    "blocks": len(info["blocks"]),
-                }
-                totals[res]["rows"] += info["rows"]
-                totals[res]["bytes"] += info["bytes"]
-                totals[res]["blocks"] += len(info["blocks"])
-            span = segment.time_range(RAW)
-            entry["t0"], entry["t1"] = (span if span else (None, None))
-            series.append(entry)
+            info = segment.file_entry()
+            raw = {
+                "rows": info["rows"],
+                "bytes": info["bytes"],
+                "blocks": len(info["blocks"]),
+            }
+            for name, value in raw.items():
+                totals[name] += value
+            span = segment.time_range()
+            t0, t1 = span if span else (None, None)
+            series.append({"key": key.to_dict(), "raw": raw, "t0": t0, "t1": t1})
         logs = {}
-        for building in _subdirs(str(self.segments_dir)):
+        for building in self.buildings():
             view = self.commit_log(building).peek()
             if view is not None:
                 logs[building] = {
@@ -573,7 +600,7 @@ class TelemetryStore:
             "root": str(self.root),
             "series": series,
             "series_count": len(series),
-            "totals": totals,
+            "totals": {"raw": totals},
             "logs": logs,
             "quarantined": quarantined,
         }

@@ -10,6 +10,7 @@ trustworthy left).  A third state, "completed with different bytes",
 is the one bug this file exists to rule out.
 """
 
+import errno
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,6 +30,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.errors import CampaignError, CheckpointError
+from repro.faults.io import IoFaultInjector, IoFaultPlan
 
 #: Tiny but fully-featured: faults on, one storm epoch, stuck sensors.
 CONFIG = dict(
@@ -258,4 +260,45 @@ class TestLogDamageRollsBack:
             r"checkpoint is newer than epoch 1"
         )):
             resume_campaign(state_dir)
+        assert _tree(state_dir) == before
+
+
+class _FailEpochLogReads(IoFaultInjector):
+    """EIO on the first ``count`` reads of the epoch log; nothing else fires."""
+
+    def __init__(self, count):
+        super().__init__(IoFaultPlan(seed=0))
+        self.count, self.failed = count, 0
+
+    def read_bytes(self, path):
+        if Path(path).name == EPOCH_LOG_FILENAME and self.failed < self.count:
+            self.failed += 1
+            raise OSError(errno.EIO, "injected read EIO", str(path))
+        return super().read_bytes(path)
+
+
+class TestEpochLogReadFaults:
+    CONFIG = CampaignConfig(**dict(CONFIG, epochs=4))
+
+    def test_one_eio_is_retried(self, tmp_path, monkeypatch):
+        reference = run_campaign(self.CONFIG)
+        state_dir = tmp_path / "pilot"
+        _run_killed_at(self.CONFIG, 3, state_dir)
+        injector = _FailEpochLogReads(1)
+        monkeypatch.setattr("repro.faults.io._active", injector)
+        outcome = resume_campaign(state_dir)
+        assert injector.failed == 1
+        assert outcome.resumed_from_epoch == 3
+        assert result_hash(outcome.result) == result_hash(reference.result)
+
+    def test_persistent_eio_is_loud_and_changes_nothing(self, tmp_path, monkeypatch):
+        state_dir = tmp_path / "pilot"
+        _run_killed_at(self.CONFIG, 3, state_dir)
+        before = _tree(state_dir)
+        injector = _FailEpochLogReads(100)
+        monkeypatch.setattr("repro.faults.io._active", injector)
+        with pytest.raises(CampaignError, match=f"cannot read .*{EPOCH_LOG_FILENAME}"):
+            resume_campaign(state_dir)
+        monkeypatch.setattr("repro.faults.io._active", None)
+        assert injector.failed == 4  # the read and its three retries
         assert _tree(state_dir) == before

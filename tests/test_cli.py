@@ -499,8 +499,8 @@ class TestLibraryErrorsAreOneLine:
         )
 
     def test_unhandled_library_error_exits_1(self, tmp_path):
-        # A raw block that fails its CRC: `store compact` meets a
-        # SegmentError it has no handler for.
+        # A raw block that fails its CRC: `store query`, rolling it up,
+        # meets a SegmentError it has no handler for.
         store = TelemetryStore(tmp_path, create=True)
         with store.writer() as writer:
             ingest_series(writer, "b1", "w1", "strain", np.arange(4.0), np.ones(4))
@@ -510,13 +510,14 @@ class TestLibraryErrorsAreOneLine:
         data[-6] ^= 0x01
         raw.write_bytes(bytes(data))
         done = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "store", "compact",
-             "--store", str(tmp_path)],
+            [sys.executable, "-m", "repro.cli", "store", "query",
+             "--store", str(tmp_path), "--metric", "strain",
+             "--resolution", "daily"],
             capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert done.returncode == 1
-        assert done.stderr.startswith("store compact: ")
+        assert done.stderr.startswith("store query: ")
         assert "CRC32" in done.stderr
         assert done.stderr.count("\n") == 1
 

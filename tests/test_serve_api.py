@@ -230,10 +230,15 @@ class TestStoreGeneration:
         assert TelemetryStore(tmp_path / "fresh").generation == 0
 
     def test_compact_bumps_generation(self, store):
+        """Only a compaction that folds something bumps it; an append
+        only grows a commit log, which the cache stamp sees by itself."""
         before = store.generation
-        summary = store.compact()
-        assert store.generation == before + 1
-        assert summary["generation"] == before + 1
+        store.compact()  # the fixture compacted: nothing left to fold
+        assert store.generation == before
+        store.append(KEY, [200.0], [1.0])
+        assert store.generation == before
+        store.compact()
+        assert store.generation > before
 
     def test_generation_survives_reopen(self, store):
         store.compact()
@@ -264,6 +269,44 @@ class TestStoreGeneration:
         os.utime(marker, ns=(before.st_atime_ns, before.st_mtime_ns))
         assert marker.stat().st_mtime_ns == before.st_mtime_ns
         assert reader.generation == 2
+
+    @staticmethod
+    def _swap_marker(store, text):
+        """Replace ``store.json`` by rename, as every marker write does."""
+        tmp = store.root / "store.json.swap"
+        tmp.write_text(text)
+        os.replace(tmp, store.root / "store.json")
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_unreadable_marker_is_loud(self, tmp_path, text):
+        store = TelemetryStore(tmp_path / "s")
+        store.bump_generation()
+        self._swap_marker(store, text)
+        marker = str(store.root / "store.json")
+        with pytest.raises(StoreError, match="unreadable store marker") as got:
+            store.generation
+        assert marker in str(got.value)
+        with pytest.raises(StoreError, match="unreadable store marker") as got:
+            store.bump_generation()
+        assert marker in str(got.value)
+        assert (store.root / "store.json").read_text() == text
+
+    def test_missing_marker_is_loud(self, tmp_path):
+        store = TelemetryStore(tmp_path / "s")
+        (store.root / "store.json").unlink()
+        with pytest.raises(StoreError, match="unreadable store marker"):
+            store.generation
+        with pytest.raises(StoreError, match="unreadable store marker"):
+            store.bump_generation()
+
+    def test_marker_without_generation_reads_zero(self, tmp_path):
+        store = TelemetryStore(tmp_path / "s")
+        self._swap_marker(
+            store, '{"schema": "repro/store/v1", "time_unit": "hours"}'
+        )
+        assert store.generation == 0
+        assert store.bump_generation() == 1
+        assert TelemetryStore(store.root).generation == 1
 
     def test_unchanged_marker_is_not_reread(self, tmp_path, monkeypatch):
         reader = TelemetryStore(tmp_path / "s")

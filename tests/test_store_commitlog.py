@@ -36,12 +36,12 @@ from repro.store import RESOLUTIONS, SeriesKey, TelemetryStore
 from repro.store import commitlog
 from repro.store import store as store_module
 from repro.store.commitlog import HEADER_SIZE, LOG_FILENAME
+from repro.store.compact import ROLLUP_COLUMNS
 from repro.store.segment import (
     MANIFEST_FILENAME,
     RAW,
     RAW_COLUMNS,
     SEGMENT_SCHEMA,
-    columns_for,
     encode_block,
 )
 
@@ -259,8 +259,10 @@ class TestFoldCrash:
                 store.compact()
                 assert _records_read(pristine, root) == RECORDS, at
                 for key in KEYS:
-                    blocks = store.segment(key).file_entry("raw")["blocks"]
-                    assert len(blocks) == RECORDS, at  # nothing applied twice
+                    blocks = store.segment(key).file_entry()["blocks"]
+                    # One block per fold, and nothing applied twice.
+                    assert len(blocks) == 1, at
+                    assert blocks[0]["n"] == RECORDS * BLOCK_ROWS, at
                     assert all("frame" not in block for block in blocks)
                 assert not store.quarantine_dir.exists(), at
                 assert _log(root).stat().st_size == HEADER_SIZE
@@ -443,7 +445,7 @@ class TestWritePath:
         assert max(sizes) <= 600 + 2 * (sizes[0] - HEADER_SIZE)
         for key in KEYS:
             assert store.read(key)["t"].size == 4 * BLOCK_ROWS
-            assert store.segment(key).seg_path("raw").exists()
+            assert store.segment(key).seg_path.exists()
 
     def test_keys_stats_and_compaction_see_logged_series(self, tmp_path):
         store = TelemetryStore(tmp_path)
@@ -463,7 +465,8 @@ class TestWritePath:
         assert after["logs"] == {
             "b": {"records": 0, "rows": 0, "bytes": HEADER_SIZE}
         }
-        assert after["totals"]["raw"] == stats["totals"]["raw"]
+        assert after["totals"]["raw"]["rows"] == 4 * BLOCK_ROWS
+        assert after["totals"]["raw"]["blocks"] == len(KEYS)  # one per fold
         assert store.compact()["folded_rows"] == 0
 
 
@@ -621,13 +624,12 @@ class TestInterleavings:
             assert keys == sorted(k for k in model if model[k] or k in keys)
             for key in keys:
                 assert store.read(key)["t"].tolist() == model[key]
-                for resolution in RESOLUTIONS:
-                    mine = store.read(key, resolution)
-                    theirs = folded.read(key, resolution)
-                    for column in mine:
-                        assert np.array_equal(mine[column], theirs[column])
-            assert [s["raw"] for s in store.stats()["series"]] == [
-                s["raw"] for s in folded.stats()["series"]
+                mine, theirs = store.read(key), folded.read(key)
+                for column in mine:
+                    assert np.array_equal(mine[column], theirs[column])
+            # A fold coalesces frames, so only the rows must agree.
+            assert [s["raw"]["rows"] for s in store.stats()["series"]] == [
+                s["raw"]["rows"] for s in folded.stats()["series"]
             ]
             assert _bodies(store, keys) == _bodies(folded, keys)
         finally:
@@ -667,8 +669,11 @@ def _old_segment_dir(root):
 
 def _old_manifest(schema, raw_entry):
     empty = {"bytes": 0, "rows": 0, "blocks": []}
-    files = {res: {"columns": list(columns_for(res)), **empty} for res in RESOLUTIONS}
-    files[RAW].update(raw_entry)
+    files = {
+        res: {"columns": list(ROLLUP_COLUMNS), **empty}
+        for res in ("hourly", "daily")
+    }
+    files[RAW] = {"columns": list(RAW_COLUMNS), **empty, **raw_entry}
     manifest = {"schema": schema, "key": KEY.to_dict(), "files": files}
     if schema == SEGMENT_SCHEMA:
         manifest["snapshot"] = 1

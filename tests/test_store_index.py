@@ -33,7 +33,7 @@ from repro.store import OBS_BUILDING, SeriesKey, TelemetryStore
 from repro.store import commitlog
 from repro.store import segment as segment_module
 from repro.store.commitlog import LOG_FILENAME
-from repro.store.segment import HOURLY, MANIFEST_FILENAME, SegmentDir
+from repro.store.segment import MANIFEST_FILENAME, SegmentDir
 
 KEY = SeriesKey("b", "w", 1, "strain")
 BLOCK_ROWS = 8
@@ -124,13 +124,13 @@ class TestChangesAreSeen:
 
     def test_compaction_by_another_store_object(self, tmp_path):
         store = _seeded(tmp_path / "s", compact=True)
-        before = store.read(KEY, HOURLY)
+        before = store.read(KEY)
         other = TelemetryStore(tmp_path / "s", create=False)
         t = np.arange(24.0, 48.0)
         other.append(KEY, t, t * 3.0)
         other.compact()
-        after = store.read(KEY, HOURLY)
-        expected = TelemetryStore(tmp_path / "s", create=False).read(KEY, HOURLY)
+        after = store.read(KEY)
+        expected = TelemetryStore(tmp_path / "s", create=False).read(KEY)
         assert after["t"].size == before["t"].size + 24
         for column in expected:
             assert np.array_equal(after[column], expected[column])

@@ -6,7 +6,9 @@ per shim call and fault kind, so the number and order of the program's
 chaos drill's faults land.  This test installs a recording double as the
 shim's injector, runs an 8-epoch campaign exporting to a store (seed
 2021), compacts the store, and compares the sequence of (operation,
-file) calls with the committed golden ``tests/io_trace.txt``.
+file) calls with the committed golden ``tests/io_trace.txt``.  It also
+pins the compacted store's segment bytes: sha256 over every ``*.seg``
+file in sorted relative-path order, each as ``relpath NUL bytes``.
 
 Files are named relative to the run's temporary root.  A ``mkstemp``
 name's random part reads ``<tmp>``, and a handle that carries only a
@@ -21,6 +23,7 @@ it would a result hash::
     PYTHONPATH=src python tests/test_store_io_trace.py > tests/io_trace.txt
 """
 
+import hashlib
 import os
 import re
 import sys
@@ -28,12 +31,17 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+import pytest
+
 from repro.campaign import CampaignConfig
 from repro.campaign.driver import run_campaign
 from repro.faults import io as io_module
 from repro.store import TelemetryStore
 
 GOLDEN = Path(__file__).with_name("io_trace.txt")
+
+#: The compacted store's ``*.seg`` hash (see :func:`seg_hash`).
+SEG_SHA256 = "2de378d4c868c57a26a6adc4ea862ebeda56d5a629bc688ff676c5ee7ae287e0"
 
 #: ``write_json_atomic``'s temp files: ``<name><8 random chars>.tmp``.
 _MKSTEMP = re.compile(r"^(.*\.json)[A-Za-z0-9_]{8}\.tmp$")
@@ -74,8 +82,17 @@ class _Recorder:
         return handle.read(n)
 
 
-def record_trace() -> List[str]:
-    """``operation<TAB>file`` per shim call of the campaign and compaction."""
+def seg_hash(root: Path) -> str:
+    """sha256 over every ``*.seg`` under ``root``: sorted relpath, NUL, bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.seg"), key=lambda p: str(p.relative_to(root))):
+        digest.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def record_trace() -> Tuple[List[str], str]:
+    """``operation<TAB>file`` per shim call of the campaign and compaction,
+    and the compacted store's :func:`seg_hash`."""
     with tempfile.TemporaryDirectory(prefix="io-trace-") as scratch:
         root = Path(scratch)
         recorder = _Recorder(root)
@@ -88,11 +105,23 @@ def record_trace() -> List[str]:
             TelemetryStore(root / "store", create=False).compact()
         finally:
             io_module._active = None
-    return [f"{op}\t{name}" for op, name in recorder.calls]
+        return (
+            [f"{op}\t{name}" for op, name in recorder.calls],
+            seg_hash(root / "store"),
+        )
 
 
-def test_trace_matches_the_golden():
-    trace = record_trace()
+@pytest.fixture(scope="module")
+def recorded() -> Tuple[List[str], str]:
+    return record_trace()
+
+
+def test_segment_bytes_match_the_pin(recorded):
+    assert recorded[1] == SEG_SHA256
+
+
+def test_trace_matches_the_golden(recorded):
+    trace = recorded[0]
     golden = GOLDEN.read_text().splitlines()
     for index, (got, want) in enumerate(zip(trace, golden)):
         assert got == want, (
@@ -106,4 +135,4 @@ def test_trace_matches_the_golden():
 
 
 if __name__ == "__main__":
-    sys.stdout.write("".join(line + "\n" for line in record_trace()))
+    sys.stdout.write("".join(line + "\n" for line in record_trace()[0]))

@@ -60,7 +60,7 @@ class TestWriter:
                 writer.add_sample(KEY, float(t), float(t))
                 writer.add_sample(other, float(t), float(t))
         for key in (KEY, other):
-            assert len(store.segment(key).file_entry("raw")["blocks"]) == 1
+            assert len(store.segment(key).file_entry()["blocks"]) == 1
 
     def test_auto_flush_at_threshold(self, tmp_path):
         store = TelemetryStore(tmp_path)
@@ -116,8 +116,8 @@ class TestWriter:
 
         a, b = build(tmp_path / "a"), build(tmp_path / "b")
         for key in a.keys():
-            pa = a.segment(key).seg_path("raw")
-            pb = b.segment(key).seg_path("raw")
+            pa = a.segment(key).seg_path
+            pb = b.segment(key).seg_path
             assert pa.read_bytes() == pb.read_bytes()
 
 
@@ -148,9 +148,11 @@ class TestStoreTruncateAndStats:
         store.compact()
         stats = store.stats()
         assert stats["series_count"] == 1
-        assert stats["totals"]["raw"]["rows"] == 6
-        assert stats["totals"]["hourly"]["rows"] == 6
-        assert stats["totals"]["daily"]["rows"] == 1
+        assert stats["totals"] == {
+            "raw": {"rows": 6, "bytes": store.segment(KEY).seg_path.stat().st_size,
+                    "blocks": 1},
+        }
+        assert list(stats["series"][0]) == ["key", "raw", "t0", "t1"]
         assert stats["quarantined"] == []
 
 
