@@ -22,46 +22,30 @@ See ``examples/quickstart.py`` for a full read-a-sensor walkthrough and
 DESIGN.md for the paper-to-module map.
 """
 
-from . import (
-    acoustics,
-    baselines,
-    circuits,
-    errors,
-    faults,
-    link,
-    materials,
-    node,
-    obs,
-    phy,
-    protocol,
-    reader,
-    runtime,
-    shm,
-    store,
-    transducer,
-    units,
-)
-from .errors import ReproError
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "acoustics",
-    "baselines",
-    "circuits",
-    "errors",
-    "faults",
-    "link",
-    "materials",
-    "node",
-    "phy",
-    "protocol",
-    "reader",
-    "runtime",
-    "shm",
-    "store",
-    "transducer",
-    "units",
-    "ReproError",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".": (
+        "acoustics",
+        "baselines",
+        "circuits",
+        "errors",
+        "faults",
+        "link",
+        "materials",
+        "node",
+        "obs",
+        "phy",
+        "protocol",
+        "reader",
+        "runtime",
+        "shm",
+        "store",
+        "transducer",
+        "units",
+    ),
+    ".errors": ("ReproError",),
+})
+__all__.append("__version__")

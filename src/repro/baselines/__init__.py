@@ -1,30 +1,20 @@
 """Baselines the paper compares against: PAB, U2B and embedded RFID."""
 
-from .pab import (
-    PAB_CARRIER,
-    PAB_WATERFALL_OFFSET_DB,
-    PabLink,
-    pab_harvester,
-    pab_snr_model,
-    pool_1,
-    pool_2,
-)
-from .rf_backscatter import (
-    DEFAULT_CONCRETE_RF_ATTENUATION,
-    RfBackscatterLink,
-)
-from .u2b import crossover_bitrate, u2b_snr_model
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PAB_CARRIER",
-    "PAB_WATERFALL_OFFSET_DB",
-    "PabLink",
-    "pab_harvester",
-    "pab_snr_model",
-    "pool_1",
-    "pool_2",
-    "DEFAULT_CONCRETE_RF_ATTENUATION",
-    "RfBackscatterLink",
-    "crossover_bitrate",
-    "u2b_snr_model",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".pab": (
+        "PAB_CARRIER",
+        "PAB_WATERFALL_OFFSET_DB",
+        "PabLink",
+        "pab_harvester",
+        "pab_snr_model",
+        "pool_1",
+        "pool_2",
+    ),
+    ".rf_backscatter": (
+        "DEFAULT_CONCRETE_RF_ATTENUATION",
+        "RfBackscatterLink",
+    ),
+    ".u2b": ("crossover_bitrate", "u2b_snr_model"),
+})

@@ -10,76 +10,45 @@ an uninterrupted run.  See ``docs/CAMPAIGN.md`` for the checkpoint
 format, resume semantics and the corruption-recovery matrix.
 """
 
-from .checkpoint import (
-    CHECKPOINT_SCHEMA,
-    QUARANTINE_DIRNAME,
-    CheckpointStore,
-    checkpoint_digest,
-)
-from .config import (
-    CAMPAIGN_CONFIG_SCHEMA,
-    DEFAULT_CAMPAIGN_FAULTS,
-    EPOCHS_PER_MONTH,
-    PILOT_MONTHS,
-    CampaignConfig,
-    pilot_epochs,
-)
-from .driver import (
-    CAMPAIGN_RESULT_SCHEMA,
-    CHECKPOINT_DIRNAME,
-    EPOCH_LOG_FILENAME,
-    RESULT_FILENAME,
-    STORE_BUILDING,
-    STORE_WALL,
-    Campaign,
-    CampaignOutcome,
-    CampaignResult,
-    EpochSamples,
-    campaign_status,
-    result_hash,
-    resume_campaign,
-    run_campaign,
-)
-from .log import EPOCH_LOG_SCHEMA, EpochLog
-from .state import CAMPAIGN_STATE_SCHEMA, CampaignState
-from .watchdog import (
-    EpochTimeout,
-    ShutdownGuard,
-    epoch_deadline,
-    watchdog_available,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CAMPAIGN_CONFIG_SCHEMA",
-    "CAMPAIGN_RESULT_SCHEMA",
-    "CAMPAIGN_STATE_SCHEMA",
-    "CHECKPOINT_DIRNAME",
-    "CHECKPOINT_SCHEMA",
-    "Campaign",
-    "CampaignConfig",
-    "CampaignOutcome",
-    "CampaignResult",
-    "CampaignState",
-    "CheckpointStore",
-    "DEFAULT_CAMPAIGN_FAULTS",
-    "EPOCHS_PER_MONTH",
-    "EPOCH_LOG_FILENAME",
-    "EPOCH_LOG_SCHEMA",
-    "EpochLog",
-    "EpochSamples",
-    "EpochTimeout",
-    "PILOT_MONTHS",
-    "QUARANTINE_DIRNAME",
-    "RESULT_FILENAME",
-    "STORE_BUILDING",
-    "STORE_WALL",
-    "ShutdownGuard",
-    "campaign_status",
-    "checkpoint_digest",
-    "epoch_deadline",
-    "pilot_epochs",
-    "result_hash",
-    "resume_campaign",
-    "run_campaign",
-    "watchdog_available",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".checkpoint": (
+        "CHECKPOINT_SCHEMA",
+        "QUARANTINE_DIRNAME",
+        "CheckpointStore",
+        "checkpoint_digest",
+    ),
+    ".config": (
+        "CAMPAIGN_CONFIG_SCHEMA",
+        "DEFAULT_CAMPAIGN_FAULTS",
+        "EPOCHS_PER_MONTH",
+        "PILOT_MONTHS",
+        "CampaignConfig",
+        "pilot_epochs",
+    ),
+    ".driver": (
+        "CAMPAIGN_RESULT_SCHEMA",
+        "CHECKPOINT_DIRNAME",
+        "EPOCH_LOG_FILENAME",
+        "RESULT_FILENAME",
+        "STORE_BUILDING",
+        "STORE_WALL",
+        "Campaign",
+        "CampaignOutcome",
+        "CampaignResult",
+        "EpochSamples",
+        "campaign_status",
+        "result_hash",
+        "resume_campaign",
+        "run_campaign",
+    ),
+    ".log": ("EPOCH_LOG_SCHEMA", "EpochLog"),
+    ".state": ("CAMPAIGN_STATE_SCHEMA", "CampaignState"),
+    ".watchdog": (
+        "EpochTimeout",
+        "ShutdownGuard",
+        "epoch_deadline",
+        "watchdog_available",
+    ),
+})

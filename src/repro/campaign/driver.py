@@ -36,6 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
+from numpy.random import Generator, default_rng
 
 from ..acoustics import StructureGeometry
 from ..errors import CampaignError, PartitionLockError, StoreError
@@ -170,10 +171,10 @@ class CampaignOutcome:
         return self.result is not None
 
 
-def _epoch_rng(seed: int, epoch: int, channel: str) -> np.random.Generator:
+def _epoch_rng(seed: int, epoch: int, channel: str) -> Generator:
     """A per-(epoch, channel) numpy stream, PYTHONHASHSEED-stable."""
     digest = hashlib.sha256(f"{seed}:{epoch}:{channel}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return default_rng(int.from_bytes(digest[:8], "big"))
 
 
 @dataclass(frozen=True)

@@ -1,31 +1,22 @@
 """Circuit substrate: harvester, demodulator, MCU power, sensors."""
 
-from .demodulator import EnvelopeDetector, LevelShifter, edge_intervals
-from .harvester import EnergyHarvester, LowDropoutRegulator, VoltageMultiplier
-from .mcu import McuPowerModel
-from .sensors import (
-    SensorBase,
-    SensorError,
-    SensorSuite,
-    accelerometer,
-    humidity_sensor,
-    strain_sensor,
-    temperature_sensor,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EnvelopeDetector",
-    "LevelShifter",
-    "edge_intervals",
-    "EnergyHarvester",
-    "LowDropoutRegulator",
-    "VoltageMultiplier",
-    "McuPowerModel",
-    "SensorBase",
-    "SensorError",
-    "SensorSuite",
-    "accelerometer",
-    "humidity_sensor",
-    "strain_sensor",
-    "temperature_sensor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".demodulator": ("EnvelopeDetector", "LevelShifter", "edge_intervals"),
+    ".harvester": (
+        "EnergyHarvester",
+        "LowDropoutRegulator",
+        "VoltageMultiplier",
+    ),
+    ".mcu": ("McuPowerModel",),
+    ".sensors": (
+        "SensorBase",
+        "SensorError",
+        "SensorSuite",
+        "accelerometer",
+        "humidity_sensor",
+        "strain_sensor",
+        "temperature_sensor",
+    ),
+})

@@ -63,20 +63,21 @@ import sys
 from pathlib import Path
 from typing import Any, List, Optional
 
-from .acoustics import StructureGeometry, WavePrism, paper_structures
-from .campaign import DEFAULT_CAMPAIGN_FAULTS, CampaignConfig
+# The parser needs only the option declarations; each verb imports the
+# subsystem it runs inside its handler.
+from .campaign.config import DEFAULT_CAMPAIGN_FAULTS, CampaignConfig
 from .errors import FaultConfigError, ReproError
-from .faults import FaultPlan, IoFaultPlan, WorkerFaultPlan
-from .faults.chaos import ChaosConfig
-from .faults.plan import options
-from .fleet import FleetConfig
-from .link import PlacedNode, PowerUpLink, WallSession, plan_stations
-from .materials import PLA, get_concrete
-from .node import EcoCapsule, Environment, resin_shell, steel_shell
-from .runtime import DEFAULT_TIMEOUT_S
+from .faults.chaos_config import ChaosConfig
+from .faults.io import IoFaultPlan
+from .faults.plan import FaultPlan, options
+from .faults.worker import WorkerFaultPlan
+from .fleet.config import FleetConfig
 
 
 def _cmd_prism(args: argparse.Namespace) -> int:
+    from .acoustics import WavePrism
+    from .materials import PLA, get_concrete
+
     concrete = get_concrete(args.concrete)
     prism = WavePrism(PLA, concrete.medium)
     low, high = prism.critical_angles
@@ -91,7 +92,9 @@ def _cmd_prism(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_structure(name: str) -> StructureGeometry:
+def _resolve_structure(name: str):
+    from .acoustics import paper_structures
+
     for structure in paper_structures():
         if structure.name.lower().startswith(name.lower()):
             return structure
@@ -102,6 +105,8 @@ def _resolve_structure(name: str) -> StructureGeometry:
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
+    from .link import PowerUpLink, plan_stations
+
     structure = _resolve_structure(args.structure)
     budget = PowerUpLink(structure)
     reach = budget.max_range(args.voltage)
@@ -116,6 +121,8 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _cmd_shell(args: argparse.Namespace) -> int:
+    from .node import resin_shell, steel_shell
+
     for shell, label in ((resin_shell(), "SLA resin"), (steel_shell(), "alloy steel")):
         verdict = "OK" if shell.survives(args.height) else "FAILS"
         print(
@@ -126,6 +133,11 @@ def _cmd_shell(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from .acoustics import StructureGeometry
+    from .link import PlacedNode, PowerUpLink, WallSession
+    from .materials import get_concrete
+    from .node import EcoCapsule, Environment
+
     concrete = get_concrete(args.concrete)
     wall = StructureGeometry(
         "cli wall", length=args.length, thickness=args.thickness,
@@ -273,7 +285,7 @@ def _fault_overrides(names, plan):
 
 def _cmd_experiments_run(args: argparse.Namespace) -> int:
     from .errors import RegistryError
-    from .runtime import run_experiments
+    from .runtime import DEFAULT_TIMEOUT_S, run_experiments
 
     if not args.all and not args.only:
         raise SystemExit("experiments run: pass --all or --only NAME [NAME ...]")
@@ -288,7 +300,7 @@ def _cmd_experiments_run(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             out_dir=args.out,
             force=args.force,
-            timeout_s=args.timeout,
+            timeout_s=DEFAULT_TIMEOUT_S if args.timeout is None else args.timeout,
             cache_dir=args.cache_dir,
             overrides=overrides,
             quick=args.quick,
@@ -1197,7 +1209,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the reduced (still seeded) CI parameters",
     )
     exp_run.add_argument(
-        "--timeout", type=float, default=DEFAULT_TIMEOUT_S,
+        "--timeout", type=float, default=None,
         help="per-experiment timeout in seconds",
     )
     exp_run.add_argument(

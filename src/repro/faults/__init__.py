@@ -25,79 +25,38 @@ See ``docs/ROBUSTNESS.md`` for the fault taxonomy, the plan schema and
 the retry/degradation policies layered on top.
 """
 
-from ..errors import FaultPlanError
-from .injector import FaultInjector
-from .io import (
-    IO_FAULT_SCHEMA,
-    IO_RATE_FIELDS,
-    IoFaultInjector,
-    IoFaultPlan,
-    active_io_injector,
-    clear_io_faults,
-    install_io_faults,
-    io_faults,
-    io_faults_active,
-    reclaim_tmp_files,
-    retry_io,
-)
-from .plan import (
-    FAULT_PLAN_SCHEMA,
-    FaultPlan,
-    RATE_FIELDS,
-    ber_from_snr_db,
-    plan_from_link_budget,
-)
-from .worker import (
-    UNBOUNDED,
-    WORKER_FAULT_ACTIONS,
-    WORKER_FAULT_SCHEMA,
-    WorkerFault,
-    WorkerFaultPlan,
-)
+from .._lazy import lazy_exports
 
-#: Chaos-drill names resolved lazily (PEP 562): ``repro.faults.chaos``
-#: imports the campaign/fleet drivers, which themselves import this
-#: package -- an eager import here would be a cycle.
-_CHAOS_EXPORTS = (
-    "CHAOS_SCHEMA",
-    "ChaosConfig",
-    "evaluate_drill",
-    "run_drill",
-    "verify_drill",
-)
-
-
-def __getattr__(name: str):
-    if name in _CHAOS_EXPORTS:
-        from . import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "FAULT_PLAN_SCHEMA",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "IO_FAULT_SCHEMA",
-    "IO_RATE_FIELDS",
-    "IoFaultInjector",
-    "IoFaultPlan",
-    "RATE_FIELDS",
-    "UNBOUNDED",
-    "WORKER_FAULT_ACTIONS",
-    "WORKER_FAULT_SCHEMA",
-    "WorkerFault",
-    "WorkerFaultPlan",
-    "active_io_injector",
-    "ber_from_snr_db",
-    "clear_io_faults",
-    "install_io_faults",
-    "io_faults",
-    "io_faults_active",
-    "plan_from_link_budget",
-    "reclaim_tmp_files",
-    "retry_io",
-    *_CHAOS_EXPORTS,
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "..errors": ("FaultPlanError",),
+    ".chaos": ("CHAOS_SCHEMA", "evaluate_drill", "run_drill", "verify_drill"),
+    ".chaos_config": ("ChaosConfig",),
+    ".injector": ("FaultInjector",),
+    ".io": (
+        "IO_FAULT_SCHEMA",
+        "IO_RATE_FIELDS",
+        "IoFaultInjector",
+        "IoFaultPlan",
+        "active_io_injector",
+        "clear_io_faults",
+        "install_io_faults",
+        "io_faults",
+        "io_faults_active",
+        "reclaim_tmp_files",
+        "retry_io",
+    ),
+    ".plan": (
+        "FAULT_PLAN_SCHEMA",
+        "FaultPlan",
+        "RATE_FIELDS",
+        "ber_from_snr_db",
+        "plan_from_link_budget",
+    ),
+    ".worker": (
+        "UNBOUNDED",
+        "WORKER_FAULT_ACTIONS",
+        "WORKER_FAULT_SCHEMA",
+        "WorkerFault",
+        "WorkerFaultPlan",
+    ),
+})

@@ -17,62 +17,39 @@ The three invariants (enforced by ``tests/test_fleet_*``; see
   surviving shard completes unchanged.
 """
 
-from .config import (
-    FLEET_CONFIG_SCHEMA,
-    FleetConfig,
-    backoff_delay,
-    building_names,
-    derive_shard_seed,
-)
-from .merge import (
-    FLEET_RESULT_SCHEMA,
-    build_fleet_result,
-    fleet_result_hash,
-    load_shard_result,
-    summarize_shard,
-)
-from .status import fleet_status
-from .supervisor import (
-    FLEET_MANIFEST_FILENAME,
-    FLEET_MANIFEST_SCHEMA,
-    FLEET_RESULT_FILENAME,
-    SHARDS_DIRNAME,
-    FleetOutcome,
-    FleetSupervisor,
-    resume_fleet,
-    run_fleet,
-)
-from .worker import (
-    HEARTBEAT_FILENAME,
-    WORKER_LOG_FILENAME,
-    heartbeat_age_s,
-    run_shard,
-    write_heartbeat,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FLEET_CONFIG_SCHEMA",
-    "FLEET_MANIFEST_FILENAME",
-    "FLEET_MANIFEST_SCHEMA",
-    "FLEET_RESULT_FILENAME",
-    "FLEET_RESULT_SCHEMA",
-    "HEARTBEAT_FILENAME",
-    "SHARDS_DIRNAME",
-    "WORKER_LOG_FILENAME",
-    "FleetConfig",
-    "FleetOutcome",
-    "FleetSupervisor",
-    "backoff_delay",
-    "build_fleet_result",
-    "building_names",
-    "derive_shard_seed",
-    "fleet_result_hash",
-    "fleet_status",
-    "heartbeat_age_s",
-    "load_shard_result",
-    "resume_fleet",
-    "run_fleet",
-    "run_shard",
-    "summarize_shard",
-    "write_heartbeat",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": (
+        "FLEET_CONFIG_SCHEMA",
+        "FleetConfig",
+        "backoff_delay",
+        "building_names",
+        "derive_shard_seed",
+    ),
+    ".merge": (
+        "FLEET_RESULT_SCHEMA",
+        "build_fleet_result",
+        "fleet_result_hash",
+        "load_shard_result",
+        "summarize_shard",
+    ),
+    ".status": ("fleet_status",),
+    ".supervisor": (
+        "FLEET_MANIFEST_FILENAME",
+        "FLEET_MANIFEST_SCHEMA",
+        "FLEET_RESULT_FILENAME",
+        "SHARDS_DIRNAME",
+        "FleetOutcome",
+        "FleetSupervisor",
+        "resume_fleet",
+        "run_fleet",
+    ),
+    ".worker": (
+        "HEARTBEAT_FILENAME",
+        "WORKER_LOG_FILENAME",
+        "heartbeat_age_s",
+        "run_shard",
+        "write_heartbeat",
+    ),
+})

@@ -1,59 +1,42 @@
 """Link layer: budgets, simulations, adaptation, sessions, deployment."""
 
-from .adaptation import CarrierTuner, ForeignObjectChannel, Notch, TuneResult
-from .localization import (
-    LocalizationError,
-    RangingMeasurement,
-    WallLocalizer,
-    locate,
-    simulate_round_trip,
-)
-from .budget import DEFAULT_COUPLING, PowerUpLink, harvested_headroom_db
-from .deployment import (
-    DeploymentError,
-    DeploymentPlan,
-    ReaderStation,
-    SurveyEstimate,
-    estimate_survey,
-    plan_stations,
-)
-from .session import PlacedNode, SessionResult, SessionTiming, WallSession
-from .simulation import (
-    DEFAULT_SIMULATION_SEED,
-    DownlinkSimulator,
-    SnrBitrateModel,
-    UplinkBasebandSimulator,
-    UplinkPassbandSimulator,
-    UplinkResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LocalizationError",
-    "RangingMeasurement",
-    "WallLocalizer",
-    "locate",
-    "simulate_round_trip",
-    "CarrierTuner",
-    "ForeignObjectChannel",
-    "Notch",
-    "TuneResult",
-    "DEFAULT_COUPLING",
-    "PowerUpLink",
-    "harvested_headroom_db",
-    "DeploymentError",
-    "DeploymentPlan",
-    "ReaderStation",
-    "SurveyEstimate",
-    "estimate_survey",
-    "plan_stations",
-    "PlacedNode",
-    "SessionResult",
-    "SessionTiming",
-    "WallSession",
-    "DEFAULT_SIMULATION_SEED",
-    "DownlinkSimulator",
-    "SnrBitrateModel",
-    "UplinkBasebandSimulator",
-    "UplinkPassbandSimulator",
-    "UplinkResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".adaptation": (
+        "CarrierTuner",
+        "ForeignObjectChannel",
+        "Notch",
+        "TuneResult",
+    ),
+    ".localization": (
+        "LocalizationError",
+        "RangingMeasurement",
+        "WallLocalizer",
+        "locate",
+        "simulate_round_trip",
+    ),
+    ".budget": ("DEFAULT_COUPLING", "PowerUpLink", "harvested_headroom_db"),
+    ".deployment": (
+        "DeploymentError",
+        "DeploymentPlan",
+        "ReaderStation",
+        "SurveyEstimate",
+        "estimate_survey",
+        "plan_stations",
+    ),
+    ".session": (
+        "PlacedNode",
+        "SessionResult",
+        "SessionTiming",
+        "WallSession",
+    ),
+    ".simulation": (
+        "DEFAULT_SIMULATION_SEED",
+        "DownlinkSimulator",
+        "SnrBitrateModel",
+        "UplinkBasebandSimulator",
+        "UplinkPassbandSimulator",
+        "UplinkResult",
+    ),
+})

@@ -22,7 +22,10 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..acoustics import SpreadingModel, StructureGeometry, guidance_exponent
+from ..acoustics.batch import attenuation_db_batch, spreading_gains
 from ..circuits import EnergyHarvester
 from ..errors import AcousticsError, PowerError
 
@@ -73,7 +76,7 @@ class PowerUpLink:
         absorption_db = self.structure.medium.attenuation_db(self.frequency, distance)
         return self.coupling * tx_voltage * gain * 10.0 ** (-absorption_db / 20.0)
 
-    def node_voltages(self, distances, tx_voltage: float) -> "np.ndarray":
+    def node_voltages(self, distances, tx_voltage: float) -> np.ndarray:
         """Batched :meth:`node_voltage` over an array of distances.
 
         One broadcast evaluates the whole wall; results match the scalar
@@ -81,10 +84,6 @@ class PowerUpLink:
         the last bit -- see docs/PERFORMANCE.md).  Power-up decisions
         sit far from the activation threshold relative to that error.
         """
-        import numpy as np
-
-        from ..acoustics.batch import attenuation_db_batch, spreading_gains
-
         if tx_voltage <= 0.0:
             raise PowerError("TX voltage must be positive")
         distances = np.asarray(distances, dtype=float)

@@ -25,6 +25,7 @@ from ..faults import FaultInjector, FaultPlan
 from ..node import EcoCapsule
 from ..obs import obs_counter, obs_enabled, obs_gauge, obs_histogram, obs_span
 from ..phy import PieTiming
+from ..phy.batch import default_engine
 from ..protocol import TdmaInventory, SensorReport
 from .budget import PowerUpLink
 
@@ -166,8 +167,6 @@ class WallSession:
             (powered nodes, dark nodes, charge time) where charge time is
             the slowest cold start among the powered nodes.
         """
-        from ..phy.batch import default_engine
-
         if default_engine() == "scalar" or len(self.nodes) == 1:
             voltages = [
                 self.budget.node_voltage(placed.distance, self.tx_voltage)

@@ -1,53 +1,33 @@
 """Material database: concretes (Table 1) and the other media the paper uses."""
 
-from .base import (
-    Medium,
-    lame_parameters,
-    p_wave_velocity,
-    s_wave_velocity,
-)
-from .common import (
-    AIR,
-    ALLOY_STEEL,
-    ALLOY_STEEL_YIELD_STRENGTH,
-    PAPER_Z_AIR,
-    PAPER_Z_CONCRETE,
-    PLA,
-    RESIN,
-    RESIN_TENSILE_STRENGTH,
-    SEAWATER,
-    WATER,
-)
-from .concrete import (
-    CONCRETE_NAMES,
-    NC_P_VELOCITY,
-    NC_S_VELOCITY,
-    Concrete,
-    MixProportions,
-    all_concretes,
-    get_concrete,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Medium",
-    "lame_parameters",
-    "p_wave_velocity",
-    "s_wave_velocity",
-    "AIR",
-    "WATER",
-    "SEAWATER",
-    "PLA",
-    "RESIN",
-    "RESIN_TENSILE_STRENGTH",
-    "ALLOY_STEEL",
-    "ALLOY_STEEL_YIELD_STRENGTH",
-    "PAPER_Z_CONCRETE",
-    "PAPER_Z_AIR",
-    "CONCRETE_NAMES",
-    "NC_P_VELOCITY",
-    "NC_S_VELOCITY",
-    "Concrete",
-    "MixProportions",
-    "all_concretes",
-    "get_concrete",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": (
+        "Medium",
+        "lame_parameters",
+        "p_wave_velocity",
+        "s_wave_velocity",
+    ),
+    ".common": (
+        "AIR",
+        "ALLOY_STEEL",
+        "ALLOY_STEEL_YIELD_STRENGTH",
+        "PAPER_Z_AIR",
+        "PAPER_Z_CONCRETE",
+        "PLA",
+        "RESIN",
+        "RESIN_TENSILE_STRENGTH",
+        "SEAWATER",
+        "WATER",
+    ),
+    ".concrete": (
+        "CONCRETE_NAMES",
+        "NC_P_VELOCITY",
+        "NC_S_VELOCITY",
+        "Concrete",
+        "MixProportions",
+        "all_concretes",
+        "get_concrete",
+    ),
+})

@@ -1,27 +1,17 @@
 """EcoCapsule node: shell mechanics and the composed battery-free node."""
 
-from .capsule import EcoCapsule, Environment
-from .scheduler import DutyCyclePlan, EnergyScheduler
-from .shell import (
-    DEFAULT_CONCRETE_DENSITY,
-    DEFAULT_DISPLACEMENT_BUDGET,
-    SphericalShell,
-    max_building_height,
-    pressure_difference,
-    resin_shell,
-    steel_shell,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EcoCapsule",
-    "Environment",
-    "DutyCyclePlan",
-    "EnergyScheduler",
-    "DEFAULT_CONCRETE_DENSITY",
-    "DEFAULT_DISPLACEMENT_BUDGET",
-    "SphericalShell",
-    "max_building_height",
-    "pressure_difference",
-    "resin_shell",
-    "steel_shell",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".capsule": ("EcoCapsule", "Environment"),
+    ".scheduler": ("DutyCyclePlan", "EnergyScheduler"),
+    ".shell": (
+        "DEFAULT_CONCRETE_DENSITY",
+        "DEFAULT_DISPLACEMENT_BUDGET",
+        "SphericalShell",
+        "max_building_height",
+        "pressure_difference",
+        "resin_shell",
+        "steel_shell",
+    ),
+})

@@ -34,55 +34,49 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, Optional, Union
 
-from .events import DEFAULT_EVENT_CAPACITY, EventLog, NULL_EVENT_LOG, NullEventLog
-from .metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    NULL_METRIC,
-    escape_label_value,
-    parse_series,
-    prometheus_name,
-    render_prometheus_text,
-    render_snapshot_text,
-    series_name,
-)
-from .profiling import (
-    PROFILE_SCHEMA,
-    ProfileProbe,
-    peak_rss_kb,
-    validate_profile,
-)
-from .tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    TRACE_SCHEMA,
-    Tracer,
-    validate_chrome_trace,
-)
+from .._lazy import lazy_exports
+from . import events, metrics, tracing
 
-__all__ = [
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_EVENT_CAPACITY",
-    "EventLog",
-    "Gauge",
-    "Histogram",
-    "METRICS_SCHEMA",
-    "MetricsRegistry",
-    "NullTracer",
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": (
+        "DEFAULT_EVENT_CAPACITY",
+        "EventLog",
+        "NULL_EVENT_LOG",
+        "NullEventLog",
+    ),
+    ".metrics": (
+        "Counter",
+        "DEFAULT_BUCKETS",
+        "Gauge",
+        "Histogram",
+        "METRICS_SCHEMA",
+        "MetricsRegistry",
+        "NULL_METRIC",
+        "escape_label_value",
+        "parse_series",
+        "prometheus_name",
+        "render_prometheus_text",
+        "render_snapshot_text",
+        "series_name",
+    ),
+    ".profiling": (
+        "PROFILE_SCHEMA",
+        "ProfileProbe",
+        "peak_rss_kb",
+        "validate_profile",
+    ),
+    ".tracing": (
+        "NULL_TRACER",
+        "NullTracer",
+        "Span",
+        "TRACE_SCHEMA",
+        "Tracer",
+        "validate_chrome_trace",
+    ),
+})
+__all__ += [
     "ObsScope",
-    "PROFILE_SCHEMA",
-    "ProfileProbe",
-    "Span",
-    "TRACE_SCHEMA",
-    "Tracer",
     "activate_obs",
-    "escape_label_value",
     "obs_counter",
     "obs_enabled",
     "obs_event",
@@ -93,15 +87,7 @@ __all__ = [
     "obs_span",
     "obs_tracer",
     "observed",
-    "parse_series",
-    "peak_rss_kb",
-    "prometheus_name",
-    "render_prometheus_text",
-    "render_snapshot_text",
     "restore_obs",
-    "series_name",
-    "validate_chrome_trace",
-    "validate_profile",
 ]
 
 
@@ -110,8 +96,9 @@ class ObsScope:
 
     __slots__ = ("registry", "tracer", "events", "_previous")
 
-    def __init__(self, registry: MetricsRegistry, tracer: Tracer,
-                 events: EventLog, previous: "_State"):
+    def __init__(self, registry: metrics.MetricsRegistry,
+                 tracer: tracing.Tracer, events: events.EventLog,
+                 previous: "_State"):
         self.registry = registry
         self.tracer = tracer
         self.events = events
@@ -132,16 +119,16 @@ class _State:
     __slots__ = ("enabled", "registry", "tracer", "events")
 
     def __init__(self, enabled: bool,
-                 registry: Union[MetricsRegistry, None],
-                 tracer: Union[Tracer, NullTracer],
-                 events: EventLog):
+                 registry: Union[metrics.MetricsRegistry, None],
+                 tracer: Union[tracing.Tracer, tracing.NullTracer],
+                 events: events.EventLog):
         self.enabled = enabled
         self.registry = registry
         self.tracer = tracer
         self.events = events
 
 
-_state = _State(False, None, NULL_TRACER, NULL_EVENT_LOG)
+_state = _State(False, None, tracing.NULL_TRACER, events.NULL_EVENT_LOG)
 
 
 def obs_enabled() -> bool:
@@ -157,11 +144,11 @@ def activate_obs(process_label: Optional[str] = None) -> ObsScope:
     """
     global _state
     previous = _state
-    registry = MetricsRegistry()
-    tracer = Tracer(process_label=process_label)
-    events = EventLog()
-    _state = _State(True, registry, tracer, events)
-    return ObsScope(registry, tracer, events, previous)
+    registry = metrics.MetricsRegistry()
+    tracer = tracing.Tracer(process_label=process_label)
+    log = events.EventLog()
+    _state = _State(True, registry, tracer, log)
+    return ObsScope(registry, tracer, log, previous)
 
 
 def restore_obs(scope: ObsScope) -> None:
@@ -180,17 +167,17 @@ def observed(process_label: Optional[str] = None) -> Iterator[ObsScope]:
         restore_obs(scope)
 
 
-def obs_registry() -> Optional[MetricsRegistry]:
+def obs_registry() -> Optional[metrics.MetricsRegistry]:
     """The live registry, or None when observability is off."""
     return _state.registry
 
 
-def obs_tracer() -> Union[Tracer, NullTracer]:
+def obs_tracer() -> Union[tracing.Tracer, tracing.NullTracer]:
     """The live tracer (the shared null tracer when off)."""
     return _state.tracer
 
 
-def obs_events() -> EventLog:
+def obs_events() -> events.EventLog:
     """The live event log (a store-nothing one when off)."""
     return _state.events
 
@@ -198,22 +185,22 @@ def obs_events() -> EventLog:
 def obs_counter(name: str, help: str = "") -> Any:
     """The named counter, or the shared no-op metric when off."""
     if not _state.enabled:
-        return NULL_METRIC
+        return metrics.NULL_METRIC
     return _state.registry.counter(name, help)
 
 
 def obs_gauge(name: str, help: str = "") -> Any:
     """The named gauge, or the shared no-op metric when off."""
     if not _state.enabled:
-        return NULL_METRIC
+        return metrics.NULL_METRIC
     return _state.registry.gauge(name, help)
 
 
 def obs_histogram(name: str, help: str = "",
-                  buckets: Iterable[float] = DEFAULT_BUCKETS) -> Any:
+                  buckets: Iterable[float] = metrics.DEFAULT_BUCKETS) -> Any:
     """The named histogram, or the shared no-op metric when off."""
     if not _state.enabled:
-        return NULL_METRIC
+        return metrics.NULL_METRIC
     return _state.registry.histogram(name, help, buckets=buckets)
 
 

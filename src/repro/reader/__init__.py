@@ -1,6 +1,8 @@
 """Reader: transmit chain (prism + PZT + PIE/FSK) and receive/decode DSP."""
 
-from .receiver import DEFAULT_SAMPLE_RATE, ReaderReceiver
-from .transmitter import ReaderTransmitter
+from .._lazy import lazy_exports
 
-__all__ = ["DEFAULT_SAMPLE_RATE", "ReaderReceiver", "ReaderTransmitter"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".receiver": ("DEFAULT_SAMPLE_RATE", "ReaderReceiver"),
+    ".transmitter": ("ReaderTransmitter",),
+})

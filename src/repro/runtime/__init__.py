@@ -26,58 +26,42 @@ Layers (see DESIGN.md "Experiment runtime"):
   golden-regression test layer.
 """
 
-from .cache import CACHE_ENTRY_SCHEMA, ResultCache, cache_key, library_versions
-from .goldens import compare_snapshots, flatten_scalars, golden_snapshot
-from .manifest import (
-    MANIFEST_SCHEMA,
-    RESULT_SCHEMA,
-    SUPPORTED_MANIFEST_SCHEMAS,
-    git_revision,
-    load_manifest,
-    validate_manifest,
-)
-from .registry import (
-    ExperimentSpec,
-    experiment_names,
-    experiment_registry,
-    get_spec,
-)
-from .runner import (
-    DEFAULT_TIMEOUT_S,
-    ExperimentOutcome,
-    METRICS_FILENAME,
-    RunReport,
-    TRACE_FILENAME,
-    run_experiments,
-)
-from .serialize import canonical_json, read_json, to_jsonable, write_json_atomic
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_ENTRY_SCHEMA",
-    "DEFAULT_TIMEOUT_S",
-    "ExperimentOutcome",
-    "ExperimentSpec",
-    "MANIFEST_SCHEMA",
-    "METRICS_FILENAME",
-    "RESULT_SCHEMA",
-    "ResultCache",
-    "RunReport",
-    "SUPPORTED_MANIFEST_SCHEMAS",
-    "TRACE_FILENAME",
-    "cache_key",
-    "canonical_json",
-    "compare_snapshots",
-    "experiment_names",
-    "experiment_registry",
-    "flatten_scalars",
-    "get_spec",
-    "git_revision",
-    "golden_snapshot",
-    "library_versions",
-    "load_manifest",
-    "read_json",
-    "run_experiments",
-    "to_jsonable",
-    "validate_manifest",
-    "write_json_atomic",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cache": (
+        "CACHE_ENTRY_SCHEMA",
+        "ResultCache",
+        "cache_key",
+        "library_versions",
+    ),
+    ".goldens": ("compare_snapshots", "flatten_scalars", "golden_snapshot"),
+    ".manifest": (
+        "MANIFEST_SCHEMA",
+        "RESULT_SCHEMA",
+        "SUPPORTED_MANIFEST_SCHEMAS",
+        "git_revision",
+        "load_manifest",
+        "validate_manifest",
+    ),
+    ".registry": (
+        "ExperimentSpec",
+        "experiment_names",
+        "experiment_registry",
+        "get_spec",
+    ),
+    ".runner": (
+        "DEFAULT_TIMEOUT_S",
+        "ExperimentOutcome",
+        "METRICS_FILENAME",
+        "RunReport",
+        "TRACE_FILENAME",
+        "run_experiments",
+    ),
+    ".serialize": (
+        "canonical_json",
+        "read_json",
+        "to_jsonable",
+        "write_json_atomic",
+    ),
+})

@@ -18,28 +18,18 @@ contract; ``perfbench/`` measures the gateway under load from separate
 processes.
 """
 
-from .api import (
-    CONDITIONAL_ENDPOINTS,
-    KNOWN_ENDPOINTS,
-    EndpointCore,
-    Response,
-    decode_cursor,
-    encode_cursor,
-    encode_json,
-)
-from .cache import RollupCache
-from .gateway import AsyncGateway, gateway_background, run_gateway
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncGateway",
-    "CONDITIONAL_ENDPOINTS",
-    "EndpointCore",
-    "KNOWN_ENDPOINTS",
-    "Response",
-    "RollupCache",
-    "decode_cursor",
-    "encode_cursor",
-    "encode_json",
-    "gateway_background",
-    "run_gateway",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".api": (
+        "CONDITIONAL_ENDPOINTS",
+        "KNOWN_ENDPOINTS",
+        "EndpointCore",
+        "Response",
+        "decode_cursor",
+        "encode_cursor",
+        "encode_json",
+    ),
+    ".cache": ("RollupCache",),
+    ".gateway": ("AsyncGateway", "gateway_background", "run_gateway"),
+})

@@ -1,99 +1,58 @@
 """SHM analytics: the pilot-study bridge, synthetic data, PAO grading."""
 
-from .bridge import (
-    SECTION_NAMES,
-    SENSOR_TYPES,
-    Footbridge,
-    SensorInstallation,
-    ShmError,
-    StructuralLimits,
-    standard_sensor_layout,
-)
-from .building import (
-    WALL_GRADES,
-    BuildingMonitor,
-    CapsuleStatus,
-    WallHealth,
-)
-from .comparison import CostModel, FalsePositiveResult, FalsePositiveStudy
-from .damage import (
-    DamageAlarm,
-    DamageDetector,
-    DamageError,
-    StrainHistory,
-    strain_capacity_margin,
-    synthesize_history,
-)
-from .monitor import (
-    AnomalyWindow,
-    BridgeMonitor,
-    ComplianceReport,
-    check_compliance,
-    cross_validate,
-    detect_anomalies,
-    rolling_rms,
-)
-from .pao import (
-    GRADES,
-    PAO_THRESHOLDS,
-    PaoError,
-    SectionHealth,
-    collapse_risk,
-    grade,
-    grade_sections,
-    is_safe,
-    pedestrian_area_occupancy,
-    worst_grade,
-)
-from .timeseries import (
-    JULY_HOURS,
-    STORM_END_HOUR,
-    STORM_START_HOUR,
-    JulyTimeSeriesGenerator,
-    in_storm,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "WALL_GRADES",
-    "BuildingMonitor",
-    "CapsuleStatus",
-    "WallHealth",
-    "CostModel",
-    "FalsePositiveResult",
-    "FalsePositiveStudy",
-    "DamageAlarm",
-    "DamageDetector",
-    "DamageError",
-    "StrainHistory",
-    "strain_capacity_margin",
-    "synthesize_history",
-    "SECTION_NAMES",
-    "SENSOR_TYPES",
-    "Footbridge",
-    "SensorInstallation",
-    "ShmError",
-    "StructuralLimits",
-    "standard_sensor_layout",
-    "AnomalyWindow",
-    "BridgeMonitor",
-    "ComplianceReport",
-    "check_compliance",
-    "cross_validate",
-    "detect_anomalies",
-    "rolling_rms",
-    "GRADES",
-    "PAO_THRESHOLDS",
-    "PaoError",
-    "SectionHealth",
-    "collapse_risk",
-    "grade",
-    "grade_sections",
-    "is_safe",
-    "pedestrian_area_occupancy",
-    "worst_grade",
-    "JULY_HOURS",
-    "STORM_END_HOUR",
-    "STORM_START_HOUR",
-    "JulyTimeSeriesGenerator",
-    "in_storm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".bridge": (
+        "SECTION_NAMES",
+        "SENSOR_TYPES",
+        "Footbridge",
+        "SensorInstallation",
+        "ShmError",
+        "StructuralLimits",
+        "standard_sensor_layout",
+    ),
+    ".building": (
+        "WALL_GRADES",
+        "BuildingMonitor",
+        "CapsuleStatus",
+        "WallHealth",
+    ),
+    ".comparison": ("CostModel", "FalsePositiveResult", "FalsePositiveStudy"),
+    ".damage": (
+        "DamageAlarm",
+        "DamageDetector",
+        "DamageError",
+        "StrainHistory",
+        "strain_capacity_margin",
+        "synthesize_history",
+    ),
+    ".monitor": (
+        "AnomalyWindow",
+        "BridgeMonitor",
+        "ComplianceReport",
+        "check_compliance",
+        "cross_validate",
+        "detect_anomalies",
+        "rolling_rms",
+    ),
+    ".pao": (
+        "GRADES",
+        "PAO_THRESHOLDS",
+        "PaoError",
+        "SectionHealth",
+        "collapse_risk",
+        "grade",
+        "grade_sections",
+        "is_safe",
+        "pedestrian_area_occupancy",
+        "worst_grade",
+    ),
+    ".timeseries": (
+        "JULY_HOURS",
+        "STORM_END_HOUR",
+        "STORM_START_HOUR",
+        "JulyTimeSeriesGenerator",
+        "in_storm",
+    ),
+})

@@ -14,59 +14,33 @@ and raised as :class:`~repro.errors.SegmentError` -- never silently
 wrong data.
 """
 
-from .compact import (
-    DAILY,
-    HOURLY,
-    RESOLUTIONS,
-    ROLLUP_WIDTHS,
-    compact_store,
-    rollup,
-)
-from .ingest import (
-    ingest_campaign_result,
-    ingest_inventory,
-    ingest_reports,
-    ingest_series,
-    ingest_session,
-)
-from .keys import (
-    MAX_NODE_ID,
-    OBS_BUILDING,
-    STRUCTURE_NODE_ID,
-    SeriesKey,
-    validate_component,
-)
-from .lock import LOCK_FILENAME, PartitionLock, pid_alive
-from .query import AGGREGATIONS, QueryEngine
-from .segment import RAW, SEGMENT_SCHEMA, SegmentDir
-from .store import STORE_SCHEMA, StoreWriter, TelemetryStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AGGREGATIONS",
-    "DAILY",
-    "HOURLY",
-    "LOCK_FILENAME",
-    "MAX_NODE_ID",
-    "OBS_BUILDING",
-    "PartitionLock",
-    "QueryEngine",
-    "RAW",
-    "RESOLUTIONS",
-    "ROLLUP_WIDTHS",
-    "SEGMENT_SCHEMA",
-    "STORE_SCHEMA",
-    "STRUCTURE_NODE_ID",
-    "SegmentDir",
-    "SeriesKey",
-    "StoreWriter",
-    "TelemetryStore",
-    "compact_store",
-    "ingest_campaign_result",
-    "ingest_inventory",
-    "ingest_reports",
-    "ingest_series",
-    "ingest_session",
-    "pid_alive",
-    "rollup",
-    "validate_component",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".compact": (
+        "DAILY",
+        "HOURLY",
+        "RESOLUTIONS",
+        "ROLLUP_WIDTHS",
+        "compact_store",
+        "rollup",
+    ),
+    ".ingest": (
+        "ingest_campaign_result",
+        "ingest_inventory",
+        "ingest_reports",
+        "ingest_series",
+        "ingest_session",
+    ),
+    ".keys": (
+        "MAX_NODE_ID",
+        "OBS_BUILDING",
+        "STRUCTURE_NODE_ID",
+        "SeriesKey",
+        "validate_component",
+    ),
+    ".lock": ("LOCK_FILENAME", "PartitionLock", "pid_alive"),
+    ".query": ("AGGREGATIONS", "QueryEngine"),
+    ".segment": ("RAW", "SEGMENT_SCHEMA", "SegmentDir"),
+    ".store": ("STORE_SCHEMA", "StoreWriter", "TelemetryStore"),
+})

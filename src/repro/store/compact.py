@@ -75,9 +75,12 @@ def compact_store(store: Any) -> Dict[str, Any]:
     with obs_span("store.compact", series=len(keys)):
         for building, group in by_building(keys).items():
             with store.partition(building):
-                summary["folded_rows"] += store.fold_partition(building)
+                rows, folded = store.fold_partition(building)
+                summary["folded_rows"] += rows
                 for key in group:
-                    segment = store.segment(key)
+                    # A segment that folded holds the index its fold
+                    # read back; any other one reads its manifest.
+                    segment = folded.get(key) or store.segment(key)
                     segment.drop_rollups()
                     summary["raw_rows"] += segment.rows()
     obs_counter("store.compactions").inc()

@@ -56,6 +56,7 @@ from ..faults.io import reclaim_tmp_files
 from ..obs import obs_counter, obs_event
 from ..runtime.serialize import write_json_atomic
 from .commitlog import FOLD_BYTES, LOG_FILENAME, CommitLog, LogView
+from .compact import compact_store
 from .keys import SeriesKey, by_building
 from .lock import PartitionLock
 from .segment import MANIFEST_FILENAME, RAW_COLUMNS, SegmentDir, encode_block
@@ -282,8 +283,10 @@ class TelemetryStore:
             view = view._replace(size=len(view.raw))
         return view
 
-    def fold_partition(self, building: str) -> int:
-        """Fold ``building``'s commit log into its segments; returns rows.
+    def fold_partition(
+        self, building: str
+    ) -> Tuple[int, Dict[SeriesKey, SegmentDir]]:
+        """Fold ``building``'s commit log into its segments.
 
         The caller holds the building's partition lock.  Each series'
         logged rows are appended to its ``raw.seg`` as one block and its
@@ -292,13 +295,19 @@ class TelemetryStore:
         on both sides of that reset: before it, so no result cached
         while the log was last this short can match again; after it, so
         none cached during the fold can match once the log regrows.
+
+        Returns the rows folded and the building's segments, each in a
+        use this thread started: one that folded holds the index its
+        fold wrote and read back, so reading it needs no manifest read.
         """
         view = self._log_view(building)
         if not view.records:
-            return 0
+            return 0, {}
         rows = 0
+        folded = {}
         for key in self._building_keys(building, view):
-            rows += self.segment(key).fold(view.entries(log_key(key)))
+            folded[key] = segment = self.segment(key)
+            rows += segment.fold(view.entries(log_key(key)))
         self.bump_generation()
         self.commit_log(building).reset(view.last_seq)
         self.bump_generation()
@@ -308,7 +317,7 @@ class TelemetryStore:
             "info", "store.folded", building=building,
             records=len(view.records), rows=rows,
         )
-        return rows
+        return rows, folded
 
     # ------------------------------------------------------------------
     # Series
@@ -552,8 +561,6 @@ class TelemetryStore:
 
     def compact(self) -> Dict[str, Any]:
         """Fold every building's commit log; see :mod:`.compact`."""
-        from .compact import compact_store
-
         return compact_store(self)
 
     # ------------------------------------------------------------------

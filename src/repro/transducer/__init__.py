@@ -1,14 +1,8 @@
 """Transducer substrate: PZT discs and the reader's analog drive chain."""
 
-from .frontend import MatchingNetwork, PowerAmplifier, TransmitChain
-from .pzt import PztDisc, node_disc, reader_rx_disc, reader_tx_disc
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MatchingNetwork",
-    "PowerAmplifier",
-    "TransmitChain",
-    "PztDisc",
-    "node_disc",
-    "reader_rx_disc",
-    "reader_tx_disc",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".frontend": ("MatchingNetwork", "PowerAmplifier", "TransmitChain"),
+    ".pzt": ("PztDisc", "node_disc", "reader_rx_disc", "reader_tx_disc"),
+})
